@@ -32,7 +32,7 @@ from .gluing import (
     parse_bases,
     tree_shaped_ext_basis,
 )
-from .linalg import DEFAULT_PRIME, Matrix, QQ, PrimeField
+from .linalg import DEFAULT_PRIME, Matrix, ModulusError, QQ, PrimeField
 from .quiver import (
     ParseError,
     QuiverError,
@@ -643,7 +643,9 @@ def main(argv=None):
     except VerificationFailure as exc:
         print("\n".join(out + list(exc.lines)))
         return 2
-    except (InputError, ParseError, QuiverError, RepError, TreeError, DecomposeError) as exc:
+    except (
+        InputError, ParseError, QuiverError, RepError, TreeError, DecomposeError, ModulusError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print("\n".join(out))

@@ -594,7 +594,12 @@ def _search_reduced_sequence(quiver, oracle, a):
                     return found
         return None
 
-    return rec(a, 0, [], [])
+    try:
+        return rec(a, 0, [], [])
+    finally:
+        # rec reaches itself through its closure; break that cycle so the
+        # memo tables and the oracle are freed now, not at the next gc pass
+        del rec
 
 
 def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConfig(), verify=True):

@@ -5,17 +5,58 @@ algebras) reduces to rank / kernel / solve on small dense matrices, so
 plain Gaussian elimination with exact field arithmetic is all we need.
 Matrices with zero rows or columns are legal and common (maps in and out
 of zero spaces at unsupported vertices).
+
+Elimination has two kernels.  Over Q it calls the field's methods once per
+scalar.  Over F_p it works on plain int rows with the reduction written
+inline, `(x + g*y) % p`, and touches only the columns from the pivot on;
+`rank` stops after forward elimination.  Both are pure Python: numpy is not
+a dependency, since importing it costs more memory and start-up time than
+the small matrices here ever win back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 DEFAULT_PRIME = 2147483647  # prime below 2**31, used for Monte-Carlo sampling
 
 
 class FieldMismatchError(ValueError):
     pass
+
+
+class ModulusError(ValueError):
+    """A prime field was asked for with a modulus that is not prime."""
+
+
+# Miller-Rabin with these bases is exact below 3.3e24 (Sorenson & Webster);
+# above that it is a strong probable-prime test, still deterministic.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=None)
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalField:
@@ -73,8 +114,8 @@ class PrimeField:
     """The prime field F_p with residues stored in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+        if not is_prime(p):
+            raise ModulusError(f"modulus {p} is not a prime")
         self.p = p
         self.name = f"F_{p}"
         self.characteristic = p
@@ -159,6 +200,16 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries, field):
+        """A matrix from entries already in the field's normal form; no checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple(entries))
+        object.__setattr__(m, "field", field)
+        return m
 
     @classmethod
     def zeros(cls, rows, cols, field=QQ):
@@ -364,8 +415,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, cols, ent, f)
 
 
-def _elimination(a: Matrix):
-    """Row echelon form; returns (list of rows, pivot column indices)."""
+def _elimination(a: Matrix, reduce_above=True):
+    """Row echelon form; returns (list of rows, pivot column indices).
+
+    With reduce_above the rows are in reduced row echelon form.  Without it
+    the F_p kernel clears only below each pivot, which is all `rank` needs;
+    the field-generic kernel always reduces fully.
+    """
+    if isinstance(a.field, PrimeField):
+        return _elimination_fp(a, reduce_above)
     f = a.field
     rows = [a.row(r) for r in range(a.rows)]
     pivots = []
@@ -392,13 +450,50 @@ def _elimination(a: Matrix):
     return rows, pivots
 
 
+def _elimination_fp(a: Matrix, reduce_above):
+    """_elimination over F_p on plain int rows with inline modular arithmetic.
+
+    Left of the pivot column, the pivot row and every row still to be
+    cleared are zero, so each row operation starts at the pivot column.
+    """
+    p = a.field.p
+    n, m = a.rows, a.cols
+    e = a.entries
+    rows = [list(e[i * m : (i + 1) * m]) for i in range(n)]
+    pivots = []
+    pr = 0
+    for pc in range(m):
+        if pr == n:
+            break
+        for r in range(pr, n):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        prow = rows[r]
+        rows[r] = rows[pr]
+        inv = pow(prow[pc], -1, p)
+        tail = [x * inv % p for x in prow[pc:]]
+        prow[pc:] = tail
+        rows[pr] = prow
+        for i in range(0 if reduce_above else pr + 1, n):
+            row = rows[i]
+            factor = row[pc]
+            if factor and i != pr:
+                g = p - factor
+                row[pc:] = [(x + g * y) % p for x, y in zip(row[pc:], tail)]
+        pivots.append(pc)
+        pr += 1
+    return rows, pivots
+
+
 def rref(a: Matrix):
     rows, pivots = _elimination(a)
     return Matrix.from_rows(rows, a.field, cols=a.cols), pivots
 
 
 def rank(a: Matrix) -> int:
-    _, pivots = _elimination(a)
+    _, pivots = _elimination(a, reduce_above=False)
     return len(pivots)
 
 

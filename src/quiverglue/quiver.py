@@ -25,6 +25,9 @@ class Quiver:
     vertices: tuple
     arrows: tuple
     allows_loops: bool = False
+    # derived in __post_init__: vertex -> index, and (source, target) index per arrow
+    _index: dict = field(init=False, repr=False, compare=False)
+    arrow_indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -38,6 +41,11 @@ class Quiver:
                 raise QuiverError(f"arrow {a.name} refers to an undeclared vertex")
             if a.is_loop() and not self.allows_loops:
                 raise QuiverError(f"arrow {a.name} is a loop but allows_loops is not set")
+        index = {v: i for i, v in enumerate(self.vertices)}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(
+            self, "arrow_indices", tuple((index[a.source], index[a.target]) for a in self.arrows)
+        )
 
     # -- basic structure ----------------------------------------------
 
@@ -47,8 +55,8 @@ class Quiver:
 
     def index(self, vertex: str) -> int:
         try:
-            return self.vertices.index(vertex)
-        except ValueError:
+            return self._index[vertex]
+        except (KeyError, TypeError):
             raise QuiverError(f"unknown vertex {vertex!r}") from None
 
     def arrow(self, name: str) -> Arrow:
@@ -84,7 +92,7 @@ class Quiver:
             raise QuiverError(
                 f"dimension vector of length {len(a)} for a quiver with {self.n} vertices"
             )
-        return tuple(int(x) for x in a)
+        return tuple(map(int, a))
 
 
 def opposite(q: Quiver) -> Quiver:
@@ -131,8 +139,8 @@ def euler_form(q: Quiver, a, b) -> int:
     a = q.check_dimvector(a)
     b = q.check_dimvector(b)
     total = sum(x * y for x, y in zip(a, b))
-    for arr in q.arrows:
-        total -= a[q.index(arr.source)] * b[q.index(arr.target)]
+    for s, t in q.arrow_indices:
+        total -= a[s] * b[t]
     return total
 
 

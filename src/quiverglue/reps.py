@@ -62,10 +62,10 @@ class Representation:
         object.__setattr__(self, "dims", q.check_dimvector(self.dims))
         if len(self.maps) != len(q.arrows):
             raise RepError("one matrix per arrow expected")
-        for arrow, m in zip(q.arrows, self.maps):
+        for arrow, (s, t), m in zip(q.arrows, q.arrow_indices, self.maps):
             if m.field != self.field:
                 raise FieldMismatchError("field mismatch")
-            want = (self.dims[q.index(arrow.target)], self.dims[q.index(arrow.source)])
+            want = (self.dims[t], self.dims[s])
             if (m.rows, m.cols) != want:
                 raise RepError(
                     f"map for arrow {arrow.name} has shape {m.rows}x{m.cols}, expected {want[0]}x{want[1]}"
@@ -119,17 +119,13 @@ class Morphism:
         q = x.quiver
         if len(self.blocks) != q.n:
             raise RepError("one block per vertex expected")
-        for v, b in zip(q.vertices, self.blocks):
-            i = q.index(v)
+        for i, (v, b) in enumerate(zip(q.vertices, self.blocks)):
             if (b.rows, b.cols) != (y.dims[i], x.dims[i]):
                 raise RepError(f"block at vertex {v} has the wrong shape")
             if b.field != x.field:
                 raise FieldMismatchError("field mismatch")
-        for arrow in q.arrows:
-            s, t = q.index(arrow.source), q.index(arrow.target)
-            lhs = y.map_for(arrow.name) * self.blocks[s]
-            rhs = self.blocks[t] * x.map_for(arrow.name)
-            if lhs != rhs:
+        for arrow, (s, t), xm, ym in zip(q.arrows, q.arrow_indices, x.maps, y.maps):
+            if ym * self.blocks[s] != self.blocks[t] * xm:
                 raise RepError(f"intertwining law fails at arrow {arrow.name}")
 
     def block(self, vertex):
@@ -244,10 +240,8 @@ def hom_block_dim(x: Representation, y: Representation) -> int:
 
 
 def bundle_space_dim(x: Representation, y: Representation) -> int:
-    q = x.quiver
-    return sum(
-        x.dims[q.index(a.source)] * y.dims[q.index(a.target)] for a in q.arrows
-    )
+    xd, yd = x.dims, y.dims
+    return sum(xd[s] * yd[t] for s, t in x.quiver.arrow_indices)
 
 
 def bundle_to_vector(g: MapBundle):
@@ -285,36 +279,46 @@ def vector_to_blocks(x: Representation, y: Representation, vec):
     return tuple(blocks)
 
 
-def apply_d(x: Representation, y: Representation, blocks) -> MapBundle:
-    """Evaluate d_{X,Y} on a per-vertex block family (not necessarily a morphism)."""
-    q = x.quiver
-    out = []
-    for arrow in q.arrows:
-        s, t = q.index(arrow.source), q.index(arrow.target)
-        out.append(y.map_for(arrow.name) * blocks[s] - blocks[t] * x.map_for(arrow.name))
-    return MapBundle(x, y, tuple(out))
-
-
 def d_matrix(x: Representation, y: Representation) -> Matrix:
+    """The matrix of d_{X,Y}, assembled arrow by arrow.
+
+    Column (v; r, c) is the unit block E(r, c) at vertex v.  For an arrow
+    rho: s -> t, E(r, c) at s adds Y_rho[i, r] at entry (i, c) of the rho
+    block, and E(r, c) at t subtracts X_rho[c, j] at entry (r, j).
+    """
     _check_pair(x, y)
-    q = x.quiver
     field = x.field
-    dom = hom_block_dim(x, y)
+    xd, yd = x.dims, y.dims
+    col0 = []
+    dom = 0
+    for dx, dy in zip(xd, yd):
+        col0.append(dom)
+        dom += dx * dy
     cod = bundle_space_dim(x, y)
-    cols = []
-    for vi, v in enumerate(q.vertices):
-        dx, dy = x.dims[vi], y.dims[vi]
-        for c in range(dx):
-            for r in range(dy):
-                blocks = [
-                    Matrix.zeros(y.dims[i], x.dims[i], field) for i in range(q.n)
-                ]
-                blocks[vi] = Matrix.unit(dy, dx, r, c, field)
-                cols.append(bundle_to_vector(apply_d(x, y, blocks)))
-    ent = [field.zero()] * (cod * dom)
-    for j, colvec in enumerate(cols):
-        for i, val in enumerate(colvec):
-            ent[i * dom + j] = val
+    ent = [0] * (cod * dom)
+    row0 = 0
+    for (s, t), xm, ym in zip(x.quiver.arrow_indices, x.maps, y.maps):
+        dxs, dys, dxt, dyt = xd[s], yd[s], xd[t], yd[t]
+        ye, xe = ym.entries, xm.entries
+        for c in range(dxs):
+            base = (row0 + c * dyt) * dom
+            for r in range(dys):
+                col = base + col0[s] + c * dys + r
+                for i in range(dyt):
+                    v = ye[i * dys + r]
+                    if v:
+                        ent[col + i * dom] += v
+        for c in range(dxt):
+            xrow = xe[c * dxs : (c + 1) * dxs]
+            for r in range(dyt):
+                col = (row0 + r) * dom + col0[t] + c * dyt + r
+                for j, v in enumerate(xrow):
+                    if v:
+                        ent[col + j * dyt * dom] -= v
+        row0 += dyt * dxs
+    if isinstance(field, PrimeField):
+        p = field.p
+        return Matrix._trusted(cod, dom, [v % p for v in ent], field)
     return Matrix(cod, dom, ent, field)
 
 
@@ -669,10 +673,11 @@ def random_rep(quiver: Quiver, dims, prime: int, seed: int, name="") -> Represen
     field = PrimeField(prime)
     rng = random.Random(_derive_seed(seed, 0))
     maps = []
-    for arrow in quiver.arrows:
-        rows = dims[quiver.index(arrow.target)]
-        cols = dims[quiver.index(arrow.source)]
-        maps.append(Matrix(rows, cols, [rng.randrange(prime) for _ in range(rows * cols)], field))
+    for s, t in quiver.arrow_indices:
+        rows, cols = dims[t], dims[s]
+        maps.append(
+            Matrix._trusted(rows, cols, [rng.randrange(prime) for _ in range(rows * cols)], field)
+        )
     return Representation(quiver, field, dims, tuple(maps), name)
 
 
@@ -702,7 +707,10 @@ def _parse_field(tokens, lineno):
     if tokens == ["Q"]:
         return QQ
     if len(tokens) == 2 and tokens[0] == "F":
-        return PrimeField(int(tokens[1]))
+        try:
+            return PrimeField(int(tokens[1]))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad modulus {tokens[1]!r}: {exc}") from None
     raise ParseError(f"line {lineno}: expected 'over Q' or 'over F <p>'")
 
 

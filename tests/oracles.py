@@ -5,9 +5,13 @@ from fractions import Fraction
 
 from quiverglue.linalg import Matrix, QQ
 from quiverglue.reps import (
+    MapBundle,
     Representation,
+    bundle_space_dim,
+    bundle_to_vector,
     compose,
     end_algebra,
+    hom_block_dim,
     identity_morphism,
 )
 
@@ -59,3 +63,34 @@ def k2_root_table(max_entry=4):
                 roots.add(v)
     roots.discard((0, 0))
     return roots
+
+
+def apply_d(x, y, blocks):
+    """Evaluate d_{X,Y} on a per-vertex block family (not necessarily a morphism)."""
+    q = x.quiver
+    out = []
+    for arrow in q.arrows:
+        s, t = q.index(arrow.source), q.index(arrow.target)
+        out.append(y.map_for(arrow.name) * blocks[s] - blocks[t] * x.map_for(arrow.name))
+    return MapBundle(x, y, tuple(out))
+
+
+def d_matrix_by_columns(x, y):
+    """d_{X,Y} by definition: column j is apply_d on the j-th unit block family."""
+    q = x.quiver
+    field = x.field
+    dom = hom_block_dim(x, y)
+    cod = bundle_space_dim(x, y)
+    cols = []
+    for vi in range(q.n):
+        dx, dy = x.dims[vi], y.dims[vi]
+        for c in range(dx):
+            for r in range(dy):
+                blocks = [Matrix.zeros(y.dims[i], x.dims[i], field) for i in range(q.n)]
+                blocks[vi] = Matrix.unit(dy, dx, r, c, field)
+                cols.append(bundle_to_vector(apply_d(x, y, blocks)))
+    ent = [field.zero()] * (cod * dom)
+    for j, colvec in enumerate(cols):
+        for i, val in enumerate(colvec):
+            ent[i * dom + j] = val
+    return Matrix(cod, dom, ent, field)

@@ -155,3 +155,10 @@ def test_reproduce_fast_ids(capsys):
     assert code == 0 and out.rstrip().endswith("status: ok")
     code, out = run(capsys, "reproduce", "sub4-glue")
     assert code == 0 and out.rstrip().endswith("status: ok")
+
+
+@pytest.mark.parametrize("prime", ["4", "1"])
+def test_non_prime_modulus_exits_one(capsys, prime):
+    assert main(["candecomp", "-q", "K3", "(2,2)", "--prime", prime]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a prime" in err

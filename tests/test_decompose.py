@@ -166,3 +166,27 @@ def test_trivial_report_lines_shape():
     for root, c in zip(report.roots, report.coeffs):
         total = [t + c * r for t, r in zip(total, root)]
     assert tuple(total) == (10, 3, 3, 3, 3, 8)
+
+
+def test_search_reduced_sequence_frees_its_oracle():
+    # the recursive search must not keep itself alive through a reference
+    # cycle: with the collector off, dropping the caller's reference to the
+    # oracle has to free it together with the search's memo tables
+    import gc
+    import weakref
+
+    from quiverglue.decompose import _search_reduced_sequence
+
+    q = load_quiver("S4")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        oracle = Oracle(q, CONFIG)
+        found = _search_reduced_sequence(q, oracle, (3, 2, 2, 1, 1))
+        assert found is not None
+        ref = weakref.ref(oracle)
+        del oracle
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

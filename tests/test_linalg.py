@@ -6,10 +6,12 @@ from quiverglue.linalg import (
     DEFAULT_PRIME,
     IncrementalRank,
     Matrix,
+    ModulusError,
     PrimeField,
     QQ,
     block_diag,
     hstack,
+    is_prime,
     kernel_basis,
     kron,
     rank,
@@ -94,3 +96,15 @@ def test_incremental_rank():
     assert inc.rank() == 2
     assert inc.contains([Fraction(0), Fraction(1), Fraction(0)])
     assert not inc.contains([Fraction(0), Fraction(0), Fraction(1)])
+
+
+def test_is_prime_and_non_prime_moduli():
+    small = [n for n in range(200) if is_prime(n)]
+    assert small == [n for n in range(2, 200) if all(n % d for d in range(2, n))]
+    assert is_prime(DEFAULT_PRIME) and is_prime(2**61 - 1)
+    # strong pseudoprimes to several small bases, and a Carmichael number
+    for n in (2047, 3215031751, 3825123056546413051, 561, DEFAULT_PRIME * 65537):
+        assert not is_prime(n)
+    for p in (-7, 0, 1, 4, 6, 2047):
+        with pytest.raises(ModulusError):
+            PrimeField(p)

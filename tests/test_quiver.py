@@ -27,6 +27,16 @@ def test_fixture_quivers_shape():
     assert ex.n == 9 and len(ex.arrows) == 9
 
 
+def test_vertex_index_and_arrow_indices():
+    s4 = load_quiver("S4")
+    assert [s4.index(v) for v in s4.vertices] == list(range(s4.n))
+    assert s4.arrow_indices == ((1, 0), (2, 0), (3, 0), (4, 0))
+    for bad in ("q9", "", ["q0"]):
+        with pytest.raises(QuiverError):
+            s4.index(bad)
+    assert s4 == load_quiver("S4") and hash(s4) == hash(load_quiver("S4"))
+
+
 def test_parse_format_roundtrip():
     for name in ("K2", "K3", "S4", "S5", "S8", "EX39"):
         q = load_quiver(name)

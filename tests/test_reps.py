@@ -4,7 +4,7 @@ import pytest
 
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.linalg import Matrix, PrimeField, QQ
-from quiverglue.quiver import euler_form
+from quiverglue.quiver import ParseError, euler_form
 from quiverglue.reps import (
     Morphism,
     RepError,
@@ -131,6 +131,12 @@ def test_parse_rep_errors():
     with pytest.raises(Exception) as err:
         parse_rep("rep X over Q\nquiver K2\ndim q 1\ndim qp 1\nmap a 2x2\n1 0\n0 1\n", q)
     assert "a" in str(err.value)
+
+
+@pytest.mark.parametrize("modulus", ["abc", "6", "1"])
+def test_parse_rep_rejects_bad_modulus(modulus):
+    with pytest.raises(ParseError, match="line 1: bad modulus"):
+        parse_rep(f"rep X over F {modulus}\nquiver K2\ndim q 1\n", k2())
 
 
 def test_morphism_roundtrip():
