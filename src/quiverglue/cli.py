@@ -1,6 +1,7 @@
 """Command-line front end: file loading, per-command dispatch, reproduction driver.
 
-Exit codes: 0 success, 1 input error, 2 verification failure.
+Exit codes: 0 success, 1 input error, 2 verification failure or an
+undecided result (an exceptional-sequence search that ran out of budget).
 """
 
 from __future__ import annotations
@@ -256,6 +257,8 @@ def cmd_excdecomp(args, out):
     _oracle_header(args, out)
     report = exceptional_sequence_decomposition(q, a, _config(args))
     out.extend(report.lines())
+    if report.result == "unknown":
+        raise VerificationFailure(["no certificate: the step-2 search ran out of budget"])
     if report.verification is not None and not report.verification.ok:
         raise VerificationFailure(["reduced-sequence verification failed"])
 
@@ -518,9 +521,19 @@ def cmd_reproduce(args, out):
 # -- argument parsing ------------------------------------------------------
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=5, help="Monte-Carlo samples")
+    common.add_argument("--samples", type=_positive_int, default=5, help="Monte-Carlo samples")
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="sampling prime")
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--bound", type=int, default=None, help="perp search bound")

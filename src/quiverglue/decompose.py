@@ -22,6 +22,7 @@ from .quiver import (
     Quiver,
     classify_root,
     euler_form,
+    euler_form_unchecked,
     format_dimvector,
     vec_scale,
     vec_sub,
@@ -306,7 +307,12 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
     roots = [quiver.check_dimvector(r) for r in roots]
     oracle = Oracle(quiver, config)
     needed = quiver.n - len(roots)
-    if needed <= 0:
+    if needed < 0:
+        raise DecomposeError(
+            f"{len(roots)} roots on a quiver with {quiver.n} vertices; "
+            "an exceptional sequence has at most one root per vertex"
+        )
+    if needed == 0:
         return []
     bound = config.bound
     if bound is None:
@@ -450,7 +456,7 @@ def verify_reduced_sequence(quiver: Quiver, roots, coeffs, target, config: Oracl
 class DecompositionReport:
     quiver: Quiver
     vector: tuple
-    result: str  # "trivial" | "sequence"
+    result: str  # "trivial" | "sequence" | "unknown" (step-2 budget exhausted)
     roots: tuple
     coeffs: tuple
     canonical: CanonicalDecomposition
@@ -531,7 +537,7 @@ def _candidate_roots(quiver, a):
     for cand in itertools.product(*[range(v + 1) for v in a]):
         if sum(cand) == 0 or cand == a:
             continue
-        if euler_form(quiver, cand, cand) != 1:
+        if euler_form_unchecked(quiver, cand, cand) != 1:
             continue
         if not classify_root(quiver, cand).is_root():
             continue
@@ -546,20 +552,35 @@ def _search_reduced_sequence(quiver, oracle, a):
     Explores ordered decompositions a = sum c_i r_i (c_i >= 1) over real root
     candidates with Euler-form pruning first, generic Hom vanishing second and
     Schur certification of completed solutions last; negative Schur results
-    prune the remaining search.  Returns (roots, coeffs) or None when the
-    search space is exhausted (or the node budget runs out).
+    prune the remaining search.
+
+    A root r' placed after the roots p already in the sequence must satisfy
+    <p, r'> = 0 and <r', p> <= 0, so a nonzero remainder rho = sum c' r'
+    (c' >= 1) of a partial sequence must satisfy <p, rho> = 0 and
+    <rho, p> <= 0 for every placed root p.  A child breaking this is skipped
+    before any Hom query; its subtree holds no solution, so the first
+    sequence found is the one the unpruned search finds.
+
+    Returns (roots, coeffs), or None when the search space is exhausted;
+    raises DecomposeError when the node budget runs out first.
     """
     roots_sorted = _candidate_roots(quiver, a)
     pair_ok = {}
     schur = {}
     nodes = [0]
 
+    def euler(x, y):
+        return euler_form_unchecked(quiver, x, y)
+
+    def fits(rem, placed):
+        return not any(rem) or all(euler(p, rem) == 0 and euler(rem, p) <= 0 for p in placed)
+
     def compatible(p, r):
         key = (p, r)
         cached = pair_ok.get(key)
         if cached is not None:
             return cached
-        ok = euler_form(quiver, p, r) == 0 and euler_form(quiver, r, p) <= 0
+        ok = euler(p, r) == 0 and euler(r, p) <= 0
         if ok:
             ok = oracle.hom(p, r) == 0 and oracle.hom(r, p) == 0
         pair_ok[key] = ok
@@ -584,12 +605,17 @@ def _search_reduced_sequence(quiver, oracle, a):
                 continue
             if any(x > y for x, y in zip(r, remainder)):
                 continue
-            if not all(compatible(p, r) for p in seq):
-                continue
+            placed = seq + [r]
             cmax = min(y // x for x, y in zip(r, remainder) if x > 0)
+            children = []
             for c in range(cmax, 0, -1):
                 rem = tuple(y - c * x for x, y in zip(r, remainder))
-                found = rec(rem, idx + 1, seq + [r], coeffs + [c])
+                if fits(rem, placed):
+                    children.append((c, rem))
+            if not children or not all(compatible(p, r) for p in seq):
+                continue
+            for c, rem in children:
+                found = rec(rem, idx + 1, placed, coeffs + [c])
                 if found is not None:
                     return found
         return None
@@ -659,8 +685,11 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
     try:
         found = _search_reduced_sequence(quiver, oracle, a)
     except DecomposeError:
+        # an unfinished search certifies neither a sequence nor its absence
         audit.append("step 2 budget exhausted")
-        found = None
+        return DecompositionReport(
+            quiver, a, "unknown", (), (), canonical, tuple(audit), 2, None
+        )
     if found is None:
         return _trivial_report(quiver, a, canonical, audit, 2, config)
     return sequence_report(list(found[0]), list(found[1]), 2)

@@ -535,10 +535,6 @@ def solve(a: Matrix, b) -> list | None:
     return x
 
 
-def column_space_contains(basis_cols: Matrix, v) -> bool:
-    return solve(basis_cols, v) is not None
-
-
 class IncrementalRank:
     """Tracks the row space of added vectors; used for greedy independence tests."""
 

@@ -76,14 +76,6 @@ class Quiver:
         e[self.index(vertex)] = 1
         return tuple(e)
 
-    def arrow_counts(self):
-        """Number of arrows between ordered vertex pairs, keyed by (src index, dst index)."""
-        counts = {}
-        for a in self.arrows:
-            key = (self.index(a.source), self.index(a.target))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def is_connected(self):
         return support_connected(self, tuple([1] * self.n))
 
@@ -136,8 +128,11 @@ def format_dimvector(a):
 
 
 def euler_form(q: Quiver, a, b) -> int:
-    a = q.check_dimvector(a)
-    b = q.check_dimvector(b)
+    return euler_form_unchecked(q, q.check_dimvector(a), q.check_dimvector(b))
+
+
+def euler_form_unchecked(q: Quiver, a, b) -> int:
+    """euler_form on int tuples of length q.n, without validating them."""
     total = sum(x * y for x, y in zip(a, b))
     for s, t in q.arrow_indices:
         total -= a[s] * b[t]
@@ -181,15 +176,6 @@ def support_connected(q: Quiver, a) -> bool:
     return seen == supp
 
 
-def in_fundamental_domain(q: Quiver, a) -> bool:
-    if not q.is_loop_free():
-        raise QuiverError("fundamental domain is only defined for loop-free quivers")
-    a = q.check_dimvector(a)
-    if not support_connected(q, a):
-        return False
-    return all(symmetrized_form(q, a, q.unit_vector(v)) <= 0 for v in q.vertices)
-
-
 @dataclass(frozen=True)
 class RootClass:
     tag: str  # real | imaginary | not_root
@@ -218,16 +204,19 @@ def classify_root(q: Quiver, a) -> RootClass:
     while True:
         if sum(current) == 1:
             return RootClass("real", tuple(word), current)
-        pairings = [symmetrized_form(q, current, q.unit_vector(v)) for v in q.vertices]
-        pos = [i for i, p in enumerate(pairings) if p > 0]
-        if not pos:
+        # (current, e_v) = 2 current_v - sum of current over the other ends of the arrows at v
+        pairings = [2 * x for x in current]
+        for s, t in q.arrow_indices:
+            pairings[s] -= current[t]
+            pairings[t] -= current[s]
+        i = next((i for i, p in enumerate(pairings) if p > 0), None)
+        if i is None:
             if support_connected(q, current):
                 return RootClass("imaginary", tuple(word), current)
             return RootClass("not_root", tuple(word), current)
-        vertex = q.vertices[pos[0]]
-        word.append(vertex)
-        current = reflect(q, vertex, current)
-        if any(x < 0 for x in current):
+        word.append(q.vertices[i])
+        current = current[:i] + (current[i] - pairings[i],) + current[i + 1 :]
+        if current[i] < 0:
             return RootClass("not_root", tuple(word), current)
 
 

@@ -251,18 +251,6 @@ def bundle_to_vector(g: MapBundle):
     return vec
 
 
-def vector_to_bundle(x: Representation, y: Representation, vec) -> MapBundle:
-    q = x.quiver
-    blocks = []
-    pos = 0
-    for a in q.arrows:
-        rows = y.dims[q.index(a.target)]
-        cols = x.dims[q.index(a.source)]
-        blocks.append(_unflatten(rows, cols, vec[pos : pos + rows * cols], x.field))
-        pos += rows * cols
-    return MapBundle(x, y, tuple(blocks))
-
-
 def blocks_to_vector(blocks):
     vec = []
     for b in blocks:
@@ -345,31 +333,6 @@ def ext_dim(x: Representation, y: Representation) -> int:
         raise RepError("ext_dim requires a loop-free quiver")
     d = d_matrix(x, y)
     return d.rows - rank(d)
-
-
-def ext_middle_term(g: MapBundle) -> Representation:
-    """Middle term of E(g): blocks (Y_rho g_rho; 0 X_rho), Y summand on top."""
-    x, y = g.source, g.target
-    q = x.quiver
-    dims = tuple(dy + dx for dy, dx in zip(y.dims, x.dims))
-    field = x.field
-    maps = []
-    for arrow, grho in zip(q.arrows, g.blocks):
-        s, t = q.index(arrow.source), q.index(arrow.target)
-        yr, xr = y.map_for(arrow.name), x.map_for(arrow.name)
-        rows, cols = dims[t], dims[s]
-        ent = [field.zero()] * (rows * cols)
-        for r in range(yr.rows):
-            for c in range(yr.cols):
-                ent[r * cols + c] = yr[r, c]
-        for r in range(grho.rows):
-            for c in range(grho.cols):
-                ent[r * cols + (y.dims[s] + c)] = grho[r, c]
-        for r in range(xr.rows):
-            for c in range(xr.cols):
-                ent[(y.dims[t] + r) * cols + (y.dims[s] + c)] = xr[r, c]
-        maps.append(Matrix(rows, cols, ent, field))
-    return Representation(q, field, dims, tuple(maps))
 
 
 def same_ext_class(g: MapBundle, h: MapBundle) -> bool:

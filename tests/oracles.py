@@ -3,7 +3,16 @@
 import itertools
 from fractions import Fraction
 
+from quiverglue.decompose import MAX_SEARCH_NODES, DecomposeError
 from quiverglue.linalg import Matrix, QQ
+from quiverglue.quiver import (
+    QuiverError,
+    RootClass,
+    euler_form,
+    reflect,
+    support_connected,
+    symmetrized_form,
+)
 from quiverglue.reps import (
     MapBundle,
     Representation,
@@ -94,3 +103,99 @@ def d_matrix_by_columns(x, y):
         for i, val in enumerate(colvec):
             ent[i * dom + j] = val
     return Matrix(cod, dom, ent, field)
+
+
+# -- the step-2 search and root classification before their pruning and inlining
+
+
+def classify_root_by_reflection(q, a):
+    """classify_root as it was first written: one reflect/symmetrized_form per step."""
+    if not q.is_loop_free():
+        raise QuiverError("root classification is unsupported on quivers with loops")
+    a = q.check_dimvector(a)
+    if any(x < 0 for x in a) or all(x == 0 for x in a):
+        raise QuiverError("expected a nonzero non-negative dimension vector")
+    word = []
+    current = a
+    while True:
+        if sum(current) == 1:
+            return RootClass("real", tuple(word), current)
+        pairings = [symmetrized_form(q, current, q.unit_vector(v)) for v in q.vertices]
+        pos = [i for i, p in enumerate(pairings) if p > 0]
+        if not pos:
+            if support_connected(q, current):
+                return RootClass("imaginary", tuple(word), current)
+            return RootClass("not_root", tuple(word), current)
+        vertex = q.vertices[pos[0]]
+        word.append(vertex)
+        current = reflect(q, vertex, current)
+        if any(x < 0 for x in current):
+            return RootClass("not_root", tuple(word), current)
+
+
+def reference_candidate_roots(quiver, a):
+    """Exceptional-root candidates fitting under a componentwise."""
+    out = []
+    for cand in itertools.product(*[range(v + 1) for v in a]):
+        if sum(cand) == 0 or cand == a:
+            continue
+        if euler_form(quiver, cand, cand) != 1:
+            continue
+        if not classify_root_by_reflection(quiver, cand).is_root():
+            continue
+        out.append(cand)
+    out.sort(key=lambda v: (-sum(v), v))
+    return out
+
+
+def reference_search_reduced_sequence(quiver, oracle, a):
+    """The unpruned step-2 search: every child is visited that passes the pair checks."""
+    roots_sorted = reference_candidate_roots(quiver, a)
+    pair_ok = {}
+    schur = {}
+    nodes = [0]
+
+    def compatible(p, r):
+        key = (p, r)
+        cached = pair_ok.get(key)
+        if cached is not None:
+            return cached
+        ok = euler_form(quiver, p, r) == 0 and euler_form(quiver, r, p) <= 0
+        if ok:
+            ok = oracle.hom(p, r) == 0 and oracle.hom(r, p) == 0
+        pair_ok[key] = ok
+        return ok
+
+    def rec(remainder, start, seq, coeffs):
+        nodes[0] += 1
+        if nodes[0] > MAX_SEARCH_NODES:
+            raise DecomposeError("search budget exhausted")
+        if all(x == 0 for x in remainder):
+            if not any(sum(r) > 1 for r in seq):
+                return None
+            for r in seq:
+                if r not in schur:
+                    schur[r] = oracle.schurian(r)
+                if not schur[r]:
+                    return None
+            return (tuple(seq), tuple(coeffs))
+        for idx in range(start, len(roots_sorted)):
+            r = roots_sorted[idx]
+            if schur.get(r) is False:
+                continue
+            if any(x > y for x, y in zip(r, remainder)):
+                continue
+            if not all(compatible(p, r) for p in seq):
+                continue
+            cmax = min(y // x for x, y in zip(r, remainder) if x > 0)
+            for c in range(cmax, 0, -1):
+                rem = tuple(y - c * x for x, y in zip(r, remainder))
+                found = rec(rem, idx + 1, seq + [r], coeffs + [c])
+                if found is not None:
+                    return found
+        return None
+
+    try:
+        return rec(a, 0, [], [])
+    finally:
+        del rec

@@ -162,3 +162,27 @@ def test_non_prime_modulus_exits_one(capsys, prime):
     assert main(["candecomp", "-q", "K3", "(2,2)", "--prime", prime]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not a prime" in err
+
+
+def test_excdecomp_budget_exhausted_is_unknown(capsys, monkeypatch):
+    import quiverglue.decompose
+
+    monkeypatch.setattr(quiverglue.decompose, "MAX_SEARCH_NODES", 1)
+    code, out = run(capsys, "excdecomp", "-q", "S4", "(3,2,2,1,1)")
+    assert code == 2
+    assert "step 2 budget exhausted" in out
+    assert "result unknown" in out and "result trivial" not in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_exits_one(capsys, samples):
+    assert main(["candecomp", "-q", "K3", "(1,1)", "--samples", samples]) == 1
+    err = capsys.readouterr().err
+    assert "--samples" in err and "oracle unstable" not in err
+
+
+def test_perpsimples_more_roots_than_vertices_exits_one(capsys):
+    roots = ["(1,0,0,0,0)", "(0,1,0,0,0)", "(0,0,1,0,0)", "(0,0,0,1,0)", "(0,0,0,0,1)", "(1,1,0,0,0)"]
+    assert main(["perpsimples", "-q", "S4", *roots]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")

@@ -117,3 +117,15 @@ def test_k2_root_table():
             if x == 0 and y == 0:
                 continue
             assert classify_root(k2, (x, y)).is_root() == ((x, y) in expected)
+
+
+@pytest.mark.parametrize("name,top", [("K2", 6), ("EX39", 1)])
+def test_classify_root_matches_reflection_reference(name, top):
+    import itertools
+
+    from oracles import classify_root_by_reflection
+
+    q = load_quiver(name)
+    for a in itertools.product(range(top + 1), repeat=q.n):
+        if any(a):
+            assert classify_root(q, a) == classify_root_by_reflection(q, a), a
