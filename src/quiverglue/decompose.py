@@ -28,17 +28,18 @@ from .quiver import (
     vec_sub,
 )
 from .reps import (
+    Morphism,
     Representation,
+    _block_products,
+    _combination,
     _derive_seed,
+    _identity_blocks,
     _minimal_polynomial_generic,
-    compose,
     ext_dim,
     hom_dim,
     hom_space,
-    identity_morphism,
     random_rep,
     split_by_idempotent,
-    zero_morphism,
 )
 
 
@@ -57,6 +58,10 @@ class OracleConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
     bound: int | None = None
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise DecomposeError(f"samples must be at least 1, got {self.samples}")
 
     def escalate(self):
         return replace(self, samples=self.samples * 2)
@@ -117,17 +122,28 @@ SPLIT_ATTEMPTS = 16
 
 
 def _splitting_idempotent(x: Representation, basis, rng):
-    """A nontrivial idempotent endomorphism found by spectral splitting."""
+    """A nontrivial idempotent endomorphism found by spectral splitting.
+
+    The random element g and the polynomial in g are formed on raw
+    per-vertex entry lists mod p; only the returned idempotent becomes a
+    Morphism, which validates it once.
+    """
     import sympy
 
     f = x.field
     p = f.characteristic
+    dims = x.dims
     t = sympy.Symbol("t")
+    entries = [[m.entries for m in b.blocks] for b in basis]
+
+    def mod(blocks):
+        return [[v % p for v in b] for b in blocks]
+
     for _ in range(SPLIT_ATTEMPTS):
-        g = zero_morphism(x, x)
-        for b in basis:
-            g = g + b.scale(rng.randrange(p))
-        coeffs = _minimal_polynomial_generic(g)
+        g = mod(_combination([rng.randrange(p) for _ in basis], entries, dims))
+        coeffs = _minimal_polynomial_generic(
+            [Matrix._trusted(d, d, gv, f) for d, gv in zip(dims, g)], f
+        )
         poly = sympy.Poly([int(c) for c in reversed(coeffs)], t, modulus=p, symmetric=False)
         factors = sympy.factor_list(poly)[1]
         if len(factors) < 2:
@@ -143,17 +159,15 @@ def _splitting_idempotent(x: Representation, basis, rng):
             continue
         ua = (s * sympy.Poly(a, t, modulus=p, symmetric=False)).all_coeffs()
         lift = [int(c) % p for c in reversed(ua)]
-        e_mor = zero_morphism(x, x)
-        power = identity_morphism(x)
-        for c in lift:
-            if c:
-                e_mor = e_mor + power.scale(c)
-            power = compose(power, g)
-        if compose(e_mor, e_mor).blocks != e_mor.blocks:
+        powers = [_identity_blocks(dims)]
+        while len(powers) < len(lift):
+            powers.append(mod(_block_products(powers[-1], g, dims)))
+        e = mod(_combination(lift, powers, dims))
+        if mod(_block_products(e, e, dims)) != e:
             continue
-        if e_mor.is_zero() or e_mor.blocks == identity_morphism(x).blocks:
+        if e == powers[0] or not any(any(ev) for ev in e):
             continue
-        return e_mor
+        return Morphism(x, x, tuple(Matrix._trusted(d, d, ev, f) for d, ev in zip(dims, e)))
     return None
 
 

@@ -6,18 +6,23 @@ plain Gaussian elimination with exact field arithmetic is all we need.
 Matrices with zero rows or columns are legal and common (maps in and out
 of zero spaces at unsupported vertices).
 
-Elimination has two kernels.  Over Q it calls the field's methods once per
-scalar.  Over F_p it works on plain int rows with the reduction written
-inline, `(x + g*y) % p`, and touches only the columns from the pivot on;
-`rank` stops after forward elimination.  Both are pure Python: numpy is not
-a dependency, since importing it costs more memory and start-up time than
-the small matrices here ever win back.
+Elimination has one kernel per field, both on plain int rows.  Over Q each
+row is cleared of denominators and rows are combined fraction-free, kept
+primitive by dividing out the gcd of their entries; only the final pivot
+division goes back to `Fraction`s.  Over F_p the reduction is written
+inline, `(x + g*y) % p`.  Both combine rows only from the pivot column on,
+and `rank` stops after forward elimination.  The loop over the field's methods
+remains for any other field, and is the reference the kernels are tested
+against.  All of it is pure Python: numpy is not a dependency, since
+importing it costs more memory and start-up time than the small matrices
+here ever win back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 DEFAULT_PRIME = 2147483647  # prime below 2**31, used for Monte-Carlo sampling
 
@@ -419,11 +424,14 @@ def _elimination(a: Matrix, reduce_above=True):
     """Row echelon form; returns (list of rows, pivot column indices).
 
     With reduce_above the rows are in reduced row echelon form.  Without it
-    the F_p kernel clears only below each pivot, which is all `rank` needs;
-    the field-generic kernel always reduces fully.
+    the Q and F_p kernels clear only below each pivot, which is all `rank`
+    needs (the Q kernel then returns its unnormalised integer rows); the
+    field-generic loop always reduces fully.
     """
     if isinstance(a.field, PrimeField):
         return _elimination_fp(a, reduce_above)
+    if isinstance(a.field, RationalField):
+        return _elimination_q(a, reduce_above)
     f = a.field
     rows = [a.row(r) for r in range(a.rows)]
     pivots = []
@@ -485,6 +493,67 @@ def _elimination_fp(a: Matrix, reduce_above):
         pivots.append(pc)
         pr += 1
     return rows, pivots
+
+
+_ZERO = Fraction(0)
+
+
+def _elimination_q(a: Matrix, reduce_above):
+    """_elimination over Q on primitive integer rows, fraction-free.
+
+    Each row is scaled by the lcm of its denominators.  Against a pivot pv,
+    a row with entry f in the pivot column becomes
+    (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), and is then divided by
+    the gcd of its entries, so entries grow no more than the row needs
+    (integer-preserving elimination in the spirit of Bareiss, 1968).
+    Dividing each pivot row by its pivot at the end gives the unique reduced
+    row echelon form, as Fractions.
+    """
+    n, m = a.rows, a.cols
+    e = a.entries
+    rows = []
+    for i in range(n):
+        row = e[i * m : (i + 1) * m]
+        den = lcm(*[x.denominator for x in row])
+        row = [x.numerator * (den // x.denominator) for x in row]
+        h = gcd(*row)
+        rows.append([x // h for x in row] if h > 1 else row)
+    pivots = []
+    pr = 0
+    for pc in range(m):
+        if pr == n:
+            break
+        for r in range(pr, n):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        prow = rows[r]
+        rows[r] = rows[pr]
+        rows[pr] = prow
+        pv = prow[pc]
+        tail = prow[pc:]
+        for i in range(0 if reduce_above else pr + 1, n):
+            row = rows[i]
+            f = row[pc]
+            if f and i != pr:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                # rows below the pivot row are zero left of pc, rows above are not
+                head = [s * x for x in row[:pc]] if i < pr and s != 1 else row[:pc]
+                row = head + [s * x - t * y for x, y in zip(row[pc:], tail)]
+                h = gcd(*row)
+                rows[i] = [x // h for x in row] if h > 1 else row
+        pivots.append(pc)
+        pr += 1
+    if not reduce_above:
+        return rows, pivots
+    out = []
+    for row, pc in zip(rows, pivots):
+        pv = row[pc]
+        out.append([Fraction(x, pv) if x else _ZERO for x in row])
+    out.extend([_ZERO] * m for _ in range(n - pr))
+    return out, pivots
 
 
 def rref(a: Matrix):

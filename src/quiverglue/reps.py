@@ -20,7 +20,6 @@ from fractions import Fraction
 from .linalg import (
     QQ,
     FieldMismatchError,
-    IncrementalRank,
     Matrix,
     PrimeField,
     block_diag,
@@ -433,56 +432,114 @@ class EndAlgebra:
     def dim(self):
         return len(self.basis)
 
+    def mul(self, a, b):
+        """Coordinates of a o b, from the coordinates of a and of b."""
+        out = [0] * len(a)
+        for ai, row in zip(a, self.structure):
+            if ai:
+                for bj, prod in zip(b, row):
+                    if bj:
+                        c = ai * bj
+                        for k, s in enumerate(prod):
+                            if s:
+                                out[k] += c * s
+        coerce = self.rep.field.coerce
+        return [coerce(v) for v in out]
+
     def element(self, coords) -> Morphism:
-        m = zero_morphism(self.rep, self.rep)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                m = m + b.scale(c)
-        return m
+        """The endomorphism with these coordinates, as one validated Morphism."""
+        x = self.rep
+        blocks = _combination(coords, [[m.entries for m in b.blocks] for b in self.basis], x.dims)
+        return Morphism(x, x, tuple(Matrix(d, d, e, x.field) for d, e in zip(x.dims, blocks)))
 
 
-def _morphism_coords(kernel_cols: Matrix, m: Morphism):
-    vec = blocks_to_vector(m.blocks)
-    coords = solve(kernel_cols, vec)
-    if coords is None:
-        raise RepError("morphism does not lie in the computed Hom space")
-    return tuple(coords)
+def _combination(coords, basis_blocks, dims):
+    """sum_k coords[k] * basis_blocks[k], per vertex on row-major entry lists."""
+    out = [[0] * (d * d) for d in dims]
+    for c, blocks in zip(coords, basis_blocks):
+        if c:
+            for acc, ent in zip(out, blocks):
+                for i, v in enumerate(ent):
+                    if v:
+                        acc[i] += c * v
+    return out
+
+
+def _identity_blocks(dims):
+    return [[int(r == c) for r in range(d) for c in range(d)] for d in dims]
+
+
+def _block_products(a_blocks, b_blocks, dims):
+    """Per-vertex products a_v b_v of square row-major entry lists."""
+    out = []
+    for ae, be, d in zip(a_blocks, b_blocks, dims):
+        p = [0] * (d * d)
+        for r in range(d):
+            base = r * d
+            for t in range(d):
+                av = ae[base + t]
+                if av:
+                    brow = t * d
+                    for c in range(d):
+                        bv = be[brow + c]
+                        if bv:
+                            p[base + c] += av * bv
+        out.append(p)
+    return out
 
 
 def end_algebra(x: Representation) -> EndAlgebra:
+    """End(X) with its structure constants in the coordinates of hom_space(X, X).
+
+    A `kernel_basis` vector is 1 at its own free column, 0 at the other free
+    columns and at every column after its own, so the coordinates of any Hom
+    vector are its entries at the free columns: the last nonzero column of
+    each basis vector.  Products are per-vertex block products read at those
+    positions; a guard checks that each product, and the identity, is the
+    combination of basis vectors its coordinates claim.
+    """
     basis = hom_space(x, x)
+    field = x.field
     if not basis:
         # the zero representation
-        return EndAlgebra(x, (), (), (), 0 if x.field == QQ else None)
-    kernel_cols = hstack([Matrix.column(blocks_to_vector(b.blocks), x.field) for b in basis])
+        return EndAlgebra(x, (), (), (), 0 if field == QQ else None)
     n = len(basis)
-    structure = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            row.append(_morphism_coords(kernel_cols, compose(bi, bj)))
-        structure.append(tuple(row))
-    structure = tuple(structure)
-    ident = _morphism_coords(kernel_cols, identity_morphism(x))
+    dims = x.dims
+    positions = []  # (vertex, row-major index) of each basis vector's free column
+    for b in basis:
+        # the last nonzero entry in the column-major flattening of the blocks
+        v = max(i for i, m in enumerate(b.blocks) if not m.is_zero())
+        m, d = b.blocks[v], dims[v]
+        c, r = max((c, r) for r in range(d) for c in range(d) if m[r, c])
+        positions.append((v, r * d + c))
+    blocks = [[m.entries for m in b.blocks] for b in basis]
+    p = field.p if isinstance(field, PrimeField) else None
+
+    def coords_of(prod):
+        coords = tuple(field.coerce(prod[v][i]) for v, i in positions)
+        comb = _combination(coords, blocks, dims)
+        if p is not None:
+            prod = [[e % p for e in b] for b in prod]
+            comb = [[e % p for e in b] for b in comb]
+        if comb != prod:
+            raise RepError("morphism does not lie in the computed Hom space")
+        return coords
+
+    structure = tuple(
+        tuple(coords_of(_block_products(bi, bj, dims)) for bj in blocks) for bi in blocks
+    )
+    ident = coords_of(_identity_blocks(dims))
     radical_dim = None
-    if x.field == QQ:
-        # radical = kernel of the trace form of the left regular representation
-        left = []
+    if field == QQ:
+        # radical = kernel of the trace form of the left regular representation:
+        # L_i has columns structure[i][j], trace(L_i L_j) = sum s[i][l][k] s[j][k][l]
+        gram = [0] * (n * n)
         for i in range(n):
-            ent = []
-            for j in range(n):
-                ent.append(list(structure[i][j]))
-            # L_i has columns structure[i][j]
-            cols = ent
-            flat = [cols[j][r] for r in range(n) for j in range(n)]
-            left.append(Matrix(n, n, flat, QQ))
-        gram = Matrix(
-            n,
-            n,
-            [(left[i] * left[j]).trace() for i in range(n) for j in range(n)],
-            QQ,
-        )
-        radical_dim = n - rank(gram)
+            terms = [(k, l, s) for l, prod in enumerate(structure[i]) for k, s in enumerate(prod) if s]
+            for j in range(i, n):
+                sj = structure[j]
+                gram[i * n + j] = gram[j * n + i] = sum(s * sj[k][l] for k, l, s in terms)
+        radical_dim = n - rank(Matrix(n, n, gram, QQ))
     return EndAlgebra(x, tuple(basis), structure, ident, radical_dim)
 
 
@@ -499,33 +556,14 @@ class Verdict:
     witness: Morphism | None = None
 
 
-def _action_matrix(m: Morphism) -> Matrix:
-    blocks = [b for b in m.blocks]
-    return block_diag(blocks, m.source.field) if blocks else Matrix.zeros(0, 0, m.source.field)
+def _action_matrix(blocks, field) -> Matrix:
+    """The block-diagonal matrix of an endomorphism given by its vertex blocks."""
+    return block_diag(blocks, field) if blocks else Matrix.zeros(0, 0, field)
 
 
-def _minimal_polynomial(g: Matrix):
-    """Monic minimal polynomial over Q as a coefficient list, low degree first."""
-    n = g.rows
-    if n == 0:
-        return [Fraction(0), Fraction(1)]  # min poly of the empty map: x
-    powers = [Matrix.identity(n, QQ)]
-    while True:
-        powers.append(powers[-1] * g)
-        cols = hstack([Matrix.column(list(p.entries), QQ) for p in powers[:-1]])
-        target = list(powers[-1].entries)
-        dep = solve(cols, target)
-        if dep is not None:
-            coeffs = [-c for c in dep] + [Fraction(1)]
-            return coeffs
-        if len(powers) > n + 1:
-            raise RepError("minimal polynomial computation failed to terminate")
-
-
-def _minimal_polynomial_generic(g: Morphism):
-    """Monic minimal polynomial of an endomorphism over its own field."""
-    f = g.source.field
-    m = _action_matrix(g)
+def _minimal_polynomial_generic(blocks, f):
+    """Monic minimal polynomial of an endomorphism, given by its vertex blocks."""
+    m = _action_matrix(blocks, f)
     n = m.rows
     if n == 0:
         return [f.zero(), f.one()]
@@ -540,15 +578,23 @@ def _minimal_polynomial_generic(g: Morphism):
             raise RepError("minimal polynomial computation failed to terminate")
 
 
-def _poly_eval_morphism(coeffs, g: Morphism) -> Morphism:
-    x = g.source
-    acc = zero_morphism(x, x)
-    power = identity_morphism(x)
-    for c in coeffs:
-        if c != 0:
-            acc = acc + power.scale(c)
-        power = compose(power, g)
-    return acc
+def _minimal_polynomial_coords(end: EndAlgebra, g):
+    """Monic minimal polynomial of g in End(X), and the powers of g below its degree.
+
+    End(X) is unital and acts faithfully on X, so this is the minimal
+    polynomial of g's action matrix.
+    """
+    n = end.dim
+    powers = [list(end.identity_coords)]
+    while len(powers) <= n:
+        target = end.mul(powers[-1], g)
+        k = len(powers)
+        cols = Matrix(n, k, [p[r] for r in range(n) for p in powers], end.rep.field)
+        dep = solve(cols, target)
+        if dep is not None:
+            return [-c for c in dep] + [Fraction(1)], powers
+        powers.append(target)
+    raise RepError("minimal polynomial computation failed to terminate")
 
 
 def _minpoly_factors(coeffs):
@@ -562,28 +608,36 @@ def _minpoly_factors(coeffs):
     return t, sympy.factor_list(poly)[1]
 
 
-def _idempotent_from_minpoly(coeffs, g: Morphism) -> Morphism | None:
+def _splitting_coords(end: EndAlgebra, g, powers, t, factors):
+    """Coordinates of u(g)a(g), where minpoly = a*b with a, b coprime and ua + vb = 1."""
     import sympy
 
-    t, factors = _minpoly_factors(coeffs)
-    if len(factors) < 2:
-        return None
     a = factors[0][0] ** factors[0][1]
     b = sympy.prod(f ** e for f, e in factors[1:])
     u, _v, gcd = sympy.gcdex(sympy.Poly(a, t), sympy.Poly(b, t))
     if not sympy.Poly(gcd, t).is_one:
         return None
     ua = (sympy.Poly(u, t) * sympy.Poly(a, t)).all_coeffs()
-    frac_coeffs = [Fraction(c.p, c.q) for c in [sympy.Rational(x) for x in reversed(ua)]]
-    e = _poly_eval_morphism(frac_coeffs, g)
-    if compose(e, e).blocks != e.blocks:
-        return None
-    if e.is_zero() or e.blocks == identity_morphism(g.source).blocks:
-        return None
+    coeffs = [Fraction(c.p, c.q) for c in [sympy.Rational(x) for x in reversed(ua)]]
+    while len(powers) < len(coeffs):
+        powers.append(end.mul(powers[-1], g))
+    e = [Fraction(0)] * end.dim
+    for c, p in zip(coeffs, powers):
+        if c:
+            e = [x + c * y for x, y in zip(e, p)]
     return e
 
 
 MAX_WITNESS_ATTEMPTS = 32
+
+
+def _candidates(dim, seed):
+    """The unit coordinate vectors, then MAX_WITNESS_ATTEMPTS seeded random ones."""
+    for k in range(dim):
+        yield [int(i == k) for i in range(dim)]
+    rng = random.Random(seed)
+    for _ in range(MAX_WITNESS_ATTEMPTS):
+        yield [rng.randint(-3, 3) for _ in range(dim)]
 
 
 def indecomposable(x: Representation, seed=0) -> Verdict:
@@ -596,6 +650,11 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
     elements.  A candidate whose minimal polynomial is a power of a single
     irreducible of degree dim(End/rad) certifies that End/rad is a field,
     hence indecomposability over Q even when End/rad is larger than Q.
+
+    All of this runs on coordinate vectors with the structure constants of
+    `end_algebra`.  Candidates are generated lazily, the basis first, then
+    seeded random combinations, and usually the first one or two decide.
+    Only a returned witness becomes a `Morphism`, validated on construction.
     """
     if x.field != QQ:
         return Verdict("unknown")
@@ -605,18 +664,17 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
     semisimple_dim = end.dim - end.radical_dim
     if semisimple_dim == 1:
         return Verdict("indecomposable")
-    rng = random.Random(seed)
-    candidates = list(end.basis)
-    for _ in range(MAX_WITNESS_ATTEMPTS):
-        coords = [Fraction(rng.randint(-3, 3)) for _ in range(end.dim)]
-        candidates.append(end.element(coords))
-    for g in candidates[: MAX_WITNESS_ATTEMPTS + end.dim]:
-        coeffs = _minimal_polynomial(_action_matrix(g))
-        _, factors = _minpoly_factors(coeffs)
+    ident = list(end.identity_coords)
+    for g in _candidates(end.dim, seed):
+        coeffs, powers = _minimal_polynomial_coords(end, g)
+        t, factors = _minpoly_factors(coeffs)
         if len(factors) >= 2:
-            e = _idempotent_from_minpoly(coeffs, g)
-            if e is not None:
-                return Verdict("decomposable", witness=e)
+            e = _splitting_coords(end, g, powers, t, factors)
+            if e is None or not any(e) or e == ident:
+                continue
+            w = end.element(e)
+            if compose(w, w).blocks == w.blocks:
+                return Verdict("decomposable", witness=w)
         elif factors[0][0].degree() == semisimple_dim:
             # the image of g generates End/rad, which is then Q[t]/(p),
             # a field: no nontrivial idempotents exist
@@ -702,12 +760,21 @@ def _read_matrix(lines, start, rows, cols, field, label):
     return Matrix(rows, cols, ent, field), idx
 
 
-def _shape(token, lineno):
+def _nat(token):
+    """The natural number a token spells, or None."""
     try:
-        r, c = token.split("x")
-        return int(r), int(c)
+        n = int(token)
     except ValueError:
-        raise ParseError(f"line {lineno}: expected a <rows>x<cols> shape") from None
+        return None
+    return n if n >= 0 else None
+
+
+def _shape(token, lineno):
+    parts = token.split("x")
+    shape = tuple(_nat(t) for t in parts)
+    if len(shape) != 2 or None in shape:
+        raise ParseError(f"line {lineno}: expected a <rows>x<cols> shape")
+    return shape
 
 
 def parse_rep(text: str, quiver: Quiver) -> Representation:
@@ -742,7 +809,10 @@ def parse_rep(text: str, quiver: Quiver) -> Representation:
                 raise ParseError(f"line {lineno}: expected 'dim <vertex> <nat>'")
             if parts[1] not in quiver.vertices:
                 raise ParseError(f"line {lineno}: unknown vertex {parts[1]!r}")
-            dims[parts[1]] = int(parts[2])
+            d = _nat(parts[2])
+            if d is None:
+                raise ParseError(f"line {lineno}: expected a natural number, got {parts[2]!r}")
+            dims[parts[1]] = d
             idx += 1
         elif kind == "map":
             if len(parts) != 3:

@@ -246,7 +246,7 @@ def format_fragment(f: CoverFragment) -> str:
 
 
 def parse_fragment(text: str, quiver: Quiver) -> CoverFragment:
-    from .reps import _parse_field, _read_matrix, _shape
+    from .reps import _nat, _parse_field, _read_matrix, _shape
 
     lines = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
     name = None
@@ -284,7 +284,10 @@ def parse_fragment(text: str, quiver: Quiver) -> CoverFragment:
         elif kind == "dim":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'dim <vertex> <n>'")
-            dims[parts[1]] = int(parts[2])
+            d = _nat(parts[2])
+            if d is None:
+                raise ParseError(f"line {lineno}: expected a natural number, got {parts[2]!r}")
+            dims[parts[1]] = d
             idx += 1
         elif kind == "map":
             if len(parts) != 3:

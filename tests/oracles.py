@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to cross-check library verdicts."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from quiverglue.decompose import MAX_SEARCH_NODES, DecomposeError
-from quiverglue.linalg import Matrix, QQ
+from quiverglue.linalg import Matrix, QQ, block_diag, hstack, rank, solve
 from quiverglue.quiver import (
     QuiverError,
     RootClass,
@@ -14,14 +15,22 @@ from quiverglue.quiver import (
     symmetrized_form,
 )
 from quiverglue.reps import (
+    MAX_WITNESS_ATTEMPTS,
+    EndAlgebra,
     MapBundle,
+    RepError,
     Representation,
+    Verdict,
+    _minpoly_factors,
+    blocks_to_vector,
     bundle_space_dim,
     bundle_to_vector,
     compose,
     end_algebra,
     hom_block_dim,
+    hom_space,
     identity_morphism,
+    zero_morphism,
 )
 
 GRID_SMALL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
@@ -199,3 +208,117 @@ def reference_search_reduced_sequence(quiver, oracle, a):
         return rec(a, 0, [], [])
     finally:
         del rec
+
+
+# -- End(X) and the indecomposability decision on validated Morphisms, before
+# -- they moved to coordinate vectors
+
+
+def reference_element(end, coords):
+    """sum coords[k] * basis[k], one validated Morphism per partial sum."""
+    m = zero_morphism(end.rep, end.rep)
+    for c, b in zip(coords, end.basis):
+        if c != 0:
+            m = m + b.scale(c)
+    return m
+
+
+def _morphism_coords(kernel_cols, m):
+    coords = solve(kernel_cols, blocks_to_vector(m.blocks))
+    if coords is None:
+        raise RepError("morphism does not lie in the computed Hom space")
+    return tuple(coords)
+
+
+def reference_end_algebra(x):
+    """End(X): each product composed as a Morphism, its coordinates by `solve`."""
+    basis = hom_space(x, x)
+    if not basis:
+        return EndAlgebra(x, (), (), (), 0 if x.field == QQ else None)
+    kernel_cols = hstack([Matrix.column(blocks_to_vector(b.blocks), x.field) for b in basis])
+    n = len(basis)
+    structure = tuple(
+        tuple(_morphism_coords(kernel_cols, compose(bi, bj)) for bj in basis) for bi in basis
+    )
+    ident = _morphism_coords(kernel_cols, identity_morphism(x))
+    radical_dim = None
+    if x.field == QQ:
+        # L_i has columns structure[i][j]; radical = kernel of trace(L_i L_j)
+        left = [
+            Matrix(n, n, [structure[i][j][r] for r in range(n) for j in range(n)], QQ)
+            for i in range(n)
+        ]
+        gram = Matrix(n, n, [(left[i] * left[j]).trace() for i in range(n) for j in range(n)], QQ)
+        radical_dim = n - rank(gram)
+    return EndAlgebra(x, tuple(basis), structure, ident, radical_dim)
+
+
+def _minimal_polynomial_of_matrix(g):
+    """Monic minimal polynomial over Q of a square matrix, low degree first."""
+    n = g.rows
+    powers = [Matrix.identity(n, QQ)]
+    while True:
+        powers.append(powers[-1] * g)
+        cols = hstack([Matrix.column(list(p.entries), QQ) for p in powers[:-1]])
+        dep = solve(cols, list(powers[-1].entries))
+        if dep is not None:
+            return [-c for c in dep] + [Fraction(1)]
+
+
+def _poly_eval_morphism(coeffs, g):
+    x = g.source
+    acc = zero_morphism(x, x)
+    power = identity_morphism(x)
+    for c in coeffs:
+        if c != 0:
+            acc = acc + power.scale(c)
+        power = compose(power, g)
+    return acc
+
+
+def _idempotent_from_minpoly(coeffs, g):
+    import sympy
+
+    t, factors = _minpoly_factors(coeffs)
+    if len(factors) < 2:
+        return None
+    a = factors[0][0] ** factors[0][1]
+    b = sympy.prod(f ** e for f, e in factors[1:])
+    u, _v, gcd = sympy.gcdex(sympy.Poly(a, t), sympy.Poly(b, t))
+    if not sympy.Poly(gcd, t).is_one:
+        return None
+    ua = (sympy.Poly(u, t) * sympy.Poly(a, t)).all_coeffs()
+    frac_coeffs = [Fraction(c.p, c.q) for c in [sympy.Rational(x) for x in reversed(ua)]]
+    e = _poly_eval_morphism(frac_coeffs, g)
+    if compose(e, e).blocks != e.blocks:
+        return None
+    if e.is_zero() or e.blocks == identity_morphism(g.source).blocks:
+        return None
+    return e
+
+
+def reference_indecomposable(x, seed=0):
+    """indecomposable() on Morphisms: all candidates built up front, action-matrix minpolys."""
+    if x.field != QQ:
+        return Verdict("unknown")
+    if x.is_zero():
+        return Verdict("decomposable")
+    end = reference_end_algebra(x)
+    semisimple_dim = end.dim - end.radical_dim
+    if semisimple_dim == 1:
+        return Verdict("indecomposable")
+    rng = random.Random(seed)
+    candidates = list(end.basis)
+    for _ in range(MAX_WITNESS_ATTEMPTS):
+        coords = [Fraction(rng.randint(-3, 3)) for _ in range(end.dim)]
+        candidates.append(reference_element(end, coords))
+    for g in candidates:
+        coeffs = _minimal_polynomial_of_matrix(block_diag(g.blocks, QQ))
+        _, factors = _minpoly_factors(coeffs)
+        if len(factors) >= 2:
+            e = _idempotent_from_minpoly(coeffs, g)
+            if e is not None:
+                return Verdict("decomposable", witness=e)
+        elif factors[0][0].degree() == semisimple_dim:
+            return Verdict("indecomposable")
+    return Verdict("unknown")

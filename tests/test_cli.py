@@ -186,3 +186,45 @@ def test_perpsimples_more_roots_than_vertices_exits_one(capsys):
     assert main(["perpsimples", "-q", "S4", *roots]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+BAD_REPS = {
+    "negative dim": "rep X over Q\nquiver K2\ndim q -1\n",
+    "non-numeric dim": "rep X over Q\nquiver K2\ndim q x\n",
+    "negative map shape": "rep X over Q\nquiver K2\ndim q 1\ndim qp 1\nmap a -1x1\n",
+    "three-part map shape": "rep X over Q\nquiver K2\ndim q 1\ndim qp 1\nmap a 1x1x1\n1\n",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_REPS.values()), ids=list(BAD_REPS))
+def test_bad_rep_file_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.rep"
+    path.write_text(text)
+    assert main(["indec", "-q", "K2", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line ") and "Traceback" not in captured.err
+
+
+def test_bad_morphism_block_shape_exits_one(capsys, tmp_path):
+    x = tmp_path / "x.rep"
+    x.write_text("rep X over Q\nquiver QM\ndim m1 1\ndim m2 0\n")
+    f = tmp_path / "f.mor"
+    f.write_text("morphism f over Q\nblock m1 -1x1\n")
+    code = main(
+        ["glue-mor", "-q", "S4", "-x", str(x), "-y", str(x), "-f", str(f), "Malpha", "Mbeta"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: line 2:") and "Traceback" not in captured.err
+
+
+def test_bad_fragment_dim_exits_one(capsys, tmp_path):
+    text = format_fragment(fragment_from_coefficient_quiver(load_rep("M")))
+    lines = text.splitlines()
+    first_dim = next(i for i, ln in enumerate(lines) if ln.startswith("dim "))
+    lines[first_dim] = lines[first_dim].rsplit(" ", 1)[0] + " -2"
+    frag = tmp_path / "bad.frag"
+    frag.write_text("\n".join(lines) + "\n")
+    assert main(["pushdown", "-q", "K3", str(frag)]) == 1
+    captured = capsys.readouterr()
+    assert "natural number" in captured.err and "Traceback" not in captured.err

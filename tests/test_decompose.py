@@ -232,3 +232,10 @@ def test_perp_simples_rejects_more_roots_than_vertices():
     roots = [q.unit_vector(v) for v in q.vertices] + [(1, 1, 0, 0, 0)]
     with pytest.raises(DecomposeError):
         perp_simples(q, roots, side="right", config=CONFIG)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_oracle_config_rejects_samples_below_one(samples):
+    with pytest.raises(DecomposeError, match="samples must be at least 1"):
+        OracleConfig(samples=samples)
+    assert OracleConfig(samples=1).escalate().samples == 2

@@ -1,13 +1,15 @@
-"""Differential tests: the fast F_p kernels against their field-generic references.
+"""Differential tests: the fast Q and F_p kernels against their field-generic references.
 
-The F_p elimination must agree with the field-method elimination loop (run
-here through a field object that is not a `PrimeField`, so `_elimination`
-takes its generic branch), and the arrow-by-arrow `d_matrix` must equal the
-column-by-column definition through `apply_d`.
+The Q and F_p eliminations must agree with the field-method elimination loop
+(run here through field objects that are neither a `RationalField` nor a
+`PrimeField`, so `_elimination` takes its generic branch), and the
+arrow-by-arrow `d_matrix` must equal the column-by-column definition through
+`apply_d`.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,9 @@ from quiverglue.linalg import (
     Matrix,
     PrimeField,
     QQ,
+    RationalField,
     _elimination,
+    _elimination_q,
     kernel_basis,
     rank,
     rref,
@@ -111,6 +115,104 @@ def test_forward_only_rank_on_edge_shapes():
         assert kernel_basis(Matrix(0, 3, [], f))[2].entries == (0, 0, 1)
         assert solve(Matrix(2, 0, [], f), [0, 0]) == []
         assert solve(Matrix(2, 0, [], f), [0, 1]) is None
+
+
+# -- Q ---------------------------------------------------------------------------
+
+
+class MethodRationals:
+    """Q through RationalField's methods, without being a RationalField."""
+
+    name = "generic Q"
+    characteristic = 0
+
+    def __init__(self):
+        self._f = RationalField()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __eq__(self, other):
+        return isinstance(other, MethodRationals)
+
+    def __hash__(self):
+        return hash("generic Q")
+
+
+def _q_pair(rows, cols, entries):
+    return Matrix(rows, cols, entries, QQ), Matrix(rows, cols, entries, MethodRationals())
+
+
+q_entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+small_q_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def q_matrices(draw):
+    """(rows, cols, entries): random, or a rank-deficient (r x k)(k x c) product."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        return rows, cols, draw(st.lists(q_entries, min_size=rows * cols, max_size=rows * cols))
+    k = draw(st.integers(0, min(rows, cols)))
+    left = Matrix(rows, k, draw(st.lists(small_q_entries, min_size=rows * k, max_size=rows * k)))
+    right = Matrix(k, cols, draw(st.lists(small_q_entries, min_size=k * cols, max_size=k * cols)))
+    return rows, cols, list((left * right).entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_matrices())
+def test_q_elimination_matches_generic(case):
+    fast, ref = _q_pair(*case)
+    assert _elimination(fast) == _elimination(ref)
+    assert _elimination_q(fast, True) == _elimination(ref)
+    assert rank(fast) == rank(ref)
+    reduced, pivots = rref(fast)
+    reduced_ref, pivots_ref = rref(ref)
+    assert (reduced.entries, pivots) == (reduced_ref.entries, pivots_ref)
+    assert [v.entries for v in kernel_basis(fast)] == [v.entries for v in kernel_basis(ref)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_matrices())
+def test_q_forward_rows_stay_primitive_integers(case):
+    fast, ref = _q_pair(*case)
+    rows, pivots = _elimination_q(fast, False)
+    assert pivots == rref(ref)[1]
+    for row in rows:
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) in (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_matrices(), st.integers(0, 2**32), st.booleans())
+def test_q_solve_matches_generic(case, seed, consistent):
+    rows, cols, _ = case
+    fast, ref = _q_pair(*case)
+    rng = random.Random(seed)
+    if consistent:
+        x = Matrix(cols, 1, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)])
+        b = list((fast * x).entries)
+    else:
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rows)]
+    got = solve(fast, b)
+    assert got == solve(ref, b)
+    if consistent:
+        assert got is not None
+    if got is not None:
+        assert list((fast * Matrix(cols, 1, got)).entries) == b
+
+
+def test_q_kernel_on_edge_shapes():
+    for rows, cols in ((0, 0), (0, 4), (4, 0)):
+        fast, ref = _q_pair(rows, cols, [])
+        assert _elimination(fast) == _elimination(ref)
+        assert rank(fast) == 0
+        assert [v.entries for v in kernel_basis(fast)] == [v.entries for v in kernel_basis(ref)]
+    assert solve(Matrix(2, 0, []), [0, 0]) == []
+    assert solve(Matrix(2, 0, []), [0, Fraction(1, 2)]) is None
+    zeros, pivots = rref(Matrix.zeros(3, 2))
+    assert pivots == [] and zeros == Matrix.zeros(3, 2)
 
 
 # -- d_matrix ------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from oracles import all_k2_reps, reference_end_algebra, reference_indecomposable
+from quiverglue import reps
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.linalg import Matrix, PrimeField, QQ
 from quiverglue.quiver import ParseError, euler_form
@@ -166,3 +169,55 @@ def test_prime_field_rep_indecomposable_unknown():
     f = PrimeField(5)
     x = rep(q, (1, 1), ([[1]], [[1]]), field=f)
     assert indecomposable(x).tag == "unknown"
+
+
+# -- End(X) in coordinates against the Morphism-based reference ------------------
+
+FIXTURE_NAMES = ("M", "X0", "X1", "Malpha", "Mbeta")
+
+
+def _reference_cases():
+    fixtures = [load_rep(n) for n in FIXTURE_NAMES]
+    yield from all_k2_reps(k2(), max_dim=2)
+    yield from fixtures
+    for a, b in itertools.combinations_with_replacement(fixtures, 2):
+        if a.quiver == b.quiver:
+            yield direct_sum(a, b)
+
+
+def test_end_algebra_and_indecomposable_match_reference():
+    cases = list(_reference_cases())
+    assert len(cases) == 296 + 5 + 7
+    for x in cases:
+        end, ref = end_algebra(x), reference_end_algebra(x)
+        assert end.basis == ref.basis
+        assert end.structure == ref.structure
+        assert end.identity_coords == ref.identity_coords
+        assert end.radical_dim == ref.radical_dim
+        verdict, expected = indecomposable(x), reference_indecomposable(x)
+        assert verdict.tag == expected.tag
+        if expected.witness is None:
+            assert verdict.witness is None
+        else:
+            assert verdict.witness.blocks == expected.witness.blocks
+
+
+def test_end_algebra_guard_rejects_a_basis_not_closed_under_composition(monkeypatch):
+    # End(S + S) for a simple S is M_2(Q); without its last unit matrix the
+    # span misses E(1,0) E(0,1) = E(1,1), and the identity too
+    s = Representation.simple(k2(), "q")
+    x = direct_sum(s, s)
+    basis = hom_space(x, x)
+    assert len(basis) == 4
+    monkeypatch.setattr(reps, "hom_space", lambda a, b: basis[:-1])
+    with pytest.raises(RepError, match="does not lie in the computed Hom space"):
+        end_algebra(x)
+
+
+def test_end_algebra_mul_and_element_agree_with_composition():
+    x = direct_sum(load_rep("X0"), load_rep("X1"))
+    end = end_algebra(x)
+    a = [Fraction(k + 1, 2) for k in range(end.dim)]
+    b = [Fraction(-1) ** k * k for k in range(end.dim)]
+    assert end.element(end.mul(a, b)).blocks == compose(end.element(a), end.element(b)).blocks
+    assert end.element(end.identity_coords).blocks == identity_morphism(x).blocks
