@@ -1,15 +1,8 @@
-"""Exact-arithmetic toolkit for gluing quiver representations along Ext bases."""
+"""Exact-arithmetic toolkit for gluing quiver representations along Ext bases.
 
-import warnings
-
-import sympy as _sympy  # noqa: F401  (imported first: sympy prepends its own warning filter)
-
-# sympy >= 1.13 warns when sorting GF(p) factor lists internally; harmless here
-# and silenced so command output stays stable.
-warnings.filterwarnings(
-    "ignore",
-    message="(?s).*Ordered comparisons with modular integers.*",
-    category=DeprecationWarning,
-)
+Importing the package loads no third-party module: sympy, used only to
+factor minimal polynomials, is imported on first use by
+`linalg.sympy_module`.
+"""
 
 __version__ = "0.1.0"

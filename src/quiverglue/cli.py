@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import fixtures
 from .decompose import (
@@ -33,7 +34,7 @@ from .gluing import (
     parse_bases,
     tree_shaped_ext_basis,
 )
-from .linalg import DEFAULT_PRIME, Matrix, ModulusError, QQ, PrimeField
+from .linalg import DEFAULT_PRIME, Matrix, ModulusError, QQ
 from .quiver import (
     ParseError,
     QuiverError,
@@ -480,7 +481,7 @@ def _repro_loop_counterexample(args, out):
         _expect(out, f"M' map {name}", mp.map_for(name), expected)
     blocks = tuple(Matrix.from_rows(rows, QQ) for rows in M_PRIME_IDEMPOTENT)
     g = Morphism(mp, mp, blocks)  # endomorphism law checked on construction
-    gg = compose_square(g)
+    gg = compose(g, g)
     _expect(out, "g idempotent", gg.blocks == g.blocks, True)
     _expect(out, "g nontrivial", not g.is_zero() and any(
         b != Matrix.identity(b.rows, QQ) for b in g.blocks
@@ -488,13 +489,9 @@ def _repro_loop_counterexample(args, out):
     verdict = indecomposable(mp)
     _expect(out, "M' verdict", verdict.tag, "decomposable")
     w = verdict.witness
-    _expect(out, "witness idempotent", w is not None and compose_square(w).blocks == w.blocks
+    _expect(out, "witness idempotent", w is not None and compose(w, w).blocks == w.blocks
             and not w.is_zero(), True)
     out.append("M' decomposable: witness idempotent verified")
-
-
-def compose_square(f):
-    return compose(f, f)
 
 
 REPRODUCE = {
@@ -531,6 +528,7 @@ def _positive_int(text):
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=_positive_int, default=5, help="Monte-Carlo samples")
@@ -645,6 +643,11 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one command; returns its exit code (0, 1 or 2).
+
+    The argument parser is built on the first call and reused by every later
+    call in the process: parsing never modifies it, a failed parse included.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,9 +15,9 @@ of how the splitting proceeded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .linalg import DEFAULT_PRIME, Matrix, QQ, hstack, solve
+from .linalg import DEFAULT_PRIME, Matrix, QQ, rank, solve, sympy_module
 from .quiver import (
     Quiver,
     classify_root,
@@ -128,7 +128,7 @@ def _splitting_idempotent(x: Representation, basis, rng):
     per-vertex entry lists mod p; only the returned idempotent becomes a
     Morphism, which validates it once.
     """
-    import sympy
+    sympy = sympy_module()
 
     f = x.field
     p = f.characteristic
@@ -285,10 +285,28 @@ def _nonneg_combination(vec, accepted):
     x = solve(cols, [QQ.coerce(v) for v in vec])
     if x is None:
         return False
-    if any(c.denominator != 1 or c < 0 for c in x):
+    if all(c.denominator == 1 and c >= 0 for c in x):
+        return True
+    if rank(cols) == len(accepted):
+        # independent vectors: x is the only solution
         return False
-    # solve returns one solution; accepted vectors are kept independent, so it is the solution
-    return True
+    return _nonneg_search(tuple(vec), accepted)
+
+
+def _nonneg_search(vec, accepted):
+    """Exhaustive search over non-negative integer coefficients, vectors all non-negative.
+
+    The coefficient of a vector a is at most min vec[i] // a[i] over its support.
+    """
+    if not any(vec):
+        return True
+    if not accepted:
+        return False
+    head, rest = accepted[0], accepted[1:]
+    top = min((v // a for v, a in zip(vec, head) if a), default=0)
+    return any(
+        _nonneg_search(tuple(v - k * a for v, a in zip(vec, head)), rest) for k in range(top + 1)
+    )
 
 
 def _topo_order_by_ext(oracle: Oracle, roots):

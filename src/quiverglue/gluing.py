@@ -26,7 +26,7 @@ from .reps import (
     RepError,
     Representation,
     _check_pair,
-    bundle_to_vector,
+    blocks_to_vector,
     d_matrix,
     elementary_bundle,
     ext_dim,
@@ -81,7 +81,7 @@ def tree_shaped_ext_basis(x: Representation, y: Representation):
         for r in range(rows):
             for c in range(cols):
                 elem = ExtBasisElement(arrow.name, r, c)
-                if inc.add(bundle_to_vector(elem.bundle(x, y))):
+                if inc.add(blocks_to_vector(elem.bundle(x, y).blocks)):
                     out.append(elem)
                     if len(out) == n:
                         return out
@@ -92,7 +92,7 @@ def basis_is_independent(x: Representation, y: Representation, elements) -> bool
     """True when the classes of the elements are independent mod Im(d_{X,Y})."""
     inc, _ = _image_tracker(x, y)
     for elem in elements:
-        if not inc.add(bundle_to_vector(elem.bundle(x, y))):
+        if not inc.add(blocks_to_vector(elem.bundle(x, y).blocks)):
             return False
     return True
 
@@ -427,7 +427,7 @@ def check_theta_iso(g: GluingData, x: Representation) -> bool:
                     blocks.append(block)
                 bundle = MapBundle(fx2, m1, tuple(blocks))
                 count += 1
-                if not inc.add(bundle_to_vector(bundle)):
+                if not inc.add(blocks_to_vector(bundle.blocks)):
                     independent = False
     target_dim = ext_dim(fx2, m1)
     return independent and count == target_dim and inc.rank() - base_rank == target_dim

@@ -28,6 +28,7 @@ from .linalg import (
     rank,
     rref,
     solve,
+    sympy_module,
 )
 from .quiver import ParseError, Quiver, euler_form
 
@@ -127,6 +128,15 @@ class Morphism:
             if ym * self.blocks[s] != self.blocks[t] * xm:
                 raise RepError(f"intertwining law fails at arrow {arrow.name}")
 
+    @classmethod
+    def _trusted(cls, source, target, blocks):
+        """A morphism from blocks known to have the right shapes and to intertwine; no checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "blocks", blocks)
+        return f
+
     def block(self, vertex):
         return self.blocks[self.source.quiver.index(vertex)]
 
@@ -222,18 +232,6 @@ def elementary_bundle(x: Representation, y: Representation, arrow_name, row, col
 # -- flattening and the d matrix ---------------------------------------
 
 
-def _flatten(m: Matrix):
-    return [m[r, c] for c in range(m.cols) for r in range(m.rows)]
-
-
-def _unflatten(rows, cols, vec, field):
-    ent = [field.zero()] * (rows * cols)
-    for c in range(cols):
-        for r in range(rows):
-            ent[r * cols + c] = vec[c * rows + r]
-    return Matrix(rows, cols, ent, field)
-
-
 def hom_block_dim(x: Representation, y: Representation) -> int:
     return sum(dx * dy for dx, dy in zip(x.dims, y.dims))
 
@@ -243,27 +241,9 @@ def bundle_space_dim(x: Representation, y: Representation) -> int:
     return sum(xd[s] * yd[t] for s, t in x.quiver.arrow_indices)
 
 
-def bundle_to_vector(g: MapBundle):
-    vec = []
-    for b in g.blocks:
-        vec.extend(_flatten(b))
-    return vec
-
-
 def blocks_to_vector(blocks):
-    vec = []
-    for b in blocks:
-        vec.extend(_flatten(b))
-    return vec
-
-
-def vector_to_blocks(x: Representation, y: Representation, vec):
-    blocks = []
-    pos = 0
-    for dx, dy in zip(x.dims, y.dims):
-        blocks.append(_unflatten(dy, dx, vec[pos : pos + dx * dy], x.field))
-        pos += dx * dy
-    return tuple(blocks)
+    """The blocks of a morphism or a bundle as one vector: block by block, column-major inside."""
+    return [m.entries[r * m.cols + c] for m in blocks for c in range(m.cols) for r in range(m.rows)]
 
 
 def d_matrix(x: Representation, y: Representation) -> Matrix:
@@ -313,10 +293,16 @@ def hom_space(x: Representation, y: Representation):
     """Basis of Hom(X, Y) as a list of morphisms."""
     _check_pair(x, y)
     d = d_matrix(x, y)
+    field = x.field
     basis = []
     for col in kernel_basis(d):
-        blocks = vector_to_blocks(x, y, col.col(0))
-        basis.append(Morphism(x, y, blocks))
+        # d(f) = 0 is the intertwining law, so each kernel vector is a morphism
+        vec, pos, blocks = col.entries, 0, []
+        for dx, dy in zip(x.dims, y.dims):
+            seg = vec[pos : pos + dx * dy]  # column-major: row r is seg[r::dy]
+            blocks.append(Matrix._trusted(dy, dx, [v for r in range(dy) for v in seg[r::dy]], field))
+            pos += dx * dy
+        basis.append(Morphism._trusted(x, y, tuple(blocks)))
     return basis
 
 
@@ -337,7 +323,7 @@ def ext_dim(x: Representation, y: Representation) -> int:
 def same_ext_class(g: MapBundle, h: MapBundle) -> bool:
     if g.source != h.source or g.target != h.target:
         raise RepError("bundles compare only over the same pair (X, Y)")
-    diff = bundle_to_vector(g - h)
+    diff = blocks_to_vector((g - h).blocks)
     return solve(d_matrix(g.source, g.target), diff) is not None
 
 
@@ -599,7 +585,7 @@ def _minimal_polynomial_coords(end: EndAlgebra, g):
 
 def _minpoly_factors(coeffs):
     """Irreducible factorization over Q of a minimal polynomial, via sympy."""
-    import sympy
+    sympy = sympy_module()
 
     t = sympy.Symbol("t")
     poly = sympy.Poly(
@@ -610,7 +596,7 @@ def _minpoly_factors(coeffs):
 
 def _splitting_coords(end: EndAlgebra, g, powers, t, factors):
     """Coordinates of u(g)a(g), where minpoly = a*b with a, b coprime and ua + vb = 1."""
-    import sympy
+    sympy = sympy_module()
 
     a = factors[0][0] ** factors[0][1]
     b = sympy.prod(f ** e for f, e in factors[1:])

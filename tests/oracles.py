@@ -24,7 +24,6 @@ from quiverglue.reps import (
     _minpoly_factors,
     blocks_to_vector,
     bundle_space_dim,
-    bundle_to_vector,
     compose,
     end_algebra,
     hom_block_dim,
@@ -106,7 +105,7 @@ def d_matrix_by_columns(x, y):
             for r in range(dy):
                 blocks = [Matrix.zeros(y.dims[i], x.dims[i], field) for i in range(q.n)]
                 blocks[vi] = Matrix.unit(dy, dx, r, c, field)
-                cols.append(bundle_to_vector(apply_d(x, y, blocks)))
+                cols.append(blocks_to_vector(apply_d(x, y, blocks).blocks))
     ent = [field.zero()] * (cod * dom)
     for j, colvec in enumerate(cols):
         for i, val in enumerate(colvec):

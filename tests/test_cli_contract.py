@@ -1,0 +1,80 @@
+"""The CLI contract: recorded transcripts, one parser per process, a lazy sympy import.
+
+The transcripts under tests/golden/ are the stdout and exit code of every
+`reproduce` id at --seed 0, recorded before the parser was cached and
+sympy made a lazy import; they must not change.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quiverglue import cli
+from quiverglue.fixtures import load_rep
+from quiverglue.reps import direct_sum, format_rep
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+def fresh(*args):
+    """Run python with these arguments in a new process, with this checkout's package."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("rid", sorted(EXIT_CODES))
+def test_reproduce_matches_golden_transcript(capsys, rid):
+    code = cli.main(["reproduce", rid, "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CODES[rid]
+    assert captured.out == (GOLDEN / f"reproduce-{rid}.txt").read_text(encoding="utf-8")
+    assert captured.err == ""
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    decomposable = tmp_path / "x.rep"
+    x = direct_sum(load_rep("X0"), load_rep("X1"))
+    decomposable.write_text(format_rep(x, name="X") + "\n", encoding="utf-8")
+    calls = [
+        ["indec", "-q", "K2", str(decomposable)],
+        ["candecomp", "-q", "K3", "(2,3)"],
+        ["candecomp", "-q", "K3", "(2,3)", "--samples", "0"],
+        ["--help"],
+        ["frobnicate"],
+        ["indec", "-q", "K2", str(decomposable)],
+    ]
+    parser = cli._build_parser()
+    seen = []
+    for argv in calls:
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert cli._build_parser() is parser
+    assert [code for code, _, _ in seen] == [0, 0, 1, 0, 1, 0]
+    assert "witness" in seen[0][1] and seen[0] == seen[-1]
+    for argv, (code, out, err) in zip(calls, seen):
+        proc = fresh("-m", "quiverglue.cli", *argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    proc = fresh("-c", "import sys, quiverglue.cli; print('sympy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_no_sympy_warning_under_default_warning_filters():
+    # F_p factorisation makes sympy warn about ordering modular integers; the
+    # library's filter must be installed after sympy's own, which the import adds
+    proc = fresh("-W", "default", "-m", "quiverglue.cli", "reproduce", "sub5-candecomp")
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from quiverglue.decompose import (
     DecomposeError,
     Oracle,
     OracleConfig,
+    _nonneg_combination,
     canonical_decomposition,
     exceptional_sequence_decomposition,
     perp_simples,
@@ -239,3 +243,26 @@ def test_oracle_config_rejects_samples_below_one(samples):
     with pytest.raises(DecomposeError, match="samples must be at least 1"):
         OracleConfig(samples=samples)
     assert OracleConfig(samples=1).escalate().samples == 2
+
+
+def test_nonneg_combination_with_dependent_accepted_vectors():
+    # (1,1) = (1,0) + (0,1): the single solution solve returns is not the only one
+    assert _nonneg_combination((0, 1), [(1, 1), (1, 0), (0, 1)])
+    assert _nonneg_combination((3, 1), [(1, 1), (1, 0), (0, 1)])
+    assert _nonneg_combination((2, 2), [(1, 1), (2, 2)])
+    assert not _nonneg_combination((1, 2), [(1, 1), (2, 2)])
+    assert not _nonneg_combination((1, 0), [(1, 1), (0, 1)])
+
+
+def test_nonneg_combination_matches_enumeration():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        accepted = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        accepted = [a for a in accepted if any(a)] or [(1,) * n]
+        vec = tuple(rng.randint(0, 4) for _ in range(n))
+        expected = any(
+            tuple(sum(k * a[i] for k, a in zip(ks, accepted)) for i in range(n)) == vec
+            for ks in itertools.product(range(5), repeat=len(accepted))
+        )
+        assert _nonneg_combination(vec, accepted) == expected, (vec, accepted)

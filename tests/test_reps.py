@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,40 @@ def test_end_algebra_mul_and_element_agree_with_composition():
     b = [Fraction(-1) ** k * k for k in range(end.dim)]
     assert end.element(end.mul(a, b)).blocks == compose(end.element(a), end.element(b)).blocks
     assert end.element(end.identity_coords).blocks == identity_morphism(x).blocks
+
+
+# -- hom_space builds its basis unvalidated; the law is checked here ---------------
+
+
+def _over(x, field):
+    """x with its entries read in another field."""
+    maps = tuple(Matrix(m.rows, m.cols, m.entries, field) for m in x.maps)
+    return Representation(x.quiver, field, x.dims, maps)
+
+
+def _hom_space_cases():
+    """Same-quiver groups: fixture reps, their pairwise sums and random reps, over Q and F_101."""
+    rng = random.Random(11)
+    fixtures = [load_rep(n) for n in FIXTURE_NAMES]
+    for q in {x.quiver for x in fixtures}:
+        own = [x for x in fixtures if x.quiver == q]
+        own += [direct_sum(a, b) for a, b in itertools.combinations_with_replacement(own, 2)]
+        for field in (QQ, PrimeField(101)):
+            group = [_over(x, field) for x in own]
+            for k in range(3):
+                r = random_rep(q, tuple(rng.randint(0, 2) for _ in q.vertices), 101, seed=k)
+                group.append(r if field != QQ else _over(r, QQ))
+            yield group
+
+
+def test_hom_space_basis_vectors_are_morphisms():
+    pairs = 0
+    for group in _hom_space_cases():
+        for x, y in itertools.product(group, repeat=2):
+            basis = hom_space(x, y)
+            assert len(basis) == hom_dim(x, y)
+            for f in basis:
+                checked = Morphism(x, y, f.blocks)  # shapes, field and intertwining law
+                assert all(b == Matrix(b.rows, b.cols, b.entries, x.field) for b in checked.blocks)
+            pairs += 1
+    assert pairs > 100
