@@ -4,12 +4,13 @@ root-decomposition algorithm into reduced exceptional sequences.
 Generic quantities (hom, ext, Schur-ness) are Monte-Carlo estimates from
 seeded samples over a large prime field.  The canonical decomposition is
 computed as the summand type of a sampled generic representation, split
-recursively by idempotents of its endomorphism ring; the result is then
-re-verified against the defining properties (sum identity, pairwise
-vanishing generic Ext, generically Schurian summands), with the sample
-count escalated on failure.  The defining properties determine the
-canonical decomposition uniquely, so the verified output is independent
-of how the splitting proceeded.
+recursively by spectral idempotents of its endomorphism ring, in End(X)
+coordinates and by the same routine `reps.indecomposable` uses over Q.
+The result is then re-verified against the defining properties (sum
+identity, pairwise vanishing generic Ext, generically Schurian summands),
+with the sample count escalated on failure.  The defining properties
+determine the canonical decomposition uniquely, so the verified output is
+independent of how the splitting proceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .linalg import DEFAULT_PRIME, Matrix, QQ, rank, solve, sympy_module
+from .linalg import DEFAULT_PRIME, Matrix, QQ, rank, solve
 from .quiver import (
     Quiver,
     classify_root,
@@ -28,16 +29,12 @@ from .quiver import (
     vec_sub,
 )
 from .reps import (
-    Morphism,
     Representation,
-    _block_products,
-    _combination,
     _derive_seed,
-    _identity_blocks,
-    _minimal_polynomial_generic,
+    _spectral_split,
+    end_algebra,
     ext_dim,
     hom_dim,
-    hom_space,
     random_rep,
     split_by_idempotent,
 )
@@ -121,73 +118,33 @@ class Oracle:
 SPLIT_ATTEMPTS = 16
 
 
-def _splitting_idempotent(x: Representation, basis, rng):
-    """A nontrivial idempotent endomorphism found by spectral splitting.
-
-    The random element g and the polynomial in g are formed on raw
-    per-vertex entry lists mod p; only the returned idempotent becomes a
-    Morphism, which validates it once.
-    """
-    sympy = sympy_module()
-
-    f = x.field
-    p = f.characteristic
-    dims = x.dims
-    t = sympy.Symbol("t")
-    entries = [[m.entries for m in b.blocks] for b in basis]
-
-    def mod(blocks):
-        return [[v % p for v in b] for b in blocks]
-
-    for _ in range(SPLIT_ATTEMPTS):
-        g = mod(_combination([rng.randrange(p) for _ in basis], entries, dims))
-        coeffs = _minimal_polynomial_generic(
-            [Matrix._trusted(d, d, gv, f) for d, gv in zip(dims, g)], f
-        )
-        poly = sympy.Poly([int(c) for c in reversed(coeffs)], t, modulus=p, symmetric=False)
-        factors = sympy.factor_list(poly)[1]
-        if len(factors) < 2:
-            continue
-        a = factors[0][0] ** factors[0][1]
-        b = poly.one
-        for fac, e in factors[1:]:
-            b = b * fac**e
-        s, _t2, h = sympy.Poly(a, t, modulus=p, symmetric=False).gcdex(
-            sympy.Poly(b, t, modulus=p, symmetric=False)
-        )
-        if not h.is_one:
-            continue
-        ua = (s * sympy.Poly(a, t, modulus=p, symmetric=False)).all_coeffs()
-        lift = [int(c) % p for c in reversed(ua)]
-        powers = [_identity_blocks(dims)]
-        while len(powers) < len(lift):
-            powers.append(mod(_block_products(powers[-1], g, dims)))
-        e = mod(_combination(lift, powers, dims))
-        if mod(_block_products(e, e, dims)) != e:
-            continue
-        if e == powers[0] or not any(any(ev) for ev in e):
-            continue
-        return Morphism(x, x, tuple(Matrix._trusted(d, d, ev, f) for d, ev in zip(dims, e)))
-    return None
-
-
 def generic_summands(x: Representation, seed=0):
-    """Dimension vectors of the indecomposable summands of a sampled module."""
+    """Dimension vectors of the indecomposable summands of a sampled module.
+
+    Each module whose End(X) is larger than the scalars is split by the
+    spectral idempotent of a random element of End(X), one draw mod p per
+    basis element, with the same routine that decides indecomposability
+    over Q.
+    """
     rng = random.Random(seed)
+    p = x.field.characteristic
     out = []
     stack = [x]
     while stack:
         y = stack.pop()
         if y.is_zero():
             continue
-        basis = hom_space(y, y)
-        if len(basis) == 1:
+        end = end_algebra(y)
+        if end.dim == 1:
             out.append(y.dims)
             continue
-        e = _splitting_idempotent(y, basis, rng)
-        if e is None:
+        for _ in range(SPLIT_ATTEMPTS):
+            _, e = _spectral_split(end, [rng.randrange(p) for _ in range(end.dim)])
+            if e is not None:
+                break
+        else:
             raise OracleUnstableError()
-        y1, y2, _ = split_by_idempotent(y, e)
+        y1, y2, _ = split_by_idempotent(y, end.element(e))
         stack.append(y1)
         stack.append(y2)
     return out
@@ -344,6 +301,17 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
             f"{len(roots)} roots on a quiver with {quiver.n} vertices; "
             "an exceptional sequence has at most one root per vertex"
         )
+    # the roots of an exceptional sequence are real Schur roots: nonzero,
+    # non-negative, <r,r> = 1; nothing below is meaningful for other vectors
+    for r in roots:
+        if any(v < 0 for v in r) or not any(r):
+            raise DecomposeError(f"{format_dimvector(r)} is not a nonzero non-negative vector")
+        norm = euler_form(quiver, r, r)
+        if norm != 1:
+            raise DecomposeError(
+                f"{format_dimvector(r)} has <r,r> = {norm}, not 1, "
+                "so it is not in an exceptional sequence"
+            )
     if needed == 0:
         return []
     bound = config.bound
@@ -425,6 +393,9 @@ def verify_reduced_sequence(quiver: Quiver, roots, coeffs, target, config: Oracl
     from .gluing import build_gluing
 
     roots = [quiver.check_dimvector(r) for r in roots]
+    for r in roots:
+        if any(v < 0 for v in r):
+            raise DecomposeError(f"{format_dimvector(r)} has a negative entry; it is not a root")
     coeffs = [int(c) for c in coeffs]
     target = quiver.check_dimvector(target)
     oracle = Oracle(quiver, config)

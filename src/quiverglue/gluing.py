@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import IncrementalRank, Matrix, hstack, kron, vstack
+from .linalg import Matrix, block_diag, hstack, kron, rref, vstack
 from .quiver import Arrow, ParseError, Quiver
 from .reps import (
     MapBundle,
@@ -58,43 +58,48 @@ class ExtBasisElement:
         return ExtBasisElement(self.arrow, self.row, self.col, i, j, l)
 
 
-def _image_tracker(x: Representation, y: Representation):
-    d = d_matrix(x, y)
-    inc = IncrementalRank(x.field, d.rows)
-    for c in range(d.cols):
-        inc.add(d.col(c))
-    return inc, d.rows
+def _new_classes(d: Matrix, vectors):
+    """Indices of the vectors a greedy pass keeps, in order, modulo the column space of d.
+
+    A vector is kept when its class is independent of the classes kept
+    before it: these are the pivot columns of [d | V] that fall in V.
+    """
+    aug = Matrix.from_rows(
+        [d.row(r) + [v[r] for v in vectors] for r in range(d.rows)],
+        d.field,
+        cols=d.cols + len(vectors),
+    )
+    return [c - d.cols for c in rref(aug)[1] if c >= d.cols]
+
+
+def _bundle_vectors(x: Representation, y: Representation, elements):
+    return [blocks_to_vector(e.bundle(x, y).blocks) for e in elements]
 
 
 def tree_shaped_ext_basis(x: Representation, y: Representation):
     """Greedy tree-shaped basis of Ext(X, Y) in (arrow, row, col) lex order."""
     _check_pair(x, y)
     n = ext_dim(x, y)
-    out = []
     if n == 0:
-        return out
-    inc, _ = _image_tracker(x, y)
+        return []
     q = x.quiver
-    for arrow in q.arrows:
-        rows = y.dims[q.index(arrow.target)]
-        cols = x.dims[q.index(arrow.source)]
-        for r in range(rows):
-            for c in range(cols):
-                elem = ExtBasisElement(arrow.name, r, c)
-                if inc.add(blocks_to_vector(elem.bundle(x, y).blocks)):
-                    out.append(elem)
-                    if len(out) == n:
-                        return out
-    raise RepError("elementary bundles failed to span Ext; this cannot happen")
+    elements = [
+        ExtBasisElement(arrow.name, r, c)
+        for arrow in q.arrows
+        for r in range(y.dims[q.index(arrow.target)])
+        for c in range(x.dims[q.index(arrow.source)])
+    ]
+    kept = _new_classes(d_matrix(x, y), _bundle_vectors(x, y, elements))
+    if len(kept) != n:
+        raise RepError("elementary bundles failed to span Ext; this cannot happen")
+    return [elements[k] for k in kept]
 
 
 def basis_is_independent(x: Representation, y: Representation, elements) -> bool:
     """True when the classes of the elements are independent mod Im(d_{X,Y})."""
-    inc, _ = _image_tracker(x, y)
-    for elem in elements:
-        if not inc.add(blocks_to_vector(elem.bundle(x, y).blocks)):
-            return False
-    return True
+    elements = list(elements)
+    kept = _new_classes(d_matrix(x, y), _bundle_vectors(x, y, elements))
+    return len(kept) == len(elements)
 
 
 def arrow_name(i, j, l):
@@ -215,30 +220,14 @@ def apply_F_mor(g: GluingData, f: Morphism) -> Morphism:
         raise RepError("morphism does not live on the glued quiver Q(M)")
     fx = apply_F(g, f.source)
     fy = apply_F(g, f.target)
-    q = g.quiver
-    blocks = []
-    for vq in range(q.n):
-        diag = [
-            kron(Matrix.identity(m.dims[vq], g.field), f.blocks[i])
-            for i, m in enumerate(g.reps)
-        ]
-        grid = []
-        for i in range(g.r):
-            row = []
-            for j in range(g.r):
-                if i == j:
-                    row.append(diag[i])
-                else:
-                    row.append(
-                        Matrix.zeros(
-                            g.reps[i].dims[vq] * f.target.dims[i],
-                            g.reps[j].dims[vq] * f.source.dims[j],
-                            g.field,
-                        )
-                    )
-            grid.append(row)
-        blocks.append(_block_matrix(grid, g.field))
-    return Morphism(fx, fy, tuple(blocks))
+    blocks = tuple(
+        block_diag(
+            [kron(Matrix.identity(m.dims[vq], g.field), f.blocks[i]) for i, m in enumerate(g.reps)],
+            g.field,
+        )
+        for vq in range(g.quiver.n)
+    )
+    return Morphism(fx, fy, blocks)
 
 
 # -- hypothesis checkers -----------------------------------------------
@@ -392,10 +381,6 @@ def check_theta_iso(g: GluingData, x: Representation) -> bool:
     m1 = g.reps[0]
     q = g.quiver
     field = g.field
-    inc, _ = _image_tracker(fx2, m1)
-    base_rank = inc.rank()
-    count = 0
-    independent = True
     # offsets of the summand blocks of (FX_2)_q per vertex
     offsets = []
     for vq in range(q.n):
@@ -403,6 +388,7 @@ def check_theta_iso(g: GluingData, x: Representation) -> bool:
         for i, m in enumerate(g2.reps):
             off.append(off[-1] + m.dims[vq] * x2.dims[i])
         offsets.append(off)
+    vectors = []
     for i in range(2, g.r + 1):
         basis_i1 = g.basis_for(i, 1)
         xi = x.dims[i - 1]
@@ -419,18 +405,18 @@ def check_theta_iso(g: GluingData, x: Representation) -> bool:
                         proj = Matrix.unit(1, xi, 0, t, field)
                         piece = kron(chi, proj)
                         off = offsets[s][i - 2]
-                        ent = [field.zero()] * (rows * cols)
-                        for rr in range(piece.rows):
-                            for cc in range(piece.cols):
-                                ent[rr * cols + (off + cc)] = piece[rr, cc]
-                        block = Matrix(rows, cols, ent, field)
+                        block = hstack(
+                            [
+                                Matrix.zeros(rows, off, field),
+                                piece,
+                                Matrix.zeros(rows, cols - off - piece.cols, field),
+                            ]
+                        )
                     blocks.append(block)
-                bundle = MapBundle(fx2, m1, tuple(blocks))
-                count += 1
-                if not inc.add(blocks_to_vector(bundle.blocks)):
-                    independent = False
-    target_dim = ext_dim(fx2, m1)
-    return independent and count == target_dim and inc.rank() - base_rank == target_dim
+                vectors.append(blocks_to_vector(MapBundle(fx2, m1, tuple(blocks)).blocks))
+    # every Theta vector must be a new class, and together they must span Ext
+    kept = _new_classes(d_matrix(fx2, m1), vectors)
+    return len(kept) == len(vectors) == ext_dim(fx2, m1)
 
 
 # -- the paragraph-5 loop functor --------------------------------------

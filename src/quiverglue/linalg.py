@@ -622,46 +622,3 @@ def solve(a: Matrix, b) -> list | None:
     for pr, pc in enumerate(pivots):
         x[pc] = reduced[pr][a.cols]
     return x
-
-
-class IncrementalRank:
-    """Tracks the row space of added vectors; used for greedy independence tests."""
-
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-        self.rows = []  # reduced rows
-        self.pivots = []  # pivot column of each row
-
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                factor = v[p]
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        """Add the vector; returns True when it enlarged the span."""
-        f = self.field
-        v = self.reduce(vec)
-        for p in range(self.dim):
-            if v[p] != 0:
-                inv = f.inv(v[p])
-                v = [f.mul(inv, x) for x in v]
-                # keep stored rows mutually reduced so reduce() is order-independent
-                for i, row in enumerate(self.rows):
-                    if row[p] != 0:
-                        factor = row[p]
-                        self.rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(row, v)]
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))

@@ -30,7 +30,7 @@ from .linalg import (
     solve,
     sympy_module,
 )
-from .quiver import ParseError, Quiver, euler_form
+from .quiver import ParseError, Quiver
 
 
 class RepError(ValueError):
@@ -332,22 +332,9 @@ def same_ext_class(g: MapBundle, h: MapBundle) -> bool:
 
 def direct_sum(x: Representation, y: Representation, name="") -> Representation:
     _check_pair(x, y)
-    q = x.quiver
     dims = tuple(a + b for a, b in zip(x.dims, y.dims))
-    maps = []
-    for arrow in q.arrows:
-        s, t = q.index(arrow.source), q.index(arrow.target)
-        xa, ya = x.map_for(arrow.name), y.map_for(arrow.name)
-        rows, cols = dims[t], dims[s]
-        ent = [x.field.zero()] * (rows * cols)
-        for r in range(xa.rows):
-            for c in range(xa.cols):
-                ent[r * cols + c] = xa[r, c]
-        for r in range(ya.rows):
-            for c in range(ya.cols):
-                ent[(x.dims[t] + r) * cols + (x.dims[s] + c)] = ya[r, c]
-        maps.append(Matrix(rows, cols, ent, x.field))
-    return Representation(q, x.field, dims, tuple(maps), name)
+    maps = tuple(block_diag([xa, ya], x.field) for xa, ya in zip(x.maps, y.maps))
+    return Representation(x.quiver, x.field, dims, maps, name)
 
 
 def _column_space_basis(m: Matrix):
@@ -542,28 +529,6 @@ class Verdict:
     witness: Morphism | None = None
 
 
-def _action_matrix(blocks, field) -> Matrix:
-    """The block-diagonal matrix of an endomorphism given by its vertex blocks."""
-    return block_diag(blocks, field) if blocks else Matrix.zeros(0, 0, field)
-
-
-def _minimal_polynomial_generic(blocks, f):
-    """Monic minimal polynomial of an endomorphism, given by its vertex blocks."""
-    m = _action_matrix(blocks, f)
-    n = m.rows
-    if n == 0:
-        return [f.zero(), f.one()]
-    powers = [Matrix.identity(n, f)]
-    while True:
-        powers.append(powers[-1] * m)
-        cols = hstack([Matrix.column(list(p.entries), f) for p in powers[:-1]])
-        dep = solve(cols, list(powers[-1].entries))
-        if dep is not None:
-            return [f.neg(c) for c in dep] + [f.one()]
-        if len(powers) > n + 1:
-            raise RepError("minimal polynomial computation failed to terminate")
-
-
 def _minimal_polynomial_coords(end: EndAlgebra, g):
     """Monic minimal polynomial of g in End(X), and the powers of g below its degree.
 
@@ -571,47 +536,70 @@ def _minimal_polynomial_coords(end: EndAlgebra, g):
     polynomial of g's action matrix.
     """
     n = end.dim
+    field = end.rep.field
     powers = [list(end.identity_coords)]
     while len(powers) <= n:
         target = end.mul(powers[-1], g)
         k = len(powers)
-        cols = Matrix(n, k, [p[r] for r in range(n) for p in powers], end.rep.field)
+        cols = Matrix(n, k, [p[r] for r in range(n) for p in powers], field)
         dep = solve(cols, target)
         if dep is not None:
-            return [-c for c in dep] + [Fraction(1)], powers
+            return [field.neg(c) for c in dep] + [field.one()], powers
         powers.append(target)
     raise RepError("minimal polynomial computation failed to terminate")
 
 
-def _minpoly_factors(coeffs):
-    """Irreducible factorization over Q of a minimal polynomial, via sympy."""
+def _sympy_poly(f, t, field):
+    """f, a coefficient list (leading first) or a polynomial, as a sympy Poly over Q or F_p."""
+    sympy = sympy_module()
+    if field == QQ:
+        return sympy.Poly(f, t)
+    return sympy.Poly(f, t, modulus=field.p, symmetric=False)
+
+
+def _minpoly_factors(coeffs, field):
+    """Irreducible factorization over Q or F_p of a minimal polynomial, via sympy."""
     sympy = sympy_module()
 
     t = sympy.Symbol("t")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t
-    )
-    return t, sympy.factor_list(poly)[1]
+    lead_first = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+    return t, sympy.factor_list(_sympy_poly(lead_first, t, field))[1]
 
 
 def _splitting_coords(end: EndAlgebra, g, powers, t, factors):
-    """Coordinates of u(g)a(g), where minpoly = a*b with a, b coprime and ua + vb = 1."""
+    """Coordinates of u(g)a(g), where minpoly = a*b with a, b coprime and ua + vb = 1.
+
+    None unless it is a nontrivial idempotent, checked in End(X) coordinates.
+    """
     sympy = sympy_module()
 
-    a = factors[0][0] ** factors[0][1]
-    b = sympy.prod(f ** e for f, e in factors[1:])
-    u, _v, gcd = sympy.gcdex(sympy.Poly(a, t), sympy.Poly(b, t))
-    if not sympy.Poly(gcd, t).is_one:
+    field = end.rep.field
+    a = _sympy_poly(factors[0][0] ** factors[0][1], t, field)
+    b = _sympy_poly(sympy.prod(f ** e for f, e in factors[1:]), t, field)
+    u, _v, gcd = a.gcdex(b)
+    if not gcd.is_one:
         return None
-    ua = (sympy.Poly(u, t) * sympy.Poly(a, t)).all_coeffs()
-    coeffs = [Fraction(c.p, c.q) for c in [sympy.Rational(x) for x in reversed(ua)]]
+    coeffs = [sympy.Rational(c) for c in reversed((u * a).all_coeffs())]
+    coeffs = [field.coerce(Fraction(c.p, c.q)) for c in coeffs]
     while len(powers) < len(coeffs):
         powers.append(end.mul(powers[-1], g))
-    e = [Fraction(0)] * end.dim
+    e = [0] * end.dim
     for c, p in zip(coeffs, powers):
         if c:
             e = [x + c * y for x, y in zip(e, p)]
+    e = [field.coerce(x) for x in e]
+    if not any(e) or e == list(end.identity_coords) or end.mul(e, e) != e:
+        return None
     return e
+
+
+def _spectral_split(end: EndAlgebra, g):
+    """The irreducible factors of g's minimal polynomial, and the coordinates
+    of the nontrivial idempotent they give (None when they give none)."""
+    coeffs, powers = _minimal_polynomial_coords(end, g)
+    t, factors = _minpoly_factors(coeffs, end.rep.field)
+    e = _splitting_coords(end, g, powers, t, factors) if len(factors) >= 2 else None
+    return factors, e
 
 
 MAX_WITNESS_ATTEMPTS = 32
@@ -650,25 +638,18 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
     semisimple_dim = end.dim - end.radical_dim
     if semisimple_dim == 1:
         return Verdict("indecomposable")
-    ident = list(end.identity_coords)
     for g in _candidates(end.dim, seed):
-        coeffs, powers = _minimal_polynomial_coords(end, g)
-        t, factors = _minpoly_factors(coeffs)
-        if len(factors) >= 2:
-            e = _splitting_coords(end, g, powers, t, factors)
-            if e is None or not any(e) or e == ident:
-                continue
-            w = end.element(e)
-            if compose(w, w).blocks == w.blocks:
-                return Verdict("decomposable", witness=w)
-        elif factors[0][0].degree() == semisimple_dim:
+        factors, e = _spectral_split(end, g)
+        if e is not None:
+            return Verdict("decomposable", witness=end.element(e))
+        if len(factors) == 1 and factors[0][0].degree() == semisimple_dim:
             # the image of g generates End/rad, which is then Q[t]/(p),
             # a field: no nontrivial idempotents exist
             return Verdict("indecomposable")
     return Verdict("unknown")
 
 
-# -- random sampling and generic values --------------------------------
+# -- random sampling ----------------------------------------------------
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -686,25 +667,6 @@ def random_rep(quiver: Quiver, dims, prime: int, seed: int, name="") -> Represen
             Matrix._trusted(rows, cols, [rng.randrange(prime) for _ in range(rows * cols)], field)
         )
     return Representation(quiver, field, dims, tuple(maps), name)
-
-
-def generic_hom(quiver: Quiver, a, b, samples=5, prime=2147483647, seed=0) -> int:
-    """Monte-Carlo upper bound for hom(a, b): minimum over sampled random pairs."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    best = None
-    for k in range(samples):
-        x = random_rep(quiver, a, prime, _derive_seed(seed, 2 * k + 1))
-        y = random_rep(quiver, b, prime, _derive_seed(seed, 2 * k + 2))
-        h = hom_dim(x, y)
-        best = h if best is None else min(best, h)
-        if best == max(0, euler_form(quiver, a, b)):
-            break  # cannot go below the Euler bound
-    return best
-
-
-def generic_ext(quiver: Quiver, a, b, samples=5, prime=2147483647, seed=0) -> int:
-    return generic_hom(quiver, a, b, samples, prime, seed) - euler_form(quiver, a, b)
 
 
 # -- text format --------------------------------------------------------

@@ -4,8 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from quiverglue.decompose import MAX_SEARCH_NODES, DecomposeError
-from quiverglue.linalg import Matrix, QQ, block_diag, hstack, rank, solve
+from quiverglue.decompose import (
+    MAX_SEARCH_NODES,
+    SPLIT_ATTEMPTS,
+    DecomposeError,
+    OracleUnstableError,
+)
+from quiverglue.linalg import Matrix, QQ, block_diag, hstack, kron, rank, solve
 from quiverglue.quiver import (
     QuiverError,
     RootClass,
@@ -14,21 +19,29 @@ from quiverglue.quiver import (
     support_connected,
     symmetrized_form,
 )
+from quiverglue.gluing import ExtBasisElement, apply_F, restrict_to_tail
 from quiverglue.reps import (
     MAX_WITNESS_ATTEMPTS,
     EndAlgebra,
     MapBundle,
+    Morphism,
     RepError,
     Representation,
     Verdict,
+    _block_products,
+    _combination,
+    _identity_blocks,
     _minpoly_factors,
     blocks_to_vector,
     bundle_space_dim,
     compose,
+    d_matrix,
     end_algebra,
+    ext_dim,
     hom_block_dim,
     hom_space,
     identity_morphism,
+    split_by_idempotent,
     zero_morphism,
 )
 
@@ -252,16 +265,17 @@ def reference_end_algebra(x):
     return EndAlgebra(x, tuple(basis), structure, ident, radical_dim)
 
 
-def _minimal_polynomial_of_matrix(g):
-    """Monic minimal polynomial over Q of a square matrix, low degree first."""
+def minimal_polynomial_of_matrix(g):
+    """Monic minimal polynomial of a square matrix over its field, low degree first."""
+    f = g.field
     n = g.rows
-    powers = [Matrix.identity(n, QQ)]
+    powers = [Matrix.identity(n, f)]
     while True:
         powers.append(powers[-1] * g)
-        cols = hstack([Matrix.column(list(p.entries), QQ) for p in powers[:-1]])
+        cols = hstack([Matrix.column(list(p.entries), f) for p in powers[:-1]])
         dep = solve(cols, list(powers[-1].entries))
         if dep is not None:
-            return [-c for c in dep] + [Fraction(1)]
+            return [f.neg(c) for c in dep] + [f.one()]
 
 
 def _poly_eval_morphism(coeffs, g):
@@ -278,7 +292,7 @@ def _poly_eval_morphism(coeffs, g):
 def _idempotent_from_minpoly(coeffs, g):
     import sympy
 
-    t, factors = _minpoly_factors(coeffs)
+    t, factors = _minpoly_factors(coeffs, QQ)
     if len(factors) < 2:
         return None
     a = factors[0][0] ** factors[0][1]
@@ -312,8 +326,8 @@ def reference_indecomposable(x, seed=0):
         coords = [Fraction(rng.randint(-3, 3)) for _ in range(end.dim)]
         candidates.append(reference_element(end, coords))
     for g in candidates:
-        coeffs = _minimal_polynomial_of_matrix(block_diag(g.blocks, QQ))
-        _, factors = _minpoly_factors(coeffs)
+        coeffs = minimal_polynomial_of_matrix(block_diag(g.blocks, QQ))
+        _, factors = _minpoly_factors(coeffs, QQ)
         if len(factors) >= 2:
             e = _idempotent_from_minpoly(coeffs, g)
             if e is not None:
@@ -321,3 +335,191 @@ def reference_indecomposable(x, seed=0):
         elif factors[0][0].degree() == semisimple_dim:
             return Verdict("indecomposable")
     return Verdict("unknown")
+
+
+# -- the F_p splitting of sampled modules on raw block matrices, before it
+# -- moved to End(X) coordinates and the routine `indecomposable` uses
+
+
+def reference_splitting_idempotent(x, basis, rng):
+    """A nontrivial idempotent of X from the minimal polynomial of g's action matrix."""
+    import sympy
+
+    f = x.field
+    p = f.characteristic
+    dims = x.dims
+    t = sympy.Symbol("t")
+    entries = [[m.entries for m in b.blocks] for b in basis]
+
+    def mod(blocks):
+        return [[v % p for v in b] for b in blocks]
+
+    for _ in range(SPLIT_ATTEMPTS):
+        g = mod(_combination([rng.randrange(p) for _ in basis], entries, dims))
+        coeffs = minimal_polynomial_of_matrix(
+            block_diag([Matrix._trusted(d, d, gv, f) for d, gv in zip(dims, g)], f)
+        )
+        poly = sympy.Poly([int(c) for c in reversed(coeffs)], t, modulus=p, symmetric=False)
+        factors = sympy.factor_list(poly)[1]
+        if len(factors) < 2:
+            continue
+        a = factors[0][0] ** factors[0][1]
+        b = poly.one
+        for fac, e in factors[1:]:
+            b = b * fac**e
+        s, _t2, h = sympy.Poly(a, t, modulus=p, symmetric=False).gcdex(
+            sympy.Poly(b, t, modulus=p, symmetric=False)
+        )
+        if not h.is_one:
+            continue
+        ua = (s * sympy.Poly(a, t, modulus=p, symmetric=False)).all_coeffs()
+        lift = [int(c) % p for c in reversed(ua)]
+        powers = [_identity_blocks(dims)]
+        while len(powers) < len(lift):
+            powers.append(mod(_block_products(powers[-1], g, dims)))
+        e = mod(_combination(lift, powers, dims))
+        if mod(_block_products(e, e, dims)) != e:
+            continue
+        if e == powers[0] or not any(any(ev) for ev in e):
+            continue
+        return Morphism(x, x, tuple(Matrix._trusted(d, d, ev, f) for d, ev in zip(dims, e)))
+    return None
+
+
+def reference_generic_summands(x, seed=0):
+    """generic_summands on raw blocks: one draw mod p per Hom basis element and attempt."""
+    rng = random.Random(seed)
+    out = []
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if y.is_zero():
+            continue
+        basis = hom_space(y, y)
+        if len(basis) == 1:
+            out.append(y.dims)
+            continue
+        e = reference_splitting_idempotent(y, basis, rng)
+        if e is None:
+            raise OracleUnstableError()
+        y1, y2, _ = split_by_idempotent(y, e)
+        stack.append(y1)
+        stack.append(y2)
+    return out
+
+
+# -- Ext-class independence by incremental row reduction, before it became the
+# -- pivot columns of [d | V]
+
+
+class IncrementalRank:
+    """Tracks the row space of added vectors; used for greedy independence tests."""
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.rows = []  # reduced rows
+        self.pivots = []  # pivot column of each row
+
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Add the vector; returns True when it enlarged the span."""
+        f = self.field
+        v = [f.coerce(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                factor = v[p]
+                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
+        for p in range(self.dim):
+            if v[p] != 0:
+                inv = f.inv(v[p])
+                v = [f.mul(inv, x) for x in v]
+                # keep stored rows mutually reduced
+                for i, row in enumerate(self.rows):
+                    if row[p] != 0:
+                        factor = row[p]
+                        self.rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(row, v)]
+                self.rows.append(v)
+                self.pivots.append(p)
+                return True
+        return False
+
+
+def _image_tracker(x, y):
+    d = d_matrix(x, y)
+    inc = IncrementalRank(x.field, d.rows)
+    for c in range(d.cols):
+        inc.add(d.col(c))
+    return inc
+
+
+def reference_tree_shaped_ext_basis(x, y):
+    n = ext_dim(x, y)
+    out = []
+    if n == 0:
+        return out
+    inc = _image_tracker(x, y)
+    q = x.quiver
+    for arrow in q.arrows:
+        for r in range(y.dims[q.index(arrow.target)]):
+            for c in range(x.dims[q.index(arrow.source)]):
+                elem = ExtBasisElement(arrow.name, r, c)
+                if inc.add(blocks_to_vector(elem.bundle(x, y).blocks)):
+                    out.append(elem)
+                    if len(out) == n:
+                        return out
+    raise RepError("elementary bundles failed to span Ext")
+
+
+def reference_basis_is_independent(x, y, elements):
+    inc = _image_tracker(x, y)
+    return all(inc.add(blocks_to_vector(e.bundle(x, y).blocks)) for e in elements)
+
+
+def reference_check_theta_iso(g, x):
+    """check_theta_iso with hand-embedded blocks and an incremental rank."""
+    if x.dims[0] != 1:
+        raise RepError("check_theta_iso requires dim X_{m_1} = 1")
+    if g.r == 1:
+        return True
+    g2, x2 = restrict_to_tail(g, x)
+    fx2 = apply_F(g2, x2)
+    m1 = g.reps[0]
+    q = g.quiver
+    field = g.field
+    inc = _image_tracker(fx2, m1)
+    base_rank = inc.rank()
+    count = 0
+    independent = True
+    offsets = []
+    for vq in range(q.n):
+        off = [0]
+        for i, m in enumerate(g2.reps):
+            off.append(off[-1] + m.dims[vq] * x2.dims[i])
+        offsets.append(off)
+    for i in range(2, g.r + 1):
+        xi = x.dims[i - 1]
+        for e in g.basis_for(i, 1):
+            for t in range(xi):
+                blocks = []
+                for arrow in q.arrows:
+                    s, tt = q.index(arrow.source), q.index(arrow.target)
+                    rows, cols = m1.dims[tt], fx2.dims[s]
+                    block = Matrix.zeros(rows, cols, field)
+                    if arrow.name == e.arrow:
+                        chi = Matrix.unit(rows, g.reps[i - 1].dims[s], e.row, e.col, field)
+                        piece = kron(chi, Matrix.unit(1, xi, 0, t, field))
+                        off = offsets[s][i - 2]
+                        ent = [field.zero()] * (rows * cols)
+                        for rr in range(piece.rows):
+                            for cc in range(piece.cols):
+                                ent[rr * cols + (off + cc)] = piece[rr, cc]
+                        block = Matrix(rows, cols, ent, field)
+                    blocks.append(block)
+                count += 1
+                if not inc.add(blocks_to_vector(MapBundle(fx2, m1, tuple(blocks)).blocks)):
+                    independent = False
+    target_dim = ext_dim(fx2, m1)
+    return independent and count == target_dim and inc.rank() - base_rank == target_dim

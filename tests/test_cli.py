@@ -188,6 +188,25 @@ def test_perpsimples_more_roots_than_vertices_exits_one(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the zero vector and a vector with <a,a> = 4 printed simples and exited 0
+        (["perpsimples", "-q", "K3", "(0,0)"], "(0,0) is not a nonzero non-negative vector"),
+        (["perpsimples", "-q", "K3", "(2,0)"], "(2,0) has <r,r> = 4"),
+        (["perpsimples", "-q", "K3", "--side", "left", "(1,-1)"], "(1,-1) is not a nonzero"),
+        # a negative root was sampled as a module and gave hom=-2 ext=-3
+        (["check-seq", "-q", "K3", "(1,1)", "(-1,0)x1", "(2,1)x1"], "(-1,0) has a negative entry"),
+    ],
+    ids=["perp-zero", "perp-norm-4", "perp-left-negative", "check-seq-negative"],
+)
+def test_vectors_outside_exceptional_sequences_exit_one(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 BAD_REPS = {
     "negative dim": "rep X over Q\nquiver K2\ndim q -1\n",
     "non-numeric dim": "rep X over Q\nquiver K2\ndim q x\n",

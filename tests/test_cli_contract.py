@@ -1,8 +1,11 @@
 """The CLI contract: recorded transcripts, one parser per process, a lazy sympy import.
 
-The transcripts under tests/golden/ are the stdout and exit code of every
-`reproduce` id at --seed 0, recorded before the parser was cached and
-sympy made a lazy import; they must not change.
+The transcripts under tests/golden/ must not change.  They hold the stdout
+and exit code of every `reproduce` id at --seed 0, recorded before the
+parser was cached and sympy made a lazy import, and, in
+readme_commands.json, the stdout, stderr and exit code of every README
+command that needs only bundled fixtures, recorded before F_p splitting
+moved to End(X) coordinates and Ext independence to pivot columns.
 """
 
 import json
@@ -20,6 +23,7 @@ from quiverglue.reps import direct_sum, format_rep
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+README_COMMANDS = json.loads((GOLDEN / "readme_commands.json").read_text(encoding="utf-8"))
 
 
 def fresh(*args):
@@ -38,6 +42,13 @@ def test_reproduce_matches_golden_transcript(capsys, rid):
     assert code == EXIT_CODES[rid]
     assert captured.out == (GOLDEN / f"reproduce-{rid}.txt").read_text(encoding="utf-8")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("golden", README_COMMANDS, ids=[g["argv"][0] for g in README_COMMANDS])
+def test_readme_command_matches_golden_transcript(capsys, golden):
+    code = cli.main(list(golden["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (golden["code"], golden["stdout"], golden["stderr"])
 
 
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch, tmp_path):

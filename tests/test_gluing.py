@@ -1,13 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    reference_basis_is_independent,
+    reference_check_theta_iso,
+    reference_tree_shaped_ext_basis,
+)
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.gluing import (
     ExtBasisElement,
     apply_F,
     apply_F_mor,
     apply_loop_F,
+    basis_is_independent,
     build_gluing,
     build_loop_gluing,
     check_elementary,
@@ -30,6 +37,7 @@ from quiverglue.reps import (
     hom_space,
     identity_morphism,
     indecomposable,
+    random_rep,
     same_ext_class,
     zero_bundle,
 )
@@ -237,3 +245,94 @@ def test_ext_class_nontriviality():
     ma, mb = load_rep("Malpha"), load_rep("Mbeta")
     e = tree_shaped_ext_basis(ma, mb)[0]
     assert not same_ext_class(e.bundle(ma, mb), zero_bundle(ma, mb))
+
+
+# -- Ext-class independence on pivot columns against the IncrementalRank reference
+
+
+def _random_q_rep(q, dims, rng):
+    maps = []
+    for s, t in q.arrow_indices:
+        cells = dims[t] * dims[s]
+        maps.append(Matrix(dims[t], dims[s], [rng.randint(-2, 2) for _ in range(cells)], QQ))
+    return Representation(q, QQ, dims, tuple(maps))
+
+
+RANDOM_PAIRS = (
+    ("K2", (2, 2), (1, 1)),
+    ("K3", (1, 2), (2, 1)),
+    ("S4", (1, 1, 1, 0, 0), (1, 0, 0, 1, 1)),
+    ("S4", (2, 1, 1, 1, 1), (1, 1, 0, 1, 0)),
+    ("S4", (0, 1, 1, 0, 0), (2, 0, 0, 0, 0)),
+)
+
+
+def _independence_pairs():
+    """(X, Y) over Q and F_p: fixture pairs, seeded random reps, zero dimensions."""
+    fixtures = [load_rep(n) for n in ("M", "X0", "X1", "Malpha", "Mbeta")]
+    for x in fixtures:
+        for y in fixtures:
+            if x.quiver == y.quiver:
+                yield x, y
+    rng = random.Random(7)
+    for name, da, db in RANDOM_PAIRS:
+        q = load_quiver(name)
+        yield _random_q_rep(q, da, rng), _random_q_rep(q, db, rng)
+        for p in (2, 3, 101):
+            yield random_rep(q, da, p, 1), random_rep(q, db, p, 2)
+    m = load_rep("M")
+    zero = Representation.zero_rep(m.quiver, (0, 0))
+    yield from ((zero, m), (m, zero), (zero, zero))
+    yield Representation.zero_rep(m.quiver, (2, 0)), Representation.zero_rep(m.quiver, (0, 3))
+
+
+def test_ext_independence_matches_incremental_rank_reference():
+    rng = random.Random(3)
+    nonempty = 0
+    for x, y in _independence_pairs():
+        basis = tree_shaped_ext_basis(x, y)
+        assert basis == reference_tree_shaped_ext_basis(x, y)
+        nonempty += bool(basis)
+        q = x.quiver
+        elementary = [
+            ExtBasisElement(a.name, r, c)
+            for a in q.arrows
+            for r in range(y.dims[q.index(a.target)])
+            for c in range(x.dims[q.index(a.source)])
+        ]
+        trials = [[], basis, basis + elementary[:1], elementary[::-1]]
+        for _ in range(6):
+            size = rng.randint(0, min(len(elementary), len(basis) + 1))
+            trials.append(rng.sample(elementary, size))
+        for elements in trials:
+            assert basis_is_independent(x, y, elements) == reference_basis_is_independent(
+                x, y, elements
+            )
+    assert nonempty >= 10
+
+
+def _theta_cases():
+    """(gluing, X) pairs with dim X_{m_1} = 1, over Q and F_p."""
+    rng = random.Random(9)
+    q = load_quiver("S4")
+    simples = [Representation.simple(q, v) for v in ("q0", "q1", "q2", "q3")]
+    reversed_sub4 = build_gluing([load_rep("Mbeta"), load_rep("Malpha")])
+    for g in (sub4_gluing(), reversed_sub4, build_gluing(simples)):
+        for _ in range(6):
+            dims = (1,) + tuple(rng.randint(0, 2) for _ in range(g.r - 1))
+            yield g, _random_q_rep(g.qm, dims, rng)
+    for p in (2, 3, 101):
+        dims = [(1, 0, 0, 0, 0), (1, 1, 1, 0, 0), (0, 0, 0, 1, 1)]
+        g = build_gluing([random_rep(q, d, p, k) for k, d in enumerate(dims)])
+        for seed in range(4):
+            dims = (1,) + tuple(rng.randint(0, 2) for _ in range(g.r - 1))
+            yield g, random_rep(g.qm, dims, p, seed)
+
+
+def test_check_theta_iso_matches_incremental_rank_reference():
+    verdicts = set()
+    for g, x in _theta_cases():
+        verdict = check_theta_iso(g, x)
+        assert verdict == reference_check_theta_iso(g, x)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -4,7 +4,6 @@ import pytest
 
 from quiverglue.linalg import (
     DEFAULT_PRIME,
-    IncrementalRank,
     Matrix,
     ModulusError,
     PrimeField,
@@ -86,16 +85,6 @@ def test_rank_over_prime_field():
     f = PrimeField(5)
     a = Matrix.from_rows([[1, 2], [2, 4]], f)
     assert rank(a) == 1
-
-
-def test_incremental_rank():
-    inc = IncrementalRank(QQ, 3)
-    assert inc.add([Fraction(1), Fraction(0), Fraction(0)])
-    assert inc.add([Fraction(1), Fraction(1), Fraction(0)])
-    assert not inc.add([Fraction(2), Fraction(1), Fraction(0)])
-    assert inc.rank() == 2
-    assert inc.contains([Fraction(0), Fraction(1), Fraction(0)])
-    assert not inc.contains([Fraction(0), Fraction(0), Fraction(1)])
 
 
 def test_is_prime_and_non_prime_moduli():

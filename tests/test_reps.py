@@ -4,15 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import all_k2_reps, reference_end_algebra, reference_indecomposable
+from oracles import (
+    all_k2_reps,
+    minimal_polynomial_of_matrix,
+    reference_end_algebra,
+    reference_indecomposable,
+)
 from quiverglue import reps
+from quiverglue.decompose import Oracle, OracleConfig
 from quiverglue.fixtures import load_quiver, load_rep
-from quiverglue.linalg import Matrix, PrimeField, QQ
+from quiverglue.linalg import Matrix, PrimeField, QQ, block_diag
 from quiverglue.quiver import ParseError, euler_form
 from quiverglue.reps import (
     Morphism,
     RepError,
     Representation,
+    _minimal_polynomial_coords,
     compose,
     d_matrix,
     direct_sum,
@@ -20,8 +27,6 @@ from quiverglue.reps import (
     ext_dim,
     format_morphism,
     format_rep,
-    generic_ext,
-    generic_hom,
     hom_dim,
     hom_space,
     identity_morphism,
@@ -160,9 +165,10 @@ def test_random_rep_and_generic_values():
     x = random_rep(q, (2, 1, 1, 1, 1), 101, 3)
     assert x.field == PrimeField(101)
     a, b = (1, 0, 1, 0, 0), (1, 0, 0, 1, 1)
-    assert generic_hom(q, a, b, samples=3) == 0
-    assert generic_ext(q, a, b, samples=3) == 0
-    assert generic_hom(q, a, a, samples=3) == 1
+    oracle = Oracle(q, OracleConfig(samples=3))
+    assert oracle.hom(a, b) == 0
+    assert oracle.ext(a, b) == 0
+    assert oracle.hom(a, a) == 1
 
 
 def test_prime_field_rep_indecomposable_unknown():
@@ -259,3 +265,24 @@ def test_hom_space_basis_vectors_are_morphisms():
                 assert all(b == Matrix(b.rows, b.cols, b.entries, x.field) for b in checked.blocks)
             pairs += 1
     assert pairs > 100
+
+
+# -- the spectral splitting routine over F_p ---------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_fp_minimal_polynomial_from_coordinates_matches_action_matrix(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    cases = [(load_quiver("K3"), (3, 1)), (load_quiver("S4"), (3, 2, 2, 1, 1)), (k2(), (2, 2))]
+    checked = 0
+    for q, dims in cases:
+        for seed in range(3):
+            x = random_rep(q, dims, p, seed)
+            end = end_algebra(x)
+            for g in ([rng.randrange(p) for _ in range(end.dim)], list(end.identity_coords)):
+                coeffs, _ = _minimal_polynomial_coords(end, g)
+                action = block_diag(end.element(g).blocks, field)
+                assert coeffs == minimal_polynomial_of_matrix(action)
+                checked += len(coeffs) > 2
+    assert checked  # some minimal polynomial above degree one was compared
