@@ -534,7 +534,7 @@ def _build_parser():
     common.add_argument("--samples", type=_positive_int, default=5, help="Monte-Carlo samples")
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="sampling prime")
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--bound", type=int, default=None, help="perp search bound")
+    common.add_argument("--bound", type=_positive_int, default=None, help="perp search bound")
 
     parser = argparse.ArgumentParser(
         prog="quiverglue",

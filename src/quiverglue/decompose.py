@@ -59,6 +59,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise DecomposeError(f"samples must be at least 1, got {self.samples}")
+        if self.bound is not None and self.bound < 1:
+            raise DecomposeError(f"bound must be at least 1, got {self.bound}")
 
     def escalate(self):
         return replace(self, samples=self.samples * 2)

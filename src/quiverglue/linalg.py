@@ -1,17 +1,19 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Everything upstream (Hom/Ext spaces, coset membership, endomorphism
-algebras) reduces to rank / kernel / solve on small dense matrices, so
+algebras) reduces to rank / kernel / solve on small matrices, so
 plain Gaussian elimination with exact field arithmetic is all we need.
 Matrices with zero rows or columns are legal and common (maps in and out
 of zero spaces at unsupported vertices).
 
-Elimination has one kernel per field, both on plain int rows.  Over Q each
-row is cleared of denominators and rows are combined fraction-free, kept
-primitive by dividing out the gcd of their entries; only the final pivot
-division goes back to `Fraction`s.  Over F_p the reduction is written
-inline, `(x + g*y) % p`.  Both combine rows only from the pivot column on,
-and `rank` stops after forward elimination.  The loop over the field's methods
+Elimination has one kernel per field.  Over Q each row is a list of ints,
+cleared of denominators; rows are combined fraction-free from the pivot
+column on, kept primitive by dividing out the gcd of their entries, and
+only the final pivot division goes back to `Fraction`s.  Over F_p each row
+is a sparse {column: residue} dict, since the `d_{X,Y}` matrices behind
+Hom and Ext are mostly zeros: each row is reduced against a table of pivot
+rows keyed by leading column, and entries that cancel are deleted.  `rank`
+stops after forward elimination in both.  The loop over the field's methods
 remains for any other field, and is the reference the kernels are tested
 against.  All of it is pure Python: numpy is not a dependency, since
 importing it costs more memory and start-up time than the small matrices
@@ -443,10 +445,12 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def _elimination(a: Matrix, reduce_above=True):
     """Row echelon form; returns (list of rows, pivot column indices).
 
-    With reduce_above the rows are in reduced row echelon form.  Without it
-    the Q and F_p kernels clear only below each pivot, which is all `rank`
-    needs (the Q kernel then returns its unnormalised integer rows); the
-    field-generic loop always reduces fully.
+    The rows are dense lists, the nonzero ones first in pivot order.  With
+    reduce_above they are in reduced row echelon form.  Without it the Q and
+    F_p kernels only eliminate forward, which is all `rank` needs: the pivots
+    are those of the RREF, but the rows are not reduced above their pivots
+    (the Q kernel's are unnormalised integer rows, the F_p kernel's lead
+    with 1); the field-generic loop always reduces fully.
     """
     if isinstance(a.field, PrimeField):
         return _elimination_fp(a, reduce_above)
@@ -478,40 +482,56 @@ def _elimination(a: Matrix, reduce_above=True):
     return rows, pivots
 
 
-def _elimination_fp(a: Matrix, reduce_above):
-    """_elimination over F_p on plain int rows with inline modular arithmetic.
+def _subtract_fp(row, factor, prow, p):
+    """row -= factor * prow over F_p on sparse rows, in place; zeros are deleted."""
+    g = p - factor
+    for c, y in prow.items():
+        x = (row.get(c, 0) + g * y) % p
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
-    Left of the pivot column, the pivot row and every row still to be
-    cleared are zero, so each row operation starts at the pivot column.
+
+def _elimination_fp(a: Matrix, reduce_above):
+    """_elimination over F_p on sparse rows, {column: nonzero residue}.
+
+    Each row in turn is reduced against a table of pivot rows keyed by
+    their leading column: while its leading column has a pivot row, the
+    right multiple of that row is subtracted, and entries that cancel to 0
+    are deleted.  A row left nonzero leads at a new column and is stored
+    scaled to lead with 1.  The pivot set depends only on the row space, so
+    it is already that of the RREF.  Back-substitution runs from the last
+    pivot down; each pivot row it subtracts is zero at every other pivot
+    column, so it adds entries only at free columns.
     """
     p = a.field.p
     n, m = a.rows, a.cols
     e = a.entries
-    rows = [list(e[i * m : (i + 1) * m]) for i in range(n)]
-    pivots = []
-    pr = 0
-    for pc in range(m):
-        if pr == n:
-            break
-        for r in range(pr, n):
-            if rows[r][pc]:
+    table = {}
+    for i in range(n):
+        row = {c: x for c, x in enumerate(e[i * m : (i + 1) * m]) if x}
+        while row:
+            lead = min(row)
+            prow = table.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                table[lead] = {c: x * inv % p for c, x in row.items()} if inv != 1 else row
                 break
-        else:
-            continue
-        prow = rows[r]
-        rows[r] = rows[pr]
-        inv = pow(prow[pc], -1, p)
-        tail = [x * inv % p for x in prow[pc:]]
-        prow[pc:] = tail
-        rows[pr] = prow
-        for i in range(0 if reduce_above else pr + 1, n):
-            row = rows[i]
-            factor = row[pc]
-            if factor and i != pr:
-                g = p - factor
-                row[pc:] = [(x + g * y) % p for x, y in zip(row[pc:], tail)]
-        pivots.append(pc)
-        pr += 1
+            _subtract_fp(row, row[lead], prow, p)
+    pivots = sorted(table)
+    if reduce_above:
+        for pc in reversed(pivots):
+            row = table[pc]
+            for c in [c for c in row if c != pc and c in table]:
+                _subtract_fp(row, row[c], table[c], p)
+    rows = []
+    for pc in pivots:
+        dense = [0] * m
+        for c, x in table[pc].items():
+            dense[c] = x
+        rows.append(dense)
+    rows.extend([0] * m for _ in range(n - len(pivots)))
     return rows, pivots
 
 

@@ -126,6 +126,46 @@ def d_matrix_by_columns(x, y):
     return Matrix(cod, dom, ent, field)
 
 
+# -- F_p elimination on dense rows, before it moved to sparse rows
+
+
+def dense_elimination_fp(a, reduce_above):
+    """`linalg._elimination_fp` on dense int rows with inline modular arithmetic.
+
+    Left of the pivot column, the pivot row and every row still to be
+    cleared are zero, so each row operation starts at the pivot column.
+    """
+    p = a.field.p
+    n, m = a.rows, a.cols
+    e = a.entries
+    rows = [list(e[i * m : (i + 1) * m]) for i in range(n)]
+    pivots = []
+    pr = 0
+    for pc in range(m):
+        if pr == n:
+            break
+        for r in range(pr, n):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        prow = rows[r]
+        rows[r] = rows[pr]
+        inv = pow(prow[pc], -1, p)
+        tail = [x * inv % p for x in prow[pc:]]
+        prow[pc:] = tail
+        rows[pr] = prow
+        for i in range(0 if reduce_above else pr + 1, n):
+            row = rows[i]
+            factor = row[pc]
+            if factor and i != pr:
+                g = p - factor
+                row[pc:] = [(x + g * y) % p for x, y in zip(row[pc:], tail)]
+        pivots.append(pc)
+        pr += 1
+    return rows, pivots
+
+
 # -- the step-2 search and root classification before their pruning and inlining
 
 

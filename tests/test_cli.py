@@ -181,6 +181,13 @@ def test_samples_below_one_exits_one(capsys, samples):
     assert "--samples" in err and "oracle unstable" not in err
 
 
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_bound_below_one_exits_one(capsys, bound):
+    assert main(["perpsimples", "-q", "K3", "(1,0)", "--bound", bound]) == 1
+    err = capsys.readouterr().err
+    assert "--bound" in err and "bound exhausted" not in err
+
+
 def test_perpsimples_more_roots_than_vertices_exits_one(capsys):
     roots = ["(1,0,0,0,0)", "(0,1,0,0,0)", "(0,0,1,0,0)", "(0,0,0,1,0)", "(0,0,0,0,1)", "(1,1,0,0,0)"]
     assert main(["perpsimples", "-q", "S4", *roots]) == 1

@@ -6,6 +6,10 @@ parser was cached and sympy made a lazy import, and, in
 readme_commands.json, the stdout, stderr and exit code of every README
 command that needs only bundled fixtures, recorded before F_p splitting
 moved to End(X) coordinates and Ext independence to pivot columns.
+seeded_commands.json (the F_p `reproduce` ids at other seeds, the S5
+isotropic root at small primes) and file_commands.json (`glue`, `pushdown`
+and `check-theta` on files built from the fixtures, over Q and F_101) were
+recorded before F_p elimination moved to sparse rows.
 """
 
 import json
@@ -17,13 +21,19 @@ from pathlib import Path
 import pytest
 
 from quiverglue import cli
-from quiverglue.fixtures import load_rep
+from quiverglue.fixtures import REP_FILES, fixture_text, load_rep
 from quiverglue.reps import direct_sum, format_rep
+from quiverglue.treemod import format_fragment, fragment_from_coefficient_quiver
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 README_COMMANDS = json.loads((GOLDEN / "readme_commands.json").read_text(encoding="utf-8"))
+SEEDED_COMMANDS = json.loads((GOLDEN / "seeded_commands.json").read_text(encoding="utf-8"))
+FILE_COMMANDS = json.loads((GOLDEN / "file_commands.json").read_text(encoding="utf-8"))
+
+# a representation of Q(Malpha, Mbeta), whose arrows are x1_2_1 and x2_1_1
+QM_REP = "rep X over Q\nquiver QM\ndim m1 1\ndim m2 2\nmap x1_2_1 2x1\n1\n0\nmap x2_1_1 1x2\n0 1\n"
 
 
 def fresh(*args):
@@ -47,6 +57,36 @@ def test_reproduce_matches_golden_transcript(capsys, rid):
 @pytest.mark.parametrize("golden", README_COMMANDS, ids=[g["argv"][0] for g in README_COMMANDS])
 def test_readme_command_matches_golden_transcript(capsys, golden):
     code = cli.main(list(golden["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
+def _over_f101(text):
+    return text.replace(" over Q\n", " over F 101\n", 1)
+
+
+def write_input_files(directory):
+    """The files FILE_COMMANDS read as {dir}/<name>, built from the bundled fixtures."""
+    files = {"x.rep": QM_REP, "x101.rep": _over_f101(QM_REP)}
+    for name in ("Malpha", "Mbeta"):
+        files[f"{name}101.rep"] = _over_f101(fixture_text(REP_FILES[name][0]))
+    for name in ("M", "X1"):
+        files[f"{name}.frag"] = format_fragment(fragment_from_coefficient_quiver(load_rep(name)))
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden", SEEDED_COMMANDS, ids=[" ".join(g["argv"]) for g in SEEDED_COMMANDS])
+def test_seeded_command_matches_golden_transcript(capsys, golden):
+    code = cli.main(list(golden["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
+@pytest.mark.parametrize("golden", FILE_COMMANDS, ids=[" ".join(g["argv"]) for g in FILE_COMMANDS])
+def test_file_command_matches_golden_transcript(capsys, tmp_path, golden):
+    write_input_files(tmp_path)
+    code = cli.main([arg.replace("{dir}", str(tmp_path)) for arg in golden["argv"]])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (golden["code"], golden["stdout"], golden["stderr"])
 

@@ -249,6 +249,13 @@ def test_oracle_config_rejects_samples_below_one(samples):
     assert OracleConfig(samples=1).escalate().samples == 2
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_oracle_config_rejects_bound_below_one(bound):
+    with pytest.raises(DecomposeError, match="bound must be at least 1"):
+        OracleConfig(bound=bound)
+    assert OracleConfig(bound=None).bound is None and OracleConfig(bound=1).bound == 1
+
+
 def test_nonneg_combination_with_dependent_accepted_vectors():
     # (1,1) = (1,0) + (0,1): the single solution solve returns is not the only one
     assert _nonneg_combination((0, 1), [(1, 1), (1, 0), (0, 1)])

@@ -1,26 +1,33 @@
-"""Differential tests: the fast Q and F_p kernels against their field-generic references.
+"""Differential tests: the fast Q and F_p kernels against their references.
 
 The Q and F_p eliminations must agree with the field-method elimination loop
 (run here through field objects that are neither a `RationalField` nor a
-`PrimeField`, so `_elimination` takes its generic branch), and the
-arrow-by-arrow `d_matrix` must equal the column-by-column definition through
-`apply_d`.
+`PrimeField`, so `_elimination` takes its generic branch).  The sparse-row
+F_p kernel must also agree with the dense-row kernel it replaced, on the
+sparse `d_{X,Y}` matrices the library eliminates and on rows built to cancel.
+The arrow-by-arrow `d_matrix` must equal the column-by-column definition
+through `apply_d`.
 """
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import d_matrix_by_columns
-from quiverglue import fixtures
+from oracles import d_matrix_by_columns, dense_elimination_fp
+from quiverglue import fixtures, linalg
 from quiverglue.linalg import (
     Matrix,
     PrimeField,
     QQ,
     RationalField,
     _elimination,
+    _elimination_fp,
     _elimination_q,
     kernel_basis,
     rank,
@@ -28,7 +35,7 @@ from quiverglue.linalg import (
     solve,
 )
 from quiverglue.quiver import Arrow, Quiver
-from quiverglue.reps import Representation, d_matrix
+from quiverglue.reps import Representation, d_matrix, random_rep
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 
@@ -115,6 +122,111 @@ def test_forward_only_rank_on_edge_shapes():
         assert kernel_basis(Matrix(0, 3, [], f))[2].entries == (0, 0, 1)
         assert solve(Matrix(2, 0, [], f), [0, 0]) == []
         assert solve(Matrix(2, 0, [], f), [0, 1]) is None
+
+
+# -- sparse F_p rows against the dense kernel ---------------------------------
+
+
+def _dense_answers(a, b):
+    """rank, kernel basis and solve(a, b) with the dense F_p kernel swapped in."""
+    with mock.patch.object(linalg, "_elimination_fp", dense_elimination_fp):
+        return _answers(a, b)
+
+
+def _answers(a, b):
+    return rank(a), [v.entries for v in kernel_basis(a)], solve(a, b)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError after `seconds`.
+
+    A sparse row whose leading entry fails to cancel (a zero kept in the
+    row, a pivot row not scaled to lead with 1) is reduced forever; this
+    turns that into a failure.
+    """
+
+    def fail(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_matches_dense_kernel(a, rng):
+    """Both modes against the dense kernel (forward: the pivots), then rank, kernel and solve."""
+    with deadline(30):
+        assert _elimination_fp(a, True) == dense_elimination_fp(a, True)
+        assert _elimination_fp(a, False)[1] == dense_elimination_fp(a, False)[1]
+    p = a.field.p
+    x = Matrix(a.cols, 1, [rng.randrange(p) for _ in range(a.cols)], a.field)
+    for b in (list((a * x).entries), [rng.randrange(p) for _ in range(a.rows)]):
+        assert _answers(a, b) == _dense_answers(a, b)
+
+
+# (quiver, dimension vector of X, of Y); Y None means d_{X,X}
+D_MATRIX_CASES = (
+    ("K3", (2, 3), None),
+    ("K3", (3, 4), (2, 2)),
+    ("S4", (3, 2, 2, 1, 1), None),
+    ("S4", (2, 1, 1, 1, 1), (3, 2, 2, 1, 1)),
+    ("S5", (6, 2, 2, 2, 2, 4), (1, 0, 0, 0, 1, 1)),
+    ("S5", (10, 3, 3, 3, 3, 8), None),
+)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name,a,b", D_MATRIX_CASES)
+def test_fp_sparse_rows_match_dense_kernel_on_d_matrices(name, a, b, p):
+    q = fixtures.load_quiver(name)
+    for seed in (0, 1):
+        x = random_rep(q, a, p, seed)
+        d = d_matrix(x, x if b is None else random_rep(q, b, p, seed + 7))
+        assert_matches_dense_kernel(d, random.Random(seed))
+        if a == (10, 3, 3, 3, 3, 8) and p == PRIMES[-1]:
+            # the isotropic root: End(X) of a general X is 5-dimensional
+            assert (d.rows, d.cols, rank(d)) == (200, 200, 195)
+
+
+@st.composite
+def cancelling_fp_matrices(draw):
+    """Sparse rows plus duplicates, multiples and sums of two of them, shuffled."""
+    p = draw(st.sampled_from((2, 2, 3, 101, 2**31 - 1)))  # entries cancel most often at p = 2
+    cols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.just(1), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        s, t = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        kind = draw(st.sampled_from(("duplicate", "sum", "combination")))
+        if kind == "duplicate":
+            rows.append(list(rows[i]))
+        elif kind == "sum":
+            rows.append([(x + y) % p for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append([(s * x + t * y) % p for x, y in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return Matrix.from_rows([rows[k] for k in order], PrimeField(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_fp_matrices(), st.integers(0, 2**32))
+def test_fp_sparse_rows_match_dense_kernel_under_cancellation(a, seed):
+    assert_matches_dense_kernel(a, random.Random(seed))
+
+
+def test_fp_sparse_rows_drop_cancelled_entries():
+    # over F_2 the second row cancels completely against the first and the
+    # third leaves only its last entry
+    a = Matrix.from_rows([[1, 1, 0, 1], [1, 1, 0, 1], [1, 1, 0, 0]], PrimeField(2))
+    with deadline(10):
+        assert _elimination_fp(a, True) == ([[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 3])
+        assert _elimination_fp(a, False)[1] == [0, 3]
 
 
 # -- Q ---------------------------------------------------------------------------
