@@ -24,7 +24,6 @@ from .decompose import (
 from .gluing import (
     apply_F,
     apply_F_mor,
-    apply_loop_F,
     build_gluing,
     build_loop_gluing,
     check_theorem36,
@@ -87,7 +86,9 @@ def _read_text(path):
 
 
 def _load_quiver(spec):
-    """A quiver from a bundled fixture name or a file path."""
+    """A quiver from a bundled fixture name or a file path; None when no -q was given."""
+    if spec is None:
+        return None
     if spec in fixtures.QUIVER_FILES:
         return fixtures.load_quiver(spec)
     if os.path.exists(spec):
@@ -210,20 +211,21 @@ def cmd_loopglue(args, out):
     if args.bases:
         basis = parse_bases(_read_text(args.bases))
     lg = build_loop_gluing(m, basis=basis)
-    out.append(f"loops: {lg.n}")
+    n = len(lg.bases)
+    out.append(f"loops: {n}")
     if args.scalars is not None:
         values = [v.strip() for v in args.scalars.split(",")]
-        if len(values) != lg.n:
-            raise InputError(f"expected {lg.n} scalars, got {len(values)}")
+        if len(values) != n:
+            raise InputError(f"expected {n} scalars, got {len(values)}")
         maps = tuple(
             Matrix.from_rows([[m.field.coerce(int(v))]], m.field) for v in values
         )
-        x = Representation(lg.ln, m.field, (1,), maps, name="X")
+        x = Representation(lg.qm, m.field, (1,), maps, name="X")
     elif args.x:
-        x = parse_rep(_read_text(args.x), lg.ln)
+        x = parse_rep(_read_text(args.x), lg.qm)
     else:
         raise InputError("loopglue needs --scalars or an L(n) representation via -x")
-    fx = apply_loop_F(lg, x)
+    fx = apply_F(lg, x)
     out.extend(format_rep(fx, name=args.name).splitlines())
 
 
@@ -470,12 +472,12 @@ def _repro_loop_counterexample(args, out):
     _expect(out, "dim End(M)", hom_dim(m, m), 1)
     _expect(out, "dim Ext(M,M)", ext_dim(m, m), 6)
     lg = build_loop_gluing(m)
-    out.extend(format_bases(lg.basis).splitlines())
+    out.extend(format_bases(lg.bases).splitlines())
     scalars = (1, 1, 0, 1, 1, 1)
     maps = tuple(Matrix.from_rows([[QQ.coerce(s)]], QQ) for s in scalars)
-    x = Representation(lg.ln, QQ, (1,), maps, name="X")
+    x = Representation(lg.qm, QQ, (1,), maps, name="X")
     _expect(out, "X verdict", indecomposable(x).tag, "indecomposable")
-    mp = apply_loop_F(lg, x)
+    mp = apply_F(lg, x)
     for name, rows in M_PRIME_MATRICES.items():
         expected = Matrix.from_rows(rows, QQ)
         _expect(out, f"M' map {name}", mp.map_for(name), expected)

@@ -5,30 +5,35 @@ quiver Q(M) has one vertex m_i per member and dim Ext(M_i, M_j) arrows
 m_i -> m_j.  A representation X of Q(M) is turned into a representation
 F_M(X) of Q whose map at an arrow rho has the r x r block structure
 
-    diagonal (i, i):      (M_i)_rho (x) id
-    off-diagonal (i, j):  sum_l (chi^{ji}_l)_rho (x) X_{chi^{ji}_l}
+    block (i, j):  delta_ij (M_i)_rho (x) id  +  sum_l (chi^{ji}_l)_rho (x) X_{chi^{ji}_l}
 
 where chi^{ji}_l runs over the chosen basis of Ext(M_j, M_i).  Tensor
 products are laid out with the M-index major, so the q-th space of F_M(X)
 is ordered by member index, then by basis vector of (M_i)_q, then by
 basis vector of X_{m_i}.
+
+The paper's two constructions are this one functor.  `build_gluing` glues
+a loop-free sequence along Ext(M_i, M_j) for i != j.  The paragraph-5 loop
+functor (`build_loop_gluing`) is the one-member case M = (M) glued along
+Ext(M, M): its classes are the loops of L(n), and the sum above runs over
+them in the diagonal block i = j = 1.  Each class is an elementary bundle
+E(row, col) at one arrow, addressed by its coordinate in the codomain of
+d_{X,Y} (`reps.bundle_coordinate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, block_diag, hstack, kron, rref, vstack
+from .linalg import Matrix, block_diag, kron, rref
 from .quiver import Arrow, ParseError, Quiver
 from .reps import (
-    MapBundle,
     Morphism,
     RepError,
     Representation,
     _check_pair,
-    blocks_to_vector,
+    bundle_coordinate,
     d_matrix,
-    elementary_bundle,
     ext_dim,
     hom_dim,
     is_schurian,
@@ -51,29 +56,27 @@ class ExtBasisElement:
     j: int = 0
     l: int = 0
 
-    def bundle(self, x: Representation, y: Representation) -> MapBundle:
-        return elementary_bundle(x, y, self.arrow, self.row, self.col)
-
     def relabel(self, i, j, l):
         return ExtBasisElement(self.arrow, self.row, self.col, i, j, l)
 
 
-def _new_classes(d: Matrix, vectors):
-    """Indices of the vectors a greedy pass keeps, in order, modulo the column space of d.
+def _new_classes(d: Matrix, coords):
+    """Indices into coords of the unit vectors a greedy pass keeps, in order, modulo Im(d).
 
-    A vector is kept when its class is independent of the classes kept
-    before it: these are the pivot columns of [d | V] that fall in V.
+    The unit vector at coordinate c is kept when its class is independent of
+    the classes kept before it: these are the pivot columns of
+    [d | unit columns] that fall past d.
     """
     aug = Matrix.from_rows(
-        [d.row(r) + [v[r] for v in vectors] for r in range(d.rows)],
+        [d.row(r) + [1 if c == r else 0 for c in coords] for r in range(d.rows)],
         d.field,
-        cols=d.cols + len(vectors),
+        cols=d.cols + len(coords),
     )
     return [c - d.cols for c in rref(aug)[1] if c >= d.cols]
 
 
-def _bundle_vectors(x: Representation, y: Representation, elements):
-    return [blocks_to_vector(e.bundle(x, y).blocks) for e in elements]
+def _coordinates(x: Representation, y: Representation, elements):
+    return [bundle_coordinate(x, y, e.arrow, e.row, e.col) for e in elements]
 
 
 def tree_shaped_ext_basis(x: Representation, y: Representation):
@@ -89,17 +92,30 @@ def tree_shaped_ext_basis(x: Representation, y: Representation):
         for r in range(y.dims[q.index(arrow.target)])
         for c in range(x.dims[q.index(arrow.source)])
     ]
-    kept = _new_classes(d_matrix(x, y), _bundle_vectors(x, y, elements))
+    kept = _new_classes(d_matrix(x, y), _coordinates(x, y, elements))
     if len(kept) != n:
         raise RepError("elementary bundles failed to span Ext; this cannot happen")
     return [elements[k] for k in kept]
 
 
 def basis_is_independent(x: Representation, y: Representation, elements) -> bool:
-    """True when the classes of the elements are independent mod Im(d_{X,Y})."""
-    elements = list(elements)
-    kept = _new_classes(d_matrix(x, y), _bundle_vectors(x, y, elements))
-    return len(kept) == len(elements)
+    """True when the classes of the elements are independent mod Im(d_{X,Y}).
+
+    An element at an unknown arrow or outside its arrow's block is no class,
+    so it makes the answer False.
+    """
+    coords = _coordinates(x, y, elements)
+    return None not in coords and len(_new_classes(d_matrix(x, y), coords)) == len(coords)
+
+
+def _ext_basis(x: Representation, y: Representation, supplied, label):
+    """The tree-shaped basis of Ext(X, Y), or the supplied elements once checked to be a basis."""
+    if supplied is None:
+        return tree_shaped_ext_basis(x, y)
+    supplied = list(supplied)
+    if len(supplied) != ext_dim(x, y) or not basis_is_independent(x, y, supplied):
+        raise RepError(f"supplied {label} is not a basis")
+    return supplied
 
 
 def arrow_name(i, j, l):
@@ -148,14 +164,8 @@ def build_gluing(reps, bases=None, name="QM") -> GluingData:
         for j in range(1, r + 1):
             if i == j:
                 continue
-            x, y = reps[i - 1], reps[j - 1]
-            n = ext_dim(x, y)
-            if bases is None:
-                chosen = tree_shaped_ext_basis(x, y)
-            else:
-                chosen = supplied.get((i, j), [])
-                if len(chosen) != n or not basis_is_independent(x, y, chosen):
-                    raise RepError(f"supplied Ext basis for pair ({i},{j}) is not a basis")
+            chosen = None if bases is None else supplied.get((i, j), [])
+            chosen = _ext_basis(reps[i - 1], reps[j - 1], chosen, f"Ext basis for pair ({i},{j})")
             for l, e in enumerate(chosen, start=1):
                 e = e.relabel(i, j, l)
                 flat.append(e)
@@ -171,10 +181,13 @@ def glued_dims(g: GluingData, x_dims):
     )
 
 
-def _block_matrix(blocks, field):
-    """Assemble a matrix from a 2D grid of blocks; degenerate rows/cols allowed."""
-    rows = [hstack(row) if row else Matrix.zeros(0, 0, field) for row in blocks]
-    return vstack(rows)
+def _summand_starts(g: GluingData, x_dims, v):
+    """First index of each summand M_i (x) X_{m_i} in the space of F_M(X) at vertex v."""
+    out, pos = [], 0
+    for m, d in zip(g.reps, x_dims):
+        out.append(pos)
+        pos += m.dims[v] * d
+    return out
 
 
 def apply_F(g: GluingData, x: Representation) -> Representation:
@@ -184,35 +197,32 @@ def apply_F(g: GluingData, x: Representation) -> Representation:
         raise RepError("field mismatch")
     q = g.quiver
     field = g.field
-    r = g.r
+    add = field.add
     dims = glued_dims(g, x.dims)
     maps = []
-    for arrow in q.arrows:
-        s, t = q.index(arrow.source), q.index(arrow.target)
-        grid = []
-        for i in range(r):  # target block row: summand M_{i+1}
-            row = []
-            for j in range(r):  # source block column: summand M_{j+1}
-                rows_b = g.reps[i].dims[t] * x.dims[i]
-                cols_b = g.reps[j].dims[s] * x.dims[j]
-                if i == j:
-                    block = kron(
-                        g.reps[i].map_for(arrow.name), Matrix.identity(x.dims[i], field)
-                    )
-                else:
-                    block = Matrix.zeros(rows_b, cols_b, field)
-                    # arrows m_{j+1} -> m_{i+1} of Q(M): classes in Ext(M_{j+1}, M_{i+1})
-                    for e in g.basis_for(j + 1, i + 1):
-                        if e.arrow != arrow.name:
-                            continue
-                        chi = Matrix.unit(
-                            g.reps[i].dims[t], g.reps[j].dims[s], e.row, e.col, field
-                        )
-                        block = block + kron(chi, x.map_for(arrow_name(e.i, e.j, e.l)))
-                row.append(block)
-            grid.append(row)
-        maps.append(_block_matrix(grid, field))
-    return Representation(g.quiver, field, dims, tuple(maps))
+    for k, (arrow, (s, t)) in enumerate(zip(q.arrows, q.arrow_indices)):
+        row0, col0 = _summand_starts(g, x.dims, t), _summand_starts(g, x.dims, s)
+        cols = dims[s]
+        ent = [field.zero()] * (dims[t] * cols)
+        for i, (m, d) in enumerate(zip(g.reps, x.dims)):  # (M_i)_rho (x) id on the diagonal
+            mr, mc, me = m.dims[t], m.dims[s], m.maps[k].entries
+            for a in range(mr):
+                for c in range(mc):
+                    for u in range(d):
+                        pos = (row0[i] + a * d + u) * cols + col0[i] + c * d + u
+                        ent[pos] = add(ent[pos], me[a * mc + c])
+        # g.bases is aligned with the arrows of Q(M), so X_e is x.maps at the same position
+        for e, xe in zip(g.bases, x.maps):
+            if e.arrow != arrow.name:
+                continue
+            i, j = e.i - 1, e.j - 1  # E(row, col) (x) X_e: m_i -> m_j goes in block (j, i)
+            di, dj = x.dims[i], x.dims[j]
+            for u in range(dj):
+                for w in range(di):
+                    pos = (row0[j] + e.row * dj + u) * cols + col0[i] + e.col * di + w
+                    ent[pos] = add(ent[pos], xe.entries[u * di + w])
+        maps.append(Matrix(dims[t], cols, ent, field))
+    return Representation(q, field, dims, tuple(maps))
 
 
 def apply_F_mor(g: GluingData, f: Morphism) -> Morphism:
@@ -352,22 +362,12 @@ def check_theorem36(reps) -> Theorem36Report:
 
 def restrict_to_tail(g: GluingData, x: Representation):
     """Sub-gluing over M_2..M_r and the restriction of X to m_2..m_r."""
-    tail = [e.relabel(e.i - 1, e.j - 1, e.l) for e in g.bases if e.i >= 2 and e.j >= 2]
-    g2 = build_gluing(g.reps[1:], tail, name=g.qm.name + "_tail")
-    dims2 = x.dims[1:]
-    maps2 = []
-    for arrow in g2.qm.arrows:
-        # arrow x{i}_{j}_{l} of the tail corresponds to x{i+1}_{j+1}_{l} upstairs
-        i, j, l = _parse_arrow_name(arrow.name)
-        maps2.append(x.map_for(arrow_name(i + 1, j + 1, l)))
-    x2 = Representation(g2.qm, x.field, dims2, tuple(maps2))
+    tail = [(k, e) for k, e in enumerate(g.bases) if e.i >= 2 and e.j >= 2]
+    bases = [e.relabel(e.i - 1, e.j - 1, e.l) for _, e in tail]
+    g2 = build_gluing(g.reps[1:], bases, name=g.qm.name + "_tail")
+    # build_gluing keeps the (i, j)-lex order of the tail classes, so X's maps follow by position
+    x2 = Representation(g2.qm, x.field, x.dims[1:], tuple(x.maps[k] for k, _ in tail))
     return g2, x2
-
-
-def _parse_arrow_name(name):
-    body = name[1:]
-    i, j, l = body.split("_")
-    return int(i), int(j), int(l)
 
 
 def check_theta_iso(g: GluingData, x: Representation) -> bool:
@@ -380,43 +380,19 @@ def check_theta_iso(g: GluingData, x: Representation) -> bool:
     fx2 = apply_F(g2, x2)
     m1 = g.reps[0]
     q = g.quiver
-    field = g.field
-    # offsets of the summand blocks of (FX_2)_q per vertex
-    offsets = []
-    for vq in range(q.n):
-        off = [0]
-        for i, m in enumerate(g2.reps):
-            off.append(off[-1] + m.dims[vq] * x2.dims[i])
-        offsets.append(off)
-    vectors = []
+    coords = []
     for i in range(2, g.r + 1):
-        basis_i1 = g.basis_for(i, 1)
         xi = x.dims[i - 1]
-        for e in basis_i1:
-            for t in range(xi):
-                blocks = []
-                for arrow in q.arrows:
-                    s, tt = q.index(arrow.source), q.index(arrow.target)
-                    rows = m1.dims[tt]
-                    cols = fx2.dims[s]
-                    block = Matrix.zeros(rows, cols, field)
-                    if arrow.name == e.arrow:
-                        chi = Matrix.unit(rows, g.reps[i - 1].dims[s], e.row, e.col, field)
-                        proj = Matrix.unit(1, xi, 0, t, field)
-                        piece = kron(chi, proj)
-                        off = offsets[s][i - 2]
-                        block = hstack(
-                            [
-                                Matrix.zeros(rows, off, field),
-                                piece,
-                                Matrix.zeros(rows, cols - off - piece.cols, field),
-                            ]
-                        )
-                    blocks.append(block)
-                vectors.append(blocks_to_vector(MapBundle(fx2, m1, tuple(blocks)).blocks))
+        for e in g.basis_for(i, 1):
+            s = q.index(q.arrow(e.arrow).source)
+            # E(row, col) (x) (t-th coordinate of X_{m_i}) on the summand M_i (x) X_{m_i} of FX_2
+            off = _summand_starts(g2, x2.dims, s)[i - 2]
+            coords.extend(
+                bundle_coordinate(fx2, m1, e.arrow, e.row, off + e.col * xi + t) for t in range(xi)
+            )
     # every Theta vector must be a new class, and together they must span Ext
-    kept = _new_classes(d_matrix(fx2, m1), vectors)
-    return len(kept) == len(vectors) == ext_dim(fx2, m1)
+    kept = _new_classes(d_matrix(fx2, m1), coords)
+    return len(kept) == len(coords) == ext_dim(fx2, m1)
 
 
 # -- the paragraph-5 loop functor --------------------------------------
@@ -428,51 +404,13 @@ def loop_quiver(n: int, name=None) -> Quiver:
     return Quiver(name, ("m",), arrows, allows_loops=True)
 
 
-@dataclass(frozen=True)
-class LoopGluingData:
-    rep: Representation
-    basis: tuple  # ExtBasisElement self-extension coordinates
-    ln: Quiver
-
-    @property
-    def n(self):
-        return len(self.basis)
-
-
-def build_loop_gluing(m: Representation, basis=None) -> LoopGluingData:
+def build_loop_gluing(m: Representation, basis=None) -> GluingData:
+    """M glued to itself along a basis of Ext(M, M): the one-member gluing on L(n)."""
     if not is_schurian(m):
         raise RepError("loop gluing requires a Schurian representation")
-    if basis is None:
-        basis = tree_shaped_ext_basis(m, m)
-    else:
-        basis = list(basis)
-        if len(basis) != ext_dim(m, m) or not basis_is_independent(m, m, basis):
-            raise RepError("supplied self-extension basis is not a basis")
-    basis = tuple(e.relabel(1, 1, l) for l, e in enumerate(basis, start=1))
-    return LoopGluingData(m, basis, loop_quiver(len(basis)))
-
-
-def apply_loop_F(lg: LoopGluingData, x: Representation) -> Representation:
-    if x.quiver != lg.ln:
-        raise RepError(f"representation does not live on L({lg.n})")
-    if x.field != lg.rep.field:
-        raise RepError("field mismatch")
-    m = lg.rep
-    q = m.quiver
-    field = m.field
-    d = x.dims[0]
-    dims = tuple(mq * d for mq in m.dims)
-    maps = []
-    for arrow in q.arrows:
-        s, t = q.index(arrow.source), q.index(arrow.target)
-        acc = kron(m.map_for(arrow.name), Matrix.identity(d, field))
-        for k, e in enumerate(lg.basis, start=1):
-            if e.arrow != arrow.name:
-                continue
-            chi = Matrix.unit(m.dims[t], m.dims[s], e.row, e.col, field)
-            acc = acc + kron(chi, x.map_for(f"l{k}"))
-        maps.append(acc)
-    return Representation(q, field, dims, tuple(maps))
+    basis = _ext_basis(m, m, basis, "self-extension basis")
+    bases = tuple(e.relabel(1, 1, l) for l, e in enumerate(basis, start=1))
+    return GluingData((m,), bases, loop_quiver(len(bases)))
 
 
 # -- serialization ------------------------------------------------------

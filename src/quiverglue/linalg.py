@@ -265,13 +265,6 @@ class Matrix:
         return cls(rows, cols, flat, field)
 
     @classmethod
-    def unit(cls, rows, cols, r, c, field=QQ):
-        """Elementary matrix E(r, c), zero-based indices."""
-        ent = [0] * (rows * cols)
-        ent[r * cols + c] = 1
-        return cls(rows, cols, ent, field)
-
-    @classmethod
     def column(cls, values, field=QQ):
         return cls(len(values), 1, list(values), field)
 
@@ -389,20 +382,6 @@ def hstack(mats):
             row.extend(m.row(r))
         out_rows.append(row)
     return Matrix.from_rows(out_rows, mats[0].field, cols=sum(m.cols for m in mats))
-
-
-def vstack(mats):
-    mats = [m for m in mats]
-    if not mats:
-        raise ValueError("vstack of nothing")
-    _check_same_field(*mats)
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch in vstack")
-    flat = []
-    for m in mats:
-        flat.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, flat, mats[0].field)
 
 
 def block_diag(mats, field=QQ):

@@ -96,9 +96,6 @@ class Representation:
     def simple(cls, quiver, vertex, field=QQ):
         return cls.zero_rep(quiver, quiver.unit_vector(vertex), field, name=f"S_{vertex}")
 
-    def with_name(self, name):
-        return Representation(self.quiver, self.field, self.dims, self.maps, name)
-
 
 def _check_pair(x: Representation, y: Representation):
     if x.quiver != y.quiver:
@@ -173,77 +170,12 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.source, f.target, tuple(a * b for a, b in zip(f.blocks, g.blocks)))
 
 
-@dataclass(frozen=True)
-class MapBundle:
-    """A raw per-arrow map family g_rho in Hom(X_q, Y_{q'}); an Ext(X, Y) cocycle."""
-
-    source: Representation
-    target: Representation
-    blocks: tuple  # one Matrix per arrow, shaped Y_{q'} x X_q
-
-    def __post_init__(self):
-        x, y = self.source, self.target
-        _check_pair(x, y)
-        q = x.quiver
-        if len(self.blocks) != len(q.arrows):
-            raise RepError("one block per arrow expected")
-        for arrow, b in zip(q.arrows, self.blocks):
-            want = (y.dims[q.index(arrow.target)], x.dims[q.index(arrow.source)])
-            if (b.rows, b.cols) != want:
-                raise RepError(f"bundle block at arrow {arrow.name} has the wrong shape")
-            if b.field != x.field:
-                raise FieldMismatchError("field mismatch")
-
-    def block(self, arrow_name):
-        for arrow, b in zip(self.source.quiver.arrows, self.blocks):
-            if arrow.name == arrow_name:
-                return b
-        raise RepError(f"unknown arrow {arrow_name!r}")
-
-    def __sub__(self, other):
-        return MapBundle(
-            self.source, self.target, tuple(a - b for a, b in zip(self.blocks, other.blocks))
-        )
-
-
-def zero_bundle(x: Representation, y: Representation) -> MapBundle:
-    q = x.quiver
-    blocks = tuple(
-        Matrix.zeros(y.dims[q.index(a.target)], x.dims[q.index(a.source)], x.field)
-        for a in q.arrows
-    )
-    return MapBundle(x, y, blocks)
-
-
-def elementary_bundle(x: Representation, y: Representation, arrow_name, row, col) -> MapBundle:
-    """Bundle that is E(row, col) at one arrow and zero elsewhere (zero-based)."""
-    q = x.quiver
-    blocks = []
-    for a in q.arrows:
-        rows = y.dims[q.index(a.target)]
-        cols = x.dims[q.index(a.source)]
-        if a.name == arrow_name:
-            blocks.append(Matrix.unit(rows, cols, row, col, x.field))
-        else:
-            blocks.append(Matrix.zeros(rows, cols, x.field))
-    return MapBundle(x, y, tuple(blocks))
-
-
 # -- flattening and the d matrix ---------------------------------------
-
-
-def hom_block_dim(x: Representation, y: Representation) -> int:
-    return sum(dx * dy for dx, dy in zip(x.dims, y.dims))
 
 
 def bundle_space_dim(x: Representation, y: Representation) -> int:
     xd, yd = x.dims, y.dims
     return sum(xd[s] * yd[t] for s, t in x.quiver.arrow_indices)
-
-
-def blocks_to_vector(blocks):
-    """The blocks of a morphism or a bundle as one vector: block by block, column-major inside."""
-    return [m.entries[r * m.cols + c] for m in blocks for c in range(m.cols) for r in range(m.rows)]
 
 
 def d_matrix(x: Representation, y: Representation) -> Matrix:
@@ -289,6 +221,21 @@ def d_matrix(x: Representation, y: Representation) -> Matrix:
     return Matrix(cod, dom, ent, field)
 
 
+def bundle_coordinate(x: Representation, y: Representation, arrow_name, row, col):
+    """Position of E(row, col) at one arrow in the codomain flattening of d_{X,Y}.
+
+    Row and column are zero-based; None for an unknown arrow or an entry
+    outside the arrow's Y_t x X_s block.
+    """
+    pos = 0
+    for arrow, (s, t) in zip(x.quiver.arrows, x.quiver.arrow_indices):
+        rows, cols = y.dims[t], x.dims[s]
+        if arrow.name == arrow_name:
+            return pos + col * rows + row if 0 <= row < rows and 0 <= col < cols else None
+        pos += rows * cols
+    return None
+
+
 def hom_space(x: Representation, y: Representation):
     """Basis of Hom(X, Y) as a list of morphisms."""
     _check_pair(x, y)
@@ -318,13 +265,6 @@ def ext_dim(x: Representation, y: Representation) -> int:
         raise RepError("ext_dim requires a loop-free quiver")
     d = d_matrix(x, y)
     return d.rows - rank(d)
-
-
-def same_ext_class(g: MapBundle, h: MapBundle) -> bool:
-    if g.source != h.source or g.target != h.target:
-        raise RepError("bundles compare only over the same pair (X, Y)")
-    diff = blocks_to_vector((g - h).blocks)
-    return solve(d_matrix(g.source, g.target), diff) is not None
 
 
 # -- direct sums and splitting -----------------------------------------

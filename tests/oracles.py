@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from quiverglue.decompose import (
@@ -10,7 +11,7 @@ from quiverglue.decompose import (
     DecomposeError,
     OracleUnstableError,
 )
-from quiverglue.linalg import Matrix, QQ, block_diag, hstack, kron, rank, solve
+from quiverglue.linalg import FieldMismatchError, Matrix, QQ, block_diag, hstack, kron, rank, solve
 from quiverglue.quiver import (
     QuiverError,
     RootClass,
@@ -19,26 +20,24 @@ from quiverglue.quiver import (
     support_connected,
     symmetrized_form,
 )
-from quiverglue.gluing import ExtBasisElement, apply_F, restrict_to_tail
+from quiverglue.gluing import ExtBasisElement, arrow_name, build_gluing, glued_dims
 from quiverglue.reps import (
     MAX_WITNESS_ATTEMPTS,
     EndAlgebra,
-    MapBundle,
     Morphism,
     RepError,
     Representation,
     Verdict,
     _block_products,
+    _check_pair,
     _combination,
     _identity_blocks,
     _minpoly_factors,
-    blocks_to_vector,
     bundle_space_dim,
     compose,
     d_matrix,
     end_algebra,
     ext_dim,
-    hom_block_dim,
     hom_space,
     identity_morphism,
     split_by_idempotent,
@@ -95,6 +94,75 @@ def k2_root_table(max_entry=4):
     return roots
 
 
+# -- per-arrow map families as dense validated matrices, before Ext classes
+# -- became coordinates of d_{X,Y}
+
+
+def unit_matrix(rows, cols, r, c, field=QQ):
+    """Elementary matrix E(r, c), zero-based indices."""
+    ent = [0] * (rows * cols)
+    ent[r * cols + c] = 1
+    return Matrix(rows, cols, ent, field)
+
+
+def vstack(mats):
+    mats = [m for m in mats]
+    if not mats:
+        raise ValueError("vstack of nothing")
+    cols = mats[0].cols
+    if any(m.cols != cols for m in mats):
+        raise ValueError("column count mismatch in vstack")
+    flat = []
+    for m in mats:
+        flat.extend(m.entries)
+    return Matrix(sum(m.rows for m in mats), cols, flat, mats[0].field)
+
+
+def hom_block_dim(x, y):
+    return sum(dx * dy for dx, dy in zip(x.dims, y.dims))
+
+
+def blocks_to_vector(blocks):
+    """The blocks of a morphism or a bundle as one vector: block by block, column-major inside."""
+    return [m.entries[r * m.cols + c] for m in blocks for c in range(m.cols) for r in range(m.rows)]
+
+
+@dataclass(frozen=True)
+class MapBundle:
+    """A raw per-arrow map family g_rho in Hom(X_q, Y_{q'}); an Ext(X, Y) cocycle."""
+
+    source: Representation
+    target: Representation
+    blocks: tuple  # one Matrix per arrow, shaped Y_{q'} x X_q
+
+    def __post_init__(self):
+        x, y = self.source, self.target
+        _check_pair(x, y)
+        q = x.quiver
+        if len(self.blocks) != len(q.arrows):
+            raise RepError("one block per arrow expected")
+        for arrow, b in zip(q.arrows, self.blocks):
+            want = (y.dims[q.index(arrow.target)], x.dims[q.index(arrow.source)])
+            if (b.rows, b.cols) != want:
+                raise RepError(f"bundle block at arrow {arrow.name} has the wrong shape")
+            if b.field != x.field:
+                raise FieldMismatchError("field mismatch")
+
+
+def elementary_bundle(x, y, arrow_name, row, col):
+    """Bundle that is E(row, col) at one arrow and zero elsewhere (zero-based)."""
+    q = x.quiver
+    blocks = []
+    for a in q.arrows:
+        rows = y.dims[q.index(a.target)]
+        cols = x.dims[q.index(a.source)]
+        if a.name == arrow_name:
+            blocks.append(unit_matrix(rows, cols, row, col, x.field))
+        else:
+            blocks.append(Matrix.zeros(rows, cols, x.field))
+    return MapBundle(x, y, tuple(blocks))
+
+
 def apply_d(x, y, blocks):
     """Evaluate d_{X,Y} on a per-vertex block family (not necessarily a morphism)."""
     q = x.quiver
@@ -117,7 +185,7 @@ def d_matrix_by_columns(x, y):
         for c in range(dx):
             for r in range(dy):
                 blocks = [Matrix.zeros(y.dims[i], x.dims[i], field) for i in range(q.n)]
-                blocks[vi] = Matrix.unit(dy, dx, r, c, field)
+                blocks[vi] = unit_matrix(dy, dx, r, c, field)
                 cols.append(blocks_to_vector(apply_d(x, y, blocks).blocks))
     ent = [field.zero()] * (cod * dom)
     for j, colvec in enumerate(cols):
@@ -506,7 +574,7 @@ def reference_tree_shaped_ext_basis(x, y):
         for r in range(y.dims[q.index(arrow.target)]):
             for c in range(x.dims[q.index(arrow.source)]):
                 elem = ExtBasisElement(arrow.name, r, c)
-                if inc.add(blocks_to_vector(elem.bundle(x, y).blocks)):
+                if inc.add(blocks_to_vector(elementary_bundle(x, y, arrow.name, r, c).blocks)):
                     out.append(elem)
                     if len(out) == n:
                         return out
@@ -515,7 +583,10 @@ def reference_tree_shaped_ext_basis(x, y):
 
 def reference_basis_is_independent(x, y, elements):
     inc = _image_tracker(x, y)
-    return all(inc.add(blocks_to_vector(e.bundle(x, y).blocks)) for e in elements)
+    return all(
+        inc.add(blocks_to_vector(elementary_bundle(x, y, e.arrow, e.row, e.col).blocks))
+        for e in elements
+    )
 
 
 def reference_check_theta_iso(g, x):
@@ -524,8 +595,8 @@ def reference_check_theta_iso(g, x):
         raise RepError("check_theta_iso requires dim X_{m_1} = 1")
     if g.r == 1:
         return True
-    g2, x2 = restrict_to_tail(g, x)
-    fx2 = apply_F(g2, x2)
+    g2, x2 = reference_restrict_to_tail(g, x)
+    fx2 = reference_apply_F(g2, x2)
     m1 = g.reps[0]
     q = g.quiver
     field = g.field
@@ -549,8 +620,8 @@ def reference_check_theta_iso(g, x):
                     rows, cols = m1.dims[tt], fx2.dims[s]
                     block = Matrix.zeros(rows, cols, field)
                     if arrow.name == e.arrow:
-                        chi = Matrix.unit(rows, g.reps[i - 1].dims[s], e.row, e.col, field)
-                        piece = kron(chi, Matrix.unit(1, xi, 0, t, field))
+                        chi = unit_matrix(rows, g.reps[i - 1].dims[s], e.row, e.col, field)
+                        piece = kron(chi, unit_matrix(1, xi, 0, t, field))
                         off = offsets[s][i - 2]
                         ent = [field.zero()] * (rows * cols)
                         for rr in range(piece.rows):
@@ -563,3 +634,91 @@ def reference_check_theta_iso(g, x):
                     independent = False
     target_dim = ext_dim(fx2, m1)
     return independent and count == target_dim and inc.rank() - base_rank == target_dim
+
+
+# -- the gluing functor as a grid of dense Kronecker blocks, and the loop
+# -- functor as a separate routine, before both became one entry-writing apply_F
+
+
+def _block_matrix(blocks, field):
+    """Assemble a matrix from a 2D grid of blocks; degenerate rows/cols allowed."""
+    rows = [hstack(row) if row else Matrix.zeros(0, 0, field) for row in blocks]
+    return vstack(rows)
+
+
+def reference_apply_F(g, x):
+    if x.quiver != g.qm:
+        raise RepError("representation does not live on the glued quiver Q(M)")
+    if x.field != g.field:
+        raise RepError("field mismatch")
+    q = g.quiver
+    field = g.field
+    r = g.r
+    dims = glued_dims(g, x.dims)
+    maps = []
+    for arrow in q.arrows:
+        s, t = q.index(arrow.source), q.index(arrow.target)
+        grid = []
+        for i in range(r):  # target block row: summand M_{i+1}
+            row = []
+            for j in range(r):  # source block column: summand M_{j+1}
+                rows_b = g.reps[i].dims[t] * x.dims[i]
+                cols_b = g.reps[j].dims[s] * x.dims[j]
+                if i == j:
+                    block = kron(
+                        g.reps[i].map_for(arrow.name), Matrix.identity(x.dims[i], field)
+                    )
+                else:
+                    block = Matrix.zeros(rows_b, cols_b, field)
+                    # arrows m_{j+1} -> m_{i+1} of Q(M): classes in Ext(M_{j+1}, M_{i+1})
+                    for e in g.basis_for(j + 1, i + 1):
+                        if e.arrow != arrow.name:
+                            continue
+                        chi = unit_matrix(
+                            g.reps[i].dims[t], g.reps[j].dims[s], e.row, e.col, field
+                        )
+                        block = block + kron(chi, x.map_for(arrow_name(e.i, e.j, e.l)))
+                row.append(block)
+            grid.append(row)
+        maps.append(_block_matrix(grid, field))
+    return Representation(g.quiver, field, dims, tuple(maps))
+
+
+def reference_apply_loop_F(g, x):
+    """The loop functor of the one-member gluing g = build_loop_gluing(M)."""
+    m = g.reps[0]
+    q = m.quiver
+    field = m.field
+    d = x.dims[0]
+    dims = tuple(mq * d for mq in m.dims)
+    maps = []
+    for arrow in q.arrows:
+        s, t = q.index(arrow.source), q.index(arrow.target)
+        acc = kron(m.map_for(arrow.name), Matrix.identity(d, field))
+        for k, e in enumerate(g.bases, start=1):
+            if e.arrow != arrow.name:
+                continue
+            chi = unit_matrix(m.dims[t], m.dims[s], e.row, e.col, field)
+            acc = acc + kron(chi, x.map_for(f"l{k}"))
+        maps.append(acc)
+    return Representation(q, field, dims, tuple(maps))
+
+
+def _parse_arrow_name(name):
+    body = name[1:]
+    i, j, l = body.split("_")
+    return int(i), int(j), int(l)
+
+
+def reference_restrict_to_tail(g, x):
+    """Sub-gluing over M_2..M_r and the restriction of X to m_2..m_r, maps found by name."""
+    tail = [e.relabel(e.i - 1, e.j - 1, e.l) for e in g.bases if e.i >= 2 and e.j >= 2]
+    g2 = build_gluing(g.reps[1:], tail, name=g.qm.name + "_tail")
+    dims2 = x.dims[1:]
+    maps2 = []
+    for arrow in g2.qm.arrows:
+        # arrow x{i}_{j}_{l} of the tail corresponds to x{i+1}_{j+1}_{l} upstairs
+        i, j, l = _parse_arrow_name(arrow.name)
+        maps2.append(x.map_for(arrow_name(i + 1, j + 1, l)))
+    x2 = Representation(g2.qm, x.field, dims2, tuple(maps2))
+    return g2, x2

@@ -254,3 +254,59 @@ def test_bad_fragment_dim_exits_one(capsys, tmp_path):
     assert main(["pushdown", "-q", "K3", str(frag)]) == 1
     captured = capsys.readouterr()
     assert "natural number" in captured.err and "Traceback" not in captured.err
+
+
+# the tree-shaped basis of Ext(M, M), one element replaced by an entry outside its 3x2 block
+M_TREE_BASIS = ("a 1 1", "a 2 1", "b 1 2", "b 3 2", "c 1 2", "c 3 2")
+
+
+@pytest.mark.parametrize("entry", ["a 1 3", "a 1 9", "a 4 1", "z 1 1"])
+def test_loopglue_out_of_range_basis_entry_exits_one(capsys, tmp_path, entry):
+    # col 3 was read as E(2, 1), the element it replaced, and col 9 was an IndexError
+    bases = tmp_path / "m.bases"
+    lines = [f"extbasis 1 1 {l} {entry if e == 'a 2 1' else e}" for l, e in enumerate(M_TREE_BASIS, 1)]
+    bases.write_text("\n".join(lines) + "\n")
+    argv = ["loopglue", "-q", "K3", "--bases", str(bases), "--scalars", "1,1,0,1,1,1", "M"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: supplied self-extension basis is not a basis\n"
+
+
+@pytest.mark.parametrize("entry", ["r1 1 5", "r1 2 1"])
+def test_qm_out_of_range_basis_entry_exits_one(capsys, tmp_path, entry):
+    bases = tmp_path / "qm.bases"
+    bases.write_text(f"extbasis 1 2 1 {entry}\nextbasis 2 1 1 r3 1 1\n")
+    assert main(["qm", "-q", "S4", "--bases", str(bases), "Malpha", "Mbeta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: supplied Ext basis for pair (1,2) is not a basis\n"
+
+
+QM_X = "rep X over Q\nquiver QM\ndim m1 1\ndim m2 2\nmap x1_2_1 2x1\n1\n0\nmap x2_1_1 1x2\n0 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["homext", "M", "M"], 0),
+        (["extbasis", "Malpha", "{dir}/Mbeta.rep"], 1),
+        (["qm", "Malpha", "Mbeta"], 0),
+        (["glue", "-x", "{dir}/x.rep", "Malpha", "Mbeta"], 0),
+        (["glue-mor", "-x", "{dir}/x.rep", "-y", "{dir}/x.rep", "-f", "{dir}/f.mor", "Malpha", "Mbeta"], 0),
+        (["loopglue", "--scalars", "1,1,0,1,1,1", "M"], 0),
+        (["check-theta", "{dir}/Mbeta.rep", "Malpha"], 1),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_missing_quiver_option_does_not_traceback(capsys, tmp_path, argv, code):
+    # without -q these commands ended in a TypeError traceback
+    (tmp_path / "x.rep").write_text(QM_X)
+    (tmp_path / "f.mor").write_text("morphism f over Q\nblock m1 1x1\n2\nblock m2 2x2\n2 0\n0 2\n")
+    (tmp_path / "Mbeta.rep").write_text(fixture_text("mbeta.rep"))
+    assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == "" and captured.out
+    else:
+        assert captured.err.startswith("error: a quiver (-q) is required to load ")

@@ -9,7 +9,10 @@ moved to End(X) coordinates and Ext independence to pivot columns.
 seeded_commands.json (the F_p `reproduce` ids at other seeds, the S5
 isotropic root at small primes) and file_commands.json (`glue`, `pushdown`
 and `check-theta` on files built from the fixtures, over Q and F_101) were
-recorded before F_p elimination moved to sparse rows.
+recorded before F_p elimination moved to sparse rows.  The file commands on
+the three-member sequence (S_q0, Malpha, Mbeta), `glue-mor`, `qm --bases`
+and `loopglue` with `-x` or `--bases` were recorded before the loop functor
+became the one-member case of the gluing functor.
 """
 
 import json
@@ -21,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from quiverglue import cli
-from quiverglue.fixtures import REP_FILES, fixture_text, load_rep
-from quiverglue.reps import direct_sum, format_rep
+from quiverglue.fixtures import REP_FILES, fixture_text, load_quiver, load_rep
+from quiverglue.reps import Representation, direct_sum, format_rep
 from quiverglue.treemod import format_fragment, fragment_from_coefficient_quiver
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,6 +68,37 @@ def _over_f101(text):
     return text.replace(" over Q\n", " over F 101\n", 1)
 
 
+# representations of Q(S_q0, Malpha, Mbeta), whose tail Q(Malpha, Mbeta) has two arrows,
+# and a morphism from the second to the first
+QM3_X = (
+    "rep X3 over Q\nquiver QM\ndim m1 1\ndim m2 1\ndim m3 2\nmap x2_1_1 1x1\n1\n"
+    "map x2_3_1 2x1\n1\n0\nmap x3_1_1 1x2\n0 1\nmap x3_2_1 1x2\n0 1\n"
+)
+QM3_Y = (
+    "rep Y3 over Q\nquiver QM\ndim m1 1\ndim m2 1\ndim m3 1\nmap x2_1_1 1x1\n1\n"
+    "map x2_3_1 1x1\n1\nmap x3_1_1 1x1\n0\nmap x3_2_1 1x1\n0\n"
+)
+QM3_MOR = "morphism f over Q\nquiver QM\nblock m1 1x1\n1\nblock m2 1x1\n1\nblock m3 2x1\n1\n0\n"
+# pairs out of order, and the other elementary class where there is a choice
+QM3_BASES = (
+    "extbasis 3 2 1 r4 1 1\nextbasis 2 1 1 r2 1 1\n"
+    "extbasis 3 1 1 r3 1 1\nextbasis 2 3 1 r1 1 1\n"
+)
+# a two-dimensional module of L(6), the loop quiver of M's six self-extensions
+L6_X = "rep X over Q\nquiver L6\ndim m 2\n" + "".join(
+    f"map l{k} 2x2\n{a} {b}\n{c} {d}\n"
+    for k, (a, b, c, d) in enumerate(
+        ((1, 0, 0, 1), (0, 1, 0, 0), (1, 1, 0, 1), (0, 0, 1, 0), (2, 0, 0, -1), (0, 1, 1, 0)),
+        start=1,
+    )
+)
+# the tree-shaped basis of Ext(M, M) in reverse order
+M_LOOP_BASES = "".join(
+    f"extbasis 1 1 {l} {e}\n"
+    for l, e in enumerate(("c 3 2", "c 1 2", "b 3 2", "b 1 2", "a 2 1", "a 1 1"), start=1)
+)
+
+
 def write_input_files(directory):
     """The files FILE_COMMANDS read as {dir}/<name>, built from the bundled fixtures."""
     files = {"x.rep": QM_REP, "x101.rep": _over_f101(QM_REP)}
@@ -72,6 +106,11 @@ def write_input_files(directory):
         files[f"{name}101.rep"] = _over_f101(fixture_text(REP_FILES[name][0]))
     for name in ("M", "X1"):
         files[f"{name}.frag"] = format_fragment(fragment_from_coefficient_quiver(load_rep(name)))
+    files["Sq0.rep"] = format_rep(Representation.simple(load_quiver("S4"), "q0"))
+    files.update({
+        "x3.rep": QM3_X, "y3.rep": QM3_Y, "f3.mor": QM3_MOR, "qm3.bases": QM3_BASES,
+        "l6.rep": L6_X, "loop.bases": M_LOOP_BASES,
+    })
     for name, text in files.items():
         (directory / name).write_text(text, encoding="utf-8")
 

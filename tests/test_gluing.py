@@ -1,19 +1,26 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (
+    blocks_to_vector,
+    elementary_bundle,
+    reference_apply_F,
+    reference_apply_loop_F,
     reference_basis_is_independent,
     reference_check_theta_iso,
+    reference_restrict_to_tail,
     reference_tree_shaped_ext_basis,
 )
+from quiverglue.cli import SUB8_ROOTS
+from quiverglue.decompose import OracleConfig, sample_exceptional_rep
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.gluing import (
     ExtBasisElement,
     apply_F,
     apply_F_mor,
-    apply_loop_F,
     basis_is_independent,
     build_gluing,
     build_loop_gluing,
@@ -24,22 +31,24 @@ from quiverglue.gluing import (
     format_gluing,
     glued_dims,
     parse_bases,
+    restrict_to_tail,
     tree_shaped_ext_basis,
 )
-from quiverglue.linalg import Matrix, QQ
+from quiverglue.linalg import Matrix, PrimeField, QQ
 from quiverglue.reps import (
     Morphism,
     RepError,
     Representation,
+    bundle_coordinate,
+    bundle_space_dim,
     compose,
     ext_dim,
     hom_dim,
     hom_space,
     identity_morphism,
     indecomposable,
+    parse_rep,
     random_rep,
-    same_ext_class,
-    zero_bundle,
 )
 
 
@@ -184,11 +193,11 @@ def test_check_theta_iso_requires_dim_one_at_m1():
 def test_loop_gluing_reproduces_m_prime():
     m = load_rep("M")
     lg = build_loop_gluing(m)
-    assert lg.n == 6
+    assert len(lg.bases) == 6
     scalars = (1, 1, 0, 1, 1, 1)
     maps = tuple(Matrix.from_rows([[QQ.coerce(s)]], QQ) for s in scalars)
-    x = Representation(lg.ln, QQ, (1,), maps)
-    mp = apply_loop_F(lg, x)
+    x = Representation(lg.qm, QQ, (1,), maps)
+    mp = apply_F(lg, x)
     assert mp.map_for("a").row_lists() == [[1, 0], [1, 0], [0, 1]]
     assert mp.map_for("b").row_lists() == [[1, 0], [0, 1], [0, 1]]
     assert mp.map_for("c").row_lists() == [[0, 1], [1, 0], [0, 1]]
@@ -199,8 +208,8 @@ def test_loop_gluing_zero_scalars_recover_m():
     m = load_rep("M")
     lg = build_loop_gluing(m)
     maps = tuple(Matrix.zeros(1, 1, QQ) for _ in range(6))
-    x = Representation(lg.ln, QQ, (1,), maps)
-    fx = apply_loop_F(lg, x)
+    x = Representation(lg.qm, QQ, (1,), maps)
+    fx = apply_F(lg, x)
     assert all(fx.map_for(a.name) == m.map_for(a.name) for a in m.quiver.arrows)
 
 
@@ -208,15 +217,15 @@ def test_loop_gluing_dimension_formula():
     m = load_rep("M")
     lg = build_loop_gluing(m)
     maps = tuple(Matrix.identity(2, QQ) for _ in range(6))
-    x = Representation(lg.ln, QQ, (2,), maps)
-    assert apply_loop_F(lg, x).dims == (4, 6)
+    x = Representation(lg.qm, QQ, (2,), maps)
+    assert apply_F(lg, x).dims == (4, 6)
 
 
 def test_m_prime_printed_idempotent():
     m = load_rep("M")
     lg = build_loop_gluing(m)
     maps = tuple(Matrix.from_rows([[QQ.coerce(s)]], QQ) for s in (1, 1, 0, 1, 1, 1))
-    mp = apply_loop_F(lg, Representation(lg.ln, QQ, (1,), maps))
+    mp = apply_F(lg, Representation(lg.qm, QQ, (1,), maps))
     blocks = (
         Matrix.from_rows([[0, 1], [0, 1]], QQ),
         Matrix.from_rows([[0, 0, 1], [0, 0, 1], [0, 0, 1]], QQ),
@@ -244,7 +253,7 @@ def test_format_gluing_parseable_quiver():
 def test_ext_class_nontriviality():
     ma, mb = load_rep("Malpha"), load_rep("Mbeta")
     e = tree_shaped_ext_basis(ma, mb)[0]
-    assert not same_ext_class(e.bundle(ma, mb), zero_bundle(ma, mb))
+    assert basis_is_independent(ma, mb, [e])
 
 
 # -- Ext-class independence on pivot columns against the IncrementalRank reference
@@ -317,7 +326,10 @@ def _theta_cases():
     q = load_quiver("S4")
     simples = [Representation.simple(q, v) for v in ("q0", "q1", "q2", "q3")]
     reversed_sub4 = build_gluing([load_rep("Mbeta"), load_rep("Malpha")])
-    for g in (sub4_gluing(), reversed_sub4, build_gluing(simples)):
+    # three members whose tail Q(Malpha, Mbeta) has arrows both ways
+    ma, mb, s0 = load_rep("Malpha"), load_rep("Mbeta"), simples[0]
+    three = (build_gluing([s0, ma, mb]), build_gluing([ma, s0, mb]), build_gluing([mb, ma, s0]))
+    for g in (sub4_gluing(), reversed_sub4, build_gluing(simples)) + three:
         for _ in range(6):
             dims = (1,) + tuple(rng.randint(0, 2) for _ in range(g.r - 1))
             yield g, _random_q_rep(g.qm, dims, rng)
@@ -336,3 +348,110 @@ def test_check_theta_iso_matches_incremental_rank_reference():
         assert verdict == reference_check_theta_iso(g, x)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# -- the one entry-writing gluing functor against the block-grid and loop references
+
+
+def _over(x, field):
+    """x with its integer entries read in another field."""
+    maps = tuple(Matrix(m.rows, m.cols, list(m.entries), field) for m in x.maps)
+    return Representation(x.quiver, field, x.dims, maps)
+
+
+def _sequences():
+    """Gluing sequences of 2, 3 and 4 members over Q, F_2 and F_101."""
+    s4, k3 = load_quiver("S4"), load_quiver("K3")
+    ma, mb = load_rep("Malpha"), load_rep("Mbeta")
+    simples = [Representation.simple(s4, v) for v in ("q0", "q1", "q2", "q3")]
+    rng = random.Random(11)
+    yield [ma, mb]
+    yield [mb, ma]
+    yield [simples[0], ma, mb]
+    yield [_random_q_rep(k3, d, rng) for d in ((1, 1), (0, 1), (1, 2))]
+    yield simples
+    for p in (2, 101):
+        field = PrimeField(p)
+        yield [_over(ma, field), _over(mb, field)]
+        yield [_over(simples[0], field), _over(ma, field), _over(mb, field)]
+        s4_dims = ((1, 0, 0, 0, 0), (1, 1, 1, 0, 0), (0, 0, 0, 1, 1))
+        yield [random_rep(s4, d, p, k) for k, d in enumerate(s4_dims)]
+        yield [random_rep(k3, d, p, k) for k, d in enumerate(((1, 1), (1, 0), (0, 1)))]
+        s8 = load_quiver("S8")
+        # over F_2, seeds 0-2 draw no exceptional module of dimension (2,1,1,1,0,0,2,2,0)
+        config = OracleConfig(prime=p, seed=3 if p == 2 else 0)
+        yield [sample_exceptional_rep(s8, beta, config, salt=i) for i, beta in enumerate(SUB8_ROOTS)]
+
+
+def _qm_reps(g, rng, count):
+    """Representations of Q(M) with dimensions 0-3 at each vertex, in g's field."""
+    for k in range(count):
+        dims = tuple(rng.randint(0, 3) for _ in range(g.qm.n))
+        if g.field == QQ:
+            yield _random_q_rep(g.qm, dims, rng)
+        else:
+            yield random_rep(g.qm, dims, g.field.p, k)
+
+
+def test_apply_F_matches_block_grid_reference():
+    rng = random.Random(5)
+    sizes = set()
+    for reps in _sequences():
+        g = build_gluing(reps)
+        sizes.add((g.r, len(g.qm.arrows) > 0, g.field))
+        for x in _qm_reps(g, rng, 4):
+            assert apply_F(g, x) == reference_apply_F(g, x)
+            if g.r >= 3:
+                g2, x2 = restrict_to_tail(g, x)
+                ref_g2, ref_x2 = reference_restrict_to_tail(g, x)
+                assert (g2, x2) == (ref_g2, ref_x2)
+    assert {r for r, _, _ in sizes} == {2, 3, 4}
+    assert {(r, f) for r, arrows, f in sizes if r >= 3 and arrows} >= {
+        (3, QQ), (3, PrimeField(2)), (3, PrimeField(101)), (4, PrimeField(2)), (4, PrimeField(101))
+    }
+
+
+# a Schurian K3 module whose self-extension classes sit where its maps are nonzero
+K3_12 = "rep N over Q\nquiver K3\ndim q 1\ndim qp 2\nmap a 2x1\n1\n0\nmap b 2x1\n0\n1\nmap c 2x1\n1\n1\n"
+
+
+def test_loop_gluing_matches_loop_functor_reference():
+    rng = random.Random(6)
+    modules = (load_rep("M"), parse_rep(K3_12, load_quiver("K3")))
+    for m, field in itertools.product(modules, (QQ, PrimeField(2), PrimeField(101))):
+        mf = _over(m, field)
+        tree = tree_shaped_ext_basis(mf, mf)
+        for basis in (None, tree[::-1]):
+            lg = build_loop_gluing(mf, basis)
+            assert lg.reps == (mf,) and len(lg.bases) == ext_dim(mf, mf) == len(lg.qm.arrows)
+            assert {(e.i, e.j) for e in lg.bases} == {(1, 1)}
+            for d in range(4):
+                for _ in range(2):
+                    if field == QQ:
+                        x = _random_q_rep(lg.qm, (d,), rng)
+                    else:
+                        x = random_rep(lg.qm, (d,), field.p, rng.randrange(100))
+                    assert apply_F(lg, x) == reference_apply_loop_F(lg, x)
+
+
+def test_bundle_coordinate_matches_dense_elementary_bundle():
+    checked = 0
+    for x, y in _independence_pairs():
+        q = x.quiver
+        n = bundle_space_dim(x, y)
+        seen = set()
+        for a, (s, t) in zip(q.arrows, q.arrow_indices):
+            rows, cols = y.dims[t], x.dims[s]
+            for r in range(-1, rows + 2):
+                for c in range(-1, cols + 2):
+                    pos = bundle_coordinate(x, y, a.name, r, c)
+                    if not (0 <= r < rows and 0 <= c < cols):
+                        assert pos is None
+                        continue
+                    vec = blocks_to_vector(elementary_bundle(x, y, a.name, r, c).blocks)
+                    assert vec == [int(k == pos) for k in range(n)]
+                    seen.add(pos)
+                    checked += 1
+        assert seen == set(range(n))
+        assert bundle_coordinate(x, y, "no such arrow", 0, 0) is None
+    assert checked > 100

@@ -16,7 +16,6 @@ from quiverglue.linalg import (
     rank,
     rref,
     solve,
-    vstack,
 )
 
 
@@ -53,14 +52,12 @@ def test_matrix_ops():
     assert a.trace() == Fraction(5)
     assert Matrix.identity(2, QQ) * a == a
     assert a.scale(Fraction(2))[1, 1] == Fraction(8)
-    assert Matrix.unit(2, 2, 0, 1, QQ)[0, 1] == Fraction(1)
 
 
 def test_stack_and_kron():
     a = M([[1, 2]])
     b = M([[3, 4]])
     assert hstack([a, b]).cols == 4
-    assert vstack([a, b]).rows == 2
     d = block_diag([Matrix.identity(1, QQ), Matrix.identity(2, QQ)], QQ)
     assert d.rows == 3 and d[0, 0] == Fraction(1) and d[0, 1] == Fraction(0)
     k = kron(M([[1, 2]]), M([[1], [1]]))
