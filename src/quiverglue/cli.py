@@ -33,7 +33,7 @@ from .gluing import (
     parse_bases,
     tree_shaped_ext_basis,
 )
-from .linalg import DEFAULT_PRIME, Matrix, ModulusError, QQ
+from .linalg import DEFAULT_PRIME, FieldMismatchError, Matrix, ModulusError, QQ
 from .quiver import (
     ParseError,
     QuiverError,
@@ -63,6 +63,7 @@ from .treemod import (
     parse_fragment,
     push_down,
 )
+from .textfmt import entries
 
 
 class InputError(ValueError):
@@ -174,13 +175,15 @@ def cmd_extbasis(args, out):
     out.extend(format_bases(basis).splitlines())
 
 
+def _load_bases(spec):
+    """Ext classes from a --bases file; None when no file was given."""
+    return parse_bases(_read_text(spec)) if spec else None
+
+
 def _gluing_from_args(args):
     q = _load_quiver(args.quiver)
     reps = [_load_rep(spec, q) for spec in args.reps]
-    bases = None
-    if getattr(args, "bases", None):
-        bases = parse_bases(_read_text(args.bases))
-    return build_gluing(reps, bases=bases)
+    return build_gluing(reps, bases=_load_bases(args.bases))
 
 
 def cmd_qm(args, out):
@@ -207,19 +210,15 @@ def cmd_glue_mor(args, out):
 def cmd_loopglue(args, out):
     q = _load_quiver(args.quiver)
     m = _load_rep(args.rep, q)
-    basis = None
-    if args.bases:
-        basis = parse_bases(_read_text(args.bases))
-    lg = build_loop_gluing(m, basis=basis)
+    lg = build_loop_gluing(m, basis=_load_bases(args.bases))
     n = len(lg.bases)
     out.append(f"loops: {n}")
     if args.scalars is not None:
         values = [v.strip() for v in args.scalars.split(",")]
         if len(values) != n:
             raise InputError(f"expected {n} scalars, got {len(values)}")
-        maps = tuple(
-            Matrix.from_rows([[m.field.coerce(int(v))]], m.field) for v in values
-        )
+        scalars = entries(values, m.field, "bad entry in --scalars")
+        maps = tuple(Matrix.from_rows([[v]], m.field) for v in scalars)
         x = Representation(lg.qm, m.field, (1,), maps, name="X")
     elif args.x:
         x = parse_rep(_read_text(args.x), lg.qm)
@@ -230,7 +229,7 @@ def cmd_loopglue(args, out):
 
 
 def cmd_indec(args, out):
-    q = _load_quiver(args.quiver) if args.quiver else None
+    q = _load_quiver(args.quiver)
     x = _load_rep(args.rep, q)
     verdict = indecomposable(x, seed=args.seed)
     out.append(f"verdict: {verdict.tag}")
@@ -239,7 +238,7 @@ def cmd_indec(args, out):
 
 
 def cmd_schur(args, out):
-    q = _load_quiver(args.quiver) if args.quiver else None
+    q = _load_quiver(args.quiver)
     x = _load_rep(args.rep, q)
     d = hom_dim(x, x)
     out.append(f"end_dim: {d}")
@@ -277,7 +276,7 @@ def cmd_perpsimples(args, out):
 
 
 def cmd_coeffquiver(args, out):
-    q = _load_quiver(args.quiver) if args.quiver else None
+    q = _load_quiver(args.quiver)
     x = _load_rep(args.rep, q)
     gamma = coefficient_quiver(x)
     if args.dot:
@@ -662,7 +661,8 @@ def main(argv=None):
         print("\n".join(out + list(exc.lines)))
         return 2
     except (
-        InputError, ParseError, QuiverError, RepError, TreeError, DecomposeError, ModulusError
+        InputError, ParseError, QuiverError, RepError, TreeError, DecomposeError, ModulusError,
+        FieldMismatchError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

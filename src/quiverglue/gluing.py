@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, block_diag, kron, rref
-from .quiver import Arrow, ParseError, Quiver
+from .quiver import Arrow, Quiver, format_quiver
 from .reps import (
     Morphism,
     RepError,
@@ -38,6 +38,7 @@ from .reps import (
     hom_dim,
     is_schurian,
 )
+from .textfmt import ParseError, directives, expect
 
 
 @dataclass(frozen=True)
@@ -417,26 +418,19 @@ def build_loop_gluing(m: Representation, basis=None) -> GluingData:
 
 
 def format_bases(elements) -> str:
-    lines = []
-    for e in elements:
-        lines.append(f"extbasis {e.i} {e.j} {e.l} {e.arrow} {e.row + 1} {e.col + 1}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"extbasis {e.i} {e.j} {e.l} {e.arrow} {e.row + 1} {e.col + 1}\n" for e in elements
+    )
 
 
 def parse_bases(text: str):
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in directives(text):
         if parts[0] != "extbasis":
             continue
-        if len(parts) != 7:
-            raise ParseError(f"line {lineno}: expected 'extbasis <i> <j> <l> <arrow> <row> <col>'")
+        expect(len(parts) == 7, lineno, "extbasis <i> <j> <l> <arrow> <row> <col>")
         try:
-            i, j, l = int(parts[1]), int(parts[2]), int(parts[3])
-            row, col = int(parts[5]), int(parts[6])
+            i, j, l, row, col = (int(parts[k]) for k in (1, 2, 3, 5, 6))
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer field in extbasis line") from None
         if row < 1 or col < 1:
@@ -446,6 +440,4 @@ def parse_bases(text: str):
 
 
 def format_gluing(g: GluingData) -> str:
-    from .quiver import format_quiver
-
     return format_quiver(g.qm) + format_bases(g.bases)

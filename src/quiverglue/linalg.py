@@ -602,6 +602,18 @@ def kernel_basis(a: Matrix):
     return basis
 
 
+def inverse(a: Matrix) -> Matrix:
+    if not a.is_square():
+        raise ValueError("inverse of a non-square matrix")
+    aug = hstack([a, Matrix.identity(a.rows, a.field)])
+    reduced, pivots = rref(aug)
+    if pivots[: a.rows] != list(range(a.rows)):
+        raise ValueError("matrix is singular")
+    return Matrix.from_rows(
+        [reduced.row(r)[a.rows :] for r in range(a.rows)], a.field, cols=a.rows
+    )
+
+
 def solve(a: Matrix, b) -> list | None:
     """Some x with A x = b, or None when the system is inconsistent."""
     if isinstance(b, Matrix):

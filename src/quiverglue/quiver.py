@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .textfmt import ParseError, directives, expect
+
 
 class QuiverError(ValueError):
     pass
@@ -223,38 +225,25 @@ def classify_root(q: Quiver, a) -> RootClass:
 # -- text format --------------------------------------------------------
 
 
-class ParseError(ValueError):
-    pass
-
-
 def parse_quiver(text: str) -> Quiver:
     name = None
     vertices = []
     arrows = []
     allows_loops = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in directives(text):
         kind = parts[0]
         if kind == "quiver":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'quiver <name>'")
+            expect(len(parts) == 2, lineno, "quiver <name>")
             name = parts[1]
         elif kind == "vertex":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'vertex <id>'")
+            expect(len(parts) == 2, lineno, "vertex <id>")
             vertices.append(parts[1])
         elif kind == "arrow":
-            if len(parts) != 4:
-                raise ParseError(f"line {lineno}: expected 'arrow <id> <src> <dst>'")
-            arrows.append(Arrow(parts[1], parts[2], parts[3]))
+            expect(len(parts) == 4, lineno, "arrow <id> <src> <dst>")
+            arrows.append(Arrow(*parts[1:]))
         elif kind == "allows_loops":
             allows_loops = True
-        elif kind == "extbasis":
-            continue  # provenance lines emitted alongside glued quivers
-        else:
+        elif kind != "extbasis":  # provenance lines emitted alongside glued quivers
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
     if name is None:
         raise ParseError("missing 'quiver <name>' line")

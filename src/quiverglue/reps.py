@@ -24,29 +24,22 @@ from .linalg import (
     PrimeField,
     block_diag,
     hstack,
+    inverse,
     kernel_basis,
     rank,
     rref,
     solve,
     sympy_module,
 )
-from .quiver import ParseError, Quiver
+from .quiver import Quiver
+from .textfmt import (
+    ParseError, check_quiver, directives, expect, format_header, format_matrix, header,
+    matrix_directive, nat,
+)
 
 
 class RepError(ValueError):
     pass
-
-
-def _inverse(a: Matrix) -> Matrix:
-    if not a.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    aug = hstack([a, Matrix.identity(a.rows, a.field)])
-    reduced, pivots = rref(aug)
-    if pivots[: a.rows] != list(range(a.rows)):
-        raise ValueError("matrix is singular")
-    return Matrix.from_rows(
-        [reduced.row(r)[a.rows :] for r in range(a.rows)], a.field, cols=a.rows
-    )
 
 
 @dataclass(frozen=True)
@@ -312,7 +305,7 @@ def split_by_idempotent(x: Representation, e: Morphism):
     maps_im, maps_ker = [], []
     for arrow in q.arrows:
         s, t = q.index(arrow.source), q.index(arrow.target)
-        pt_inv = _inverse(bases[t]) if x.dims[t] else Matrix.zeros(0, 0, field)
+        pt_inv = inverse(bases[t]) if x.dims[t] else Matrix.zeros(0, 0, field)
         conj = pt_inv * x.map_for(arrow.name) * bases[s]
         a, b = im_dims[t], im_dims[s]
         top = Matrix.from_rows([conj.row(r)[:b] for r in range(a)], field, cols=b)
@@ -612,198 +605,80 @@ def random_rep(quiver: Quiver, dims, prime: int, seed: int, name="") -> Represen
 # -- text format --------------------------------------------------------
 
 
-def _parse_field(tokens, lineno):
-    if tokens == ["Q"]:
-        return QQ
-    if len(tokens) == 2 and tokens[0] == "F":
-        try:
-            return PrimeField(int(tokens[1]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad modulus {tokens[1]!r}: {exc}") from None
-    raise ParseError(f"line {lineno}: expected 'over Q' or 'over F <p>'")
-
-
-def _format_field(field):
-    return "Q" if field == QQ else f"F {field.p}"
-
-
-def _read_matrix(lines, start, rows, cols, field, label):
-    ent = []
-    idx = start
-    needed = rows if (rows and cols) else 0
-    for _ in range(needed):
-        while idx < len(lines) and not lines[idx][1]:
-            idx += 1
-        if idx >= len(lines):
-            raise ParseError(f"missing entry rows for {label}")
-        lineno, line = lines[idx]
-        parts = line.split()
-        if len(parts) != cols:
-            raise ParseError(f"line {lineno}: expected {cols} entries for {label}")
-        try:
-            ent.extend(field.coerce(p) for p in parts)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ParseError(f"line {lineno}: bad entry for {label}: {exc}") from exc
-        idx += 1
-    return Matrix(rows, cols, ent, field), idx
-
-
-def _nat(token):
-    """The natural number a token spells, or None."""
-    try:
-        n = int(token)
-    except ValueError:
-        return None
-    return n if n >= 0 else None
-
-
-def _shape(token, lineno):
-    parts = token.split("x")
-    shape = tuple(_nat(t) for t in parts)
-    if len(shape) != 2 or None in shape:
-        raise ParseError(f"line {lineno}: expected a <rows>x<cols> shape")
-    return shape
-
-
 def parse_rep(text: str, quiver: Quiver) -> Representation:
-    lines = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
-    name = None
-    field = None
+    name = field = None
     dims = {}
     maps = {}
-    idx = 0
-    while idx < len(lines):
-        lineno, line = lines[idx]
-        if not line:
-            idx += 1
-            continue
-        parts = line.split()
+    lines = directives(text)
+    for lineno, parts in lines:
         kind = parts[0]
         if kind == "rep":
-            if len(parts) < 4 or parts[2] != "over":
-                raise ParseError(f"line {lineno}: expected 'rep <name> over Q|F <p>'")
-            name = parts[1]
-            field = _parse_field(parts[3:], lineno)
-            idx += 1
+            name, field = header(parts, lineno)
         elif kind == "quiver":
-            if len(parts) != 2 or parts[1] != quiver.name:
-                raise ParseError(
-                    f"line {lineno}: representation references quiver {parts[1] if len(parts) > 1 else '?'!r}, "
-                    f"expected {quiver.name!r}"
-                )
-            idx += 1
+            check_quiver(parts, lineno, quiver, "representation")
         elif kind == "dim":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'dim <vertex> <nat>'")
+            expect(len(parts) == 3, lineno, "dim <vertex> <nat>")
             if parts[1] not in quiver.vertices:
                 raise ParseError(f"line {lineno}: unknown vertex {parts[1]!r}")
-            d = _nat(parts[2])
-            if d is None:
-                raise ParseError(f"line {lineno}: expected a natural number, got {parts[2]!r}")
-            dims[parts[1]] = d
-            idx += 1
+            dims[parts[1]] = nat(parts[2], lineno)
         elif kind == "map":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'map <arrow> <rows>x<cols>'")
-            arrow_name = parts[1]
-            try:
-                quiver.arrow(arrow_name)
-            except Exception:
-                raise ParseError(f"line {lineno}: unknown arrow {arrow_name!r}") from None
-            rows, cols = _shape(parts[2], lineno)
-            if field is None:
-                raise ParseError(f"line {lineno}: 'map' before the 'rep' header")
-            try:
-                m, idx = _read_matrix(lines, idx + 1, rows, cols, field, f"arrow {arrow_name}")
-            except ParseError:
-                raise
-            maps[arrow_name] = m
+            maps[parts[1]] = matrix_directive(
+                lines, parts, lineno, [a.name for a in quiver.arrows], "arrow", field, "rep"
+            )
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
-    if name is None or field is None:
+    if field is None:
         raise ParseError("missing 'rep' header")
     dim_vec = tuple(dims.get(v, 0) for v in quiver.vertices)
-    map_list = []
-    for arrow in quiver.arrows:
-        rows = dim_vec[quiver.index(arrow.target)]
-        cols = dim_vec[quiver.index(arrow.source)]
-        m = maps.get(arrow.name)
-        if m is None:
-            m = Matrix.zeros(rows, cols, field)
-        if (m.rows, m.cols) != (rows, cols):
-            raise ParseError(
-                f"map for arrow {arrow.name} has shape {m.rows}x{m.cols}, expected {rows}x{cols}"
-            )
-        map_list.append(m)
-    return Representation(quiver, field, dim_vec, tuple(map_list), name)
+    map_list = tuple(
+        maps.get(arrow.name) or Matrix.zeros(dim_vec[t], dim_vec[s], field)
+        for arrow, (s, t) in zip(quiver.arrows, quiver.arrow_indices)
+    )
+    try:
+        return Representation(quiver, field, dim_vec, map_list, name)
+    except RepError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_rep(x: Representation, name=None) -> str:
-    name = name or x.name or "rep"
-    lines = [f"rep {name} over {_format_field(x.field)}", f"quiver {x.quiver.name}"]
-    for v in x.quiver.vertices:
-        lines.append(f"dim {v} {x.dims[x.quiver.index(v)]}")
+    lines = [format_header("rep", name or x.name or "rep", x.field), f"quiver {x.quiver.name}"]
+    lines.extend(f"dim {v} {d}" for v, d in zip(x.quiver.vertices, x.dims))
     for arrow, m in zip(x.quiver.arrows, x.maps):
-        lines.append(f"map {arrow.name} {m.rows}x{m.cols}")
-        if m.rows and m.cols:
-            for r in range(m.rows):
-                lines.append(" ".join(x.field.format(v) for v in m.row(r)))
+        lines.extend(format_matrix(f"map {arrow.name}", m))
     return "\n".join(lines) + "\n"
 
 
 def parse_morphism(text: str, source: Representation, target: Representation) -> Morphism:
-    lines = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
     field = None
     blocks = {}
-    idx = 0
     quiver = source.quiver
-    while idx < len(lines):
-        lineno, line = lines[idx]
-        if not line:
-            idx += 1
-            continue
-        parts = line.split()
+    lines = directives(text)
+    for lineno, parts in lines:
         kind = parts[0]
         if kind == "morphism":
-            if len(parts) < 4 or parts[2] != "over":
-                raise ParseError(f"line {lineno}: expected 'morphism <name> over Q|F <p>'")
-            field = _parse_field(parts[3:], lineno)
-            idx += 1
+            field = header(parts, lineno)[1]
         elif kind == "quiver":
-            idx += 1
+            check_quiver(parts, lineno, quiver, "morphism")
         elif kind == "block":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'block <vertex> <rows>x<cols>'")
-            if parts[1] not in quiver.vertices:
-                raise ParseError(f"line {lineno}: unknown vertex {parts[1]!r}")
-            rows, cols = _shape(parts[2], lineno)
-            if field is None:
-                raise ParseError(f"line {lineno}: 'block' before the 'morphism' header")
-            m, idx = _read_matrix(lines, idx + 1, rows, cols, field, f"vertex {parts[1]}")
-            blocks[parts[1]] = m
+            blocks[parts[1]] = matrix_directive(
+                lines, parts, lineno, quiver.vertices, "vertex", field, "morphism"
+            )
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
     if field is None:
         raise ParseError("missing 'morphism' header")
-    block_list = []
-    for v in quiver.vertices:
-        i = quiver.index(v)
-        m = blocks.get(v, Matrix.zeros(target.dims[i], source.dims[i], field))
-        block_list.append(m)
+    block_list = tuple(
+        blocks.get(v) or Matrix.zeros(target.dims[i], source.dims[i], field)
+        for i, v in enumerate(quiver.vertices)
+    )
     try:
-        return Morphism(source, target, tuple(block_list))
+        return Morphism(source, target, block_list)
     except RepError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def format_morphism(f: Morphism, name="morphism") -> str:
-    lines = [
-        f"morphism {name} over {_format_field(f.source.field)}",
-        f"quiver {f.source.quiver.name}",
-    ]
+    lines = [format_header("morphism", name, f.source.field), f"quiver {f.source.quiver.name}"]
     for v, m in zip(f.source.quiver.vertices, f.blocks):
-        lines.append(f"block {v} {m.rows}x{m.cols}")
-        if m.rows and m.cols:
-            for r in range(m.rows):
-                lines.append(" ".join(f.source.field.format(x) for x in m.row(r)))
+        lines.extend(format_matrix(f"block {v}", m))
     return "\n".join(lines) + "\n"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, QQ
-from .quiver import Arrow, ParseError, Quiver, QuiverError
-from .reps import Representation, RepError, _inverse
+from .linalg import Matrix, QQ, inverse
+from .quiver import Arrow, Quiver, QuiverError
+from .reps import Representation, RepError
+from .textfmt import (
+    ParseError, directives, expect, format_header, format_matrix, header, nat, read_matrix, shape,
+)
 
 
 class TreeError(ValueError):
@@ -74,7 +77,7 @@ def coefficient_quiver(x: Representation, basis=None) -> CoefficientQuiver:
     """
     mats = _basis_matrices(x, basis)
     try:
-        invs = {v: _inverse(m) for v, m in mats.items()}
+        invs = {v: inverse(m) for v, m in mats.items()}
     except (RepError, ValueError) as exc:
         raise TreeError(str(exc)) from exc
     vertices = []
@@ -227,28 +230,16 @@ def fragment_from_coefficient_quiver(x: Representation, basis=None) -> CoverFrag
 
 
 def format_fragment(f: CoverFragment) -> str:
-    from .reps import _format_field
-
-    lines = [f"fragment {f.name} over {_format_field(f.field)}"]
-    for vid in f.vertex_ids:
-        q, w = f.labels[vid]
-        lines.append(f"vertex {vid} label {q} {w}")
-    for aid, src, dst, rho in f.arrows:
-        lines.append(f"arrow {aid} {src} {dst} label {rho}")
-    for vid in f.vertex_ids:
-        lines.append(f"dim {vid} {f.dims[vid]}")
+    lines = [format_header("fragment", f.name, f.field)]
+    lines.extend(f"vertex {vid} label {' '.join(f.labels[vid])}" for vid in f.vertex_ids)
+    lines.extend(f"arrow {aid} {src} {dst} label {rho}" for aid, src, dst, rho in f.arrows)
+    lines.extend(f"dim {vid} {f.dims[vid]}" for vid in f.vertex_ids)
     for aid, _, _, _ in f.arrows:
-        m = f.maps[aid]
-        lines.append(f"map {aid} {m.rows}x{m.cols}")
-        for r in range(m.rows):
-            lines.append(" ".join(f.field.format(v) for v in m.row(r)))
+        lines.extend(format_matrix(f"map {aid}", f.maps[aid]))
     return "\n".join(lines) + "\n"
 
 
 def parse_fragment(text: str, quiver: Quiver) -> CoverFragment:
-    from .reps import _nat, _parse_field, _read_matrix, _shape
-
-    lines = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
     name = None
     field = QQ
     vertex_ids = []
@@ -256,45 +247,26 @@ def parse_fragment(text: str, quiver: Quiver) -> CoverFragment:
     arrows = []
     dims = {}
     maps = {}
-    idx = 0
-    while idx < len(lines):
-        lineno, line = lines[idx]
-        if not line:
-            idx += 1
-            continue
-        parts = line.split()
+    lines = directives(text)
+    for lineno, parts in lines:
         kind = parts[0]
         if kind == "fragment":
-            if len(parts) < 4 or parts[2] != "over":
-                raise ParseError(f"line {lineno}: expected 'fragment <name> over Q|F <p>'")
-            name = parts[1]
-            field = _parse_field(parts[3:], lineno)
-            idx += 1
+            name, field = header(parts, lineno)
         elif kind == "vertex":
-            if len(parts) != 5 or parts[2] != "label":
-                raise ParseError(f"line {lineno}: expected 'vertex <id> label <q> <w>'")
+            expect(len(parts) == 5 and parts[2] == "label", lineno, "vertex <id> label <q> <w>")
             vertex_ids.append(parts[1])
             labels[parts[1]] = (parts[3], parts[4])
-            idx += 1
         elif kind == "arrow":
-            if len(parts) != 6 or parts[4] != "label":
-                raise ParseError(f"line {lineno}: expected 'arrow <id> <src> <dst> label <rho>'")
+            ok = len(parts) == 6 and parts[4] == "label"
+            expect(ok, lineno, "arrow <id> <src> <dst> label <rho>")
             arrows.append((parts[1], parts[2], parts[3], parts[5]))
-            idx += 1
         elif kind == "dim":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'dim <vertex> <n>'")
-            d = _nat(parts[2])
-            if d is None:
-                raise ParseError(f"line {lineno}: expected a natural number, got {parts[2]!r}")
-            dims[parts[1]] = d
-            idx += 1
+            expect(len(parts) == 3, lineno, "dim <vertex> <n>")
+            dims[parts[1]] = nat(parts[2], lineno)
         elif kind == "map":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'map <arrow> <rows>x<cols>'")
-            rows, cols = _shape(parts[2], lineno)
-            m, idx = _read_matrix(lines, idx + 1, rows, cols, field, f"fragment arrow {parts[1]}")
-            maps[parts[1]] = m
+            expect(len(parts) == 3, lineno, "map <arrow> <rows>x<cols>")
+            rows, cols = shape(parts[2], lineno)
+            maps[parts[1]] = read_matrix(lines, rows, cols, field, f"fragment arrow {parts[1]}")
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r} in fragment")
     if name is None:

@@ -310,3 +310,53 @@ def test_missing_quiver_option_does_not_traceback(capsys, tmp_path, argv, code):
         assert captured.err == "" and captured.out
     else:
         assert captured.err.startswith("error: a quiver (-q) is required to load ")
+
+
+def _over_f101(text):
+    return text.replace(" over Q\n", " over F 101\n", 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homext", "-q", "K3", "M", "{dir}/M101.rep"],
+        ["qm", "-q", "K3", "M", "{dir}/M101.rep"],
+        ["check-theta", "-q", "K3", "M", "{dir}/M101.rep"],
+        ["glue-mor", "-q", "S4", "-x", "{dir}/x.rep", "-y", "{dir}/x.rep", "-f", "{dir}/f101.mor",
+         "Malpha", "Mbeta"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_inputs_over_different_fields_exit_one(capsys, tmp_path, argv):
+    # the FieldMismatchError these raise went past cli.main as a traceback
+    (tmp_path / "M101.rep").write_text(_over_f101(fixture_text("m5.rep")))
+    (tmp_path / "x.rep").write_text(QM_X)
+    (tmp_path / "f101.mor").write_text(
+        "morphism f over F 101\nblock m1 1x1\n1\nblock m2 2x2\n1 0\n0 1\n"
+    )
+    assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: field mismatch\n"
+
+
+def test_loopglue_scalars_are_field_entries(capsys):
+    # the scalars were read with int(): 1/2 and x both ended in a ValueError traceback
+    code, out = run(capsys, "loopglue", "-q", "K3", "--scalars", "1,1/2,0,1,1,1", "M")
+    assert code == 0 and "map a 3x2\n1 0\n1/2 0\n0 1" in out
+    assert main(["loopglue", "-q", "K3", "--scalars", "1,x,0,1,1,1", "M"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad entry in --scalars: ")
+
+
+def test_morphism_naming_another_quiver_exits_one(capsys, tmp_path):
+    # parse_morphism ignored its quiver line, so this glued with exit 0
+    (tmp_path / "x.rep").write_text(QM_X)
+    (tmp_path / "f.mor").write_text(
+        "morphism f over Q\nquiver K3\nblock m1 1x1\n1\nblock m2 2x2\n1 0\n0 1\n"
+    )
+    argv = ["glue-mor", "-q", "S4", "-x", "{dir}/x.rep", "-y", "{dir}/x.rep", "-f", "{dir}/f.mor",
+            "Malpha", "Mbeta"]
+    assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: morphism references quiver 'K3', expected 'QM'\n"

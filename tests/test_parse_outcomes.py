@@ -10,7 +10,9 @@ coefficient quivers.  Each text is followed by MUTATIONS seeded edits of one
 line: delete it, duplicate it, replace one of its tokens, truncate the text
 there, or append a token.  The golden was recorded before the five parsers
 moved onto one reader; `python tests/test_parse_outcomes.py` records it
-again.
+again.  Since then only the 17 morphism cases whose `quiver` line names
+another quiver changed: they parsed before morphisms checked that line as
+representations do, and now record its ParseError.
 """
 
 import hashlib

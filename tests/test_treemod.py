@@ -6,6 +6,7 @@ from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.linalg import Matrix, QQ
 from quiverglue.reps import Representation, indecomposable
 from quiverglue.treemod import (
+    CoverFragment,
     TreeError,
     arrow_count,
     coefficient_quiver,
@@ -119,3 +120,15 @@ def test_pushdown_two_fragment_vertices_same_base():
     assert x.dims == (2, 1)
     assert x.map_for("a").row_lists() == [[Fraction(1), Fraction(0)]]
     assert x.map_for("b").row_lists() == [[Fraction(0), Fraction(1)]]
+
+
+def test_format_fragment_writes_no_rows_for_an_empty_map():
+    # a 2x0 map was written as its directive and two blank lines
+    q = load_quiver("K2")
+    frag = CoverFragment(
+        "F", q, ("u", "v"), {"u": ("q", "1"), "v": ("qp", "1")}, (("a1", "u", "v", "a"),),
+        {"u": 0, "v": 2}, {"a1": Matrix.zeros(2, 0, QQ)},
+    )
+    text = format_fragment(frag)
+    assert text.endswith("dim u 0\ndim v 2\nmap a1 2x0\n")
+    assert parse_fragment(text, q) == frag
