@@ -312,10 +312,6 @@ def test_missing_quiver_option_does_not_traceback(capsys, tmp_path, argv, code):
         assert captured.err.startswith("error: a quiver (-q) is required to load ")
 
 
-def _over_f101(text):
-    return text.replace(" over Q\n", " over F 101\n", 1)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -329,7 +325,7 @@ def _over_f101(text):
 )
 def test_inputs_over_different_fields_exit_one(capsys, tmp_path, argv):
     # the FieldMismatchError these raise went past cli.main as a traceback
-    (tmp_path / "M101.rep").write_text(_over_f101(fixture_text("m5.rep")))
+    (tmp_path / "M101.rep").write_text(fixture_text("m5.rep").replace(" over Q", " over F 101"))
     (tmp_path / "x.rep").write_text(QM_X)
     (tmp_path / "f101.mor").write_text(
         "morphism f over F 101\nblock m1 1x1\n1\nblock m2 2x2\n1 0\n0 1\n"

@@ -23,7 +23,9 @@ FILES = {
     "malpha.rep": fixture_text("malpha.rep"),
     "m.frag": format_fragment(fragment_from_coefficient_quiver(load_rep("M"))),
     # a representation of Q(Malpha, Mbeta) and its identity
-    "x.rep": "rep X over Q\nquiver QM\ndim m1 1\ndim m2 2\nmap x1_2_1 2x1\n1\n0\nmap x2_1_1 1x2\n0 1\n",
+    "x.rep": (
+        "rep X over Q\nquiver QM\ndim m1 1\ndim m2 2\nmap x1_2_1 2x1\n1\n0\nmap x2_1_1 1x2\n0 1\n"
+    ),
     "f.mor": "morphism f over Q\nquiver QM\nblock m1 1x1\n1\nblock m2 2x2\n1 0\n0 1\n",
     "qm.bases": "extbasis 1 2 1 r1 1 1\nextbasis 2 1 1 r3 1 1\n",
     "loop.bases": "".join(
@@ -45,7 +47,9 @@ COMMANDS = (
     ("loopglue", "-q", "{k3.quiver}", "--scalars", "{scalars}", "M"),
 )
 
-SCALARS = st.lists(st.sampled_from(("0", "1", "-1", "1/2", "1/0", "x", "", "2x")), min_size=5, max_size=7)
+SCALARS = st.lists(
+    st.sampled_from(("0", "1", "-1", "1/2", "1/0", "x", "", "2x")), min_size=5, max_size=7
+)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -24,7 +24,13 @@ from pathlib import Path
 import pytest
 
 from quiverglue.fixtures import QUIVER_FILES, REP_FILES, fixture_text, load_quiver, load_rep
-from quiverglue.gluing import build_gluing, build_loop_gluing, format_bases, format_gluing, parse_bases
+from quiverglue.gluing import (
+    build_gluing,
+    build_loop_gluing,
+    format_bases,
+    format_gluing,
+    parse_bases,
+)
 from quiverglue.quiver import Quiver, parse_quiver
 from quiverglue.reps import (
     Morphism,
@@ -45,11 +51,14 @@ from quiverglue.treemod import (
 
 GOLDEN = Path(__file__).parent / "golden" / "parse_outcomes.json"
 MUTATIONS = 50
-TOKENS = ("x", "-1", "1/0", "2x", "1x-1", "F", "F 101", "4", "0", "1/2", "Q", "over", "label", "2x0", "#", "q", "m1")
+TOKENS = (
+    "x", "-1", "1/0", "2x", "1x-1", "F", "F 101", "4", "0", "1/2", "Q", "over", "label", "2x0", "#",
+    "q", "m1",
+)
 
 
 def base_texts():
-    """(kind, label, text, context) for every unmutated text; context is what the parser reads against."""
+    """(kind, label, text, context) for every unmutated text; the parser reads it against context."""
     cases = [("quiver", name, fixture_text(f), None) for name, f in QUIVER_FILES.items()]
     reps = {name: load_rep(name) for name in REP_FILES}
     for name, (f, quiver_name) in REP_FILES.items():
@@ -104,14 +113,16 @@ def cases_of(kind, label, text):
 
 
 def _matrix(m):
-    return f"{m.rows}x{m.cols}:" + ";".join(" ".join(m.field.format(v) for v in m.row(r)) for r in range(m.rows))
+    rows = (" ".join(m.field.format(v) for v in m.row(r)) for r in range(m.rows))
+    return f"{m.rows}x{m.cols}:" + ";".join(rows)
 
 
 def summary(obj):
     """A short exact summary: a readable head and a digest of every field."""
     if isinstance(obj, Quiver):
         head = f"Quiver {obj.name} {len(obj.vertices)} vertices {len(obj.arrows)} arrows"
-        fields = (obj.vertices, [(a.name, a.source, a.target) for a in obj.arrows], obj.allows_loops)
+        arrows = [(a.name, a.source, a.target) for a in obj.arrows]
+        fields = (obj.vertices, arrows, obj.allows_loops)
     elif isinstance(obj, Representation):
         head = f"Representation {obj.name} over {obj.field!r} dims {obj.dims}"
         fields = (obj.quiver.name, [_matrix(m) for m in obj.maps])
