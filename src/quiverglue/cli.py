@@ -1,7 +1,8 @@
 """Command-line front end: file loading, per-command dispatch, reproduction driver.
 
 Exit codes: 0 success, 1 input error, 2 verification failure or an
-undecided result (an exceptional-sequence search that ran out of budget).
+undecided result (an exceptional-sequence search that ran out of budget, or
+sampling over F_p that found no answer where a larger prime may find one).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from . import fixtures
 from .decompose import (
     DecomposeError,
     OracleConfig,
+    SamplingError,
     canonical_decomposition,
     exceptional_sequence_decomposition,
     perp_simples,
@@ -659,6 +661,9 @@ def main(argv=None):
         args.func(args, out)
     except VerificationFailure as exc:
         print("\n".join(out + list(exc.lines)))
+        return 2
+    except SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (
         InputError, ParseError, QuiverError, RepError, TreeError, DecomposeError, ModulusError,

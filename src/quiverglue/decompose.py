@@ -44,6 +44,10 @@ class DecomposeError(ValueError):
     pass
 
 
+class SamplingError(DecomposeError):
+    """Sampling over F_p found no answer, which over a larger prime it may."""
+
+
 class OracleUnstableError(DecomposeError):
     def __init__(self):
         super().__init__("oracle unstable, increase samples")
@@ -350,7 +354,7 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
             accepted.append(cand)
             if len(accepted) == needed:
                 return _topo_order_by_ext(oracle, accepted)
-    raise DecomposeError("bound exhausted")
+    raise SamplingError(f"bound exhausted over F_{config.prime}; try a larger prime")
 
 
 # -- reduced exceptional sequences ---------------------------------------
@@ -366,8 +370,9 @@ def sample_exceptional_rep(quiver: Quiver, a, config: OracleConfig, salt=0) -> R
         )
         if hom_dim(x, x) == 1 and ext_dim(x, x) == 0:
             return x
-    raise DecomposeError(
+    raise SamplingError(
         f"failed to sample an exceptional representation at {format_dimvector(a)}"
+        f" over F_{config.prime}; try a larger prime"
     )
 
 

@@ -9,15 +9,15 @@ of zero spaces at unsupported vertices).
 Elimination has one kernel per field.  Over Q each row is a list of ints,
 cleared of denominators; rows are combined fraction-free from the pivot
 column on, kept primitive by dividing out the gcd of their entries, and
-only the final pivot division goes back to `Fraction`s.  Over F_p each row
-is a sparse {column: residue} dict, since the `d_{X,Y}` matrices behind
-Hom and Ext are mostly zeros: each row is reduced against a table of pivot
-rows keyed by leading column, and entries that cancel are deleted.  `rank`
-stops after forward elimination in both.  The loop over the field's methods
-remains for any other field, and is the reference the kernels are tested
-against.  All of it is pure Python: numpy is not a dependency, since
-importing it costs more memory and start-up time than the small matrices
-here ever win back.
+only the final pivot division goes back to `Fraction`s.  Callers that hold
+an integer matrix already (Hom and End(X) over Q) call `kernel_basis_int`
+and `rank_int` on its rows directly.  Over F_p each row is a sparse
+{column: residue} dict, since the `d_{X,Y}` matrices behind Hom and Ext
+are mostly zeros: each row is reduced against a table of pivot rows keyed
+by leading column, and entries that cancel are deleted.  `rank` stops
+after forward elimination in both.  All of it is pure Python: numpy is not
+a dependency, since importing it costs more memory and start-up time than
+the small matrices here ever win back.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ def sympy_module():
 
 
 class FieldMismatchError(ValueError):
-    pass
+    """Two operands that must share a field do not; the message names both fields."""
+
+    def __init__(self, first, second):
+        super().__init__(f"field mismatch: {first.name} vs {second.name}")
 
 
 class ModulusError(ValueError):
@@ -201,7 +204,7 @@ def _check_same_field(*mats):
     field = mats[0].field
     for m in mats[1:]:
         if m.field != field:
-            raise FieldMismatchError("field mismatch")
+            raise FieldMismatchError(field, m.field)
     return field
 
 
@@ -425,39 +428,17 @@ def _elimination(a: Matrix, reduce_above=True):
     """Row echelon form; returns (list of rows, pivot column indices).
 
     The rows are dense lists, the nonzero ones first in pivot order.  With
-    reduce_above they are in reduced row echelon form.  Without it the Q and
-    F_p kernels only eliminate forward, which is all `rank` needs: the pivots
-    are those of the RREF, but the rows are not reduced above their pivots
-    (the Q kernel's are unnormalised integer rows, the F_p kernel's lead
-    with 1); the field-generic loop always reduces fully.
+    reduce_above they are in reduced row echelon form.  Without it only
+    forward elimination runs, which is all `rank` needs: the pivots are
+    those of the RREF, but the rows are not reduced above their pivots (over
+    Q they are unnormalised integer rows, over F_p they lead with 1).
     """
     if isinstance(a.field, PrimeField):
         return _elimination_fp(a, reduce_above)
-    if isinstance(a.field, RationalField):
-        return _elimination_q(a, reduce_above)
-    f = a.field
-    rows = [a.row(r) for r in range(a.rows)]
-    pivots = []
-    pr = 0
-    for pc in range(a.cols):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = f.inv(rows[pr][pc])
-        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc] != 0:
-                factor = rows[r][pc]
-                rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
+    rows, pivots = _elimination_q(_int_rows(a), a.cols, reduce_above)
+    if reduce_above:
+        rows = [[Fraction(x, row[pc]) if x else _ZERO for x in row] for row, pc in zip(rows, pivots)]
+        rows.extend([_ZERO] * a.cols for _ in range(a.rows - len(pivots)))
     return rows, pivots
 
 
@@ -515,28 +496,40 @@ def _elimination_fp(a: Matrix, reduce_above):
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _elimination_q(a: Matrix, reduce_above):
-    """_elimination over Q on primitive integer rows, fraction-free.
-
-    Each row is scaled by the lcm of its denominators.  Against a pivot pv,
-    a row with entry f in the pivot column becomes
-    (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), and is then divided by
-    the gcd of its entries, so entries grow no more than the row needs
-    (integer-preserving elimination in the spirit of Bareiss, 1968).
-    Dividing each pivot row by its pivot at the end gives the unique reduced
-    row echelon form, as Fractions.
-    """
-    n, m = a.rows, a.cols
-    e = a.entries
+def _int_rows(a: Matrix):
+    """The rows of a matrix over Q, each scaled by the lcm of its denominators."""
+    m, e = a.cols, a.entries
     rows = []
-    for i in range(n):
+    for i in range(a.rows):
         row = e[i * m : (i + 1) * m]
         den = lcm(*[x.denominator for x in row])
-        row = [x.numerator * (den // x.denominator) for x in row]
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    return rows
+
+
+def _elimination_q(rows, m, reduce_above):
+    """Echelon form over Q of integer rows with m columns, fraction-free.
+
+    Returns (rows, pivots); the rows are integer lists, primitive (divided
+    by the gcd of their entries), the pivot rows first in pivot order and
+    not divided by their pivots.  Against a pivot pv, a row with entry f in
+    the pivot column becomes (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f),
+    and is then made primitive again, so entries grow no more than the row
+    needs (integer-preserving elimination in the spirit of Bareiss, 1968).
+    With reduce_above every pivot row is also cleared above its pivot, and
+    dividing each pivot row by its pivot gives the unique reduced row
+    echelon form.  Scaling a row leaves all of this unchanged, so a caller
+    may pass rows cleared of denominators by any factors.  `rows` is
+    rebound entry by entry, its inner lists are not modified.
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
         h = gcd(*row)
-        rows.append([x // h for x in row] if h > 1 else row)
+        if h > 1:
+            rows[i] = [x // h for x in row]
     pivots = []
     pr = 0
     for pc in range(m):
@@ -565,14 +558,35 @@ def _elimination_q(a: Matrix, reduce_above):
                 rows[i] = [x // h for x in row] if h > 1 else row
         pivots.append(pc)
         pr += 1
-    if not reduce_above:
-        return rows, pivots
-    out = []
-    for row, pc in zip(rows, pivots):
-        pv = row[pc]
-        out.append([Fraction(x, pv) if x else _ZERO for x in row])
-    out.extend([_ZERO] * m for _ in range(n - pr))
-    return out, pivots
+    return rows, pivots
+
+
+def kernel_basis_int(rows, m):
+    """Basis of the right null space of an integer matrix, as Fraction lists.
+
+    The matrix has m columns and its rows are lists of ints, read over Q.
+    The vectors are those `kernel_basis` gives: one per free column, 1 there
+    and 0 at the other free columns, found without a Fraction per cell.
+    """
+    reduced, pivots = _elimination_q(rows, m, True)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(m):
+        if fc in pivot_set:
+            continue
+        v = [_ZERO] * m
+        v[fc] = _ONE
+        for row, pc in zip(reduced, pivots):
+            x = row[fc]
+            if x:
+                v[pc] = Fraction(-x, row[pc])
+        basis.append(v)
+    return basis
+
+
+def rank_int(rows, m) -> int:
+    """Rank over Q of an integer matrix with m columns, given as lists of ints."""
+    return len(_elimination_q(rows, m, False)[1])
 
 
 def rref(a: Matrix):
@@ -588,6 +602,8 @@ def rank(a: Matrix) -> int:
 def kernel_basis(a: Matrix):
     """Basis of the right null space, as a list of column vectors (n x 1 matrices)."""
     f = a.field
+    if isinstance(f, RationalField):
+        return [Matrix._trusted(a.cols, 1, v, f) for v in kernel_basis_int(_int_rows(a), a.cols)]
     reduced, pivots = _elimination(a)
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     QQ,
@@ -26,7 +27,9 @@ from .linalg import (
     hstack,
     inverse,
     kernel_basis,
+    kernel_basis_int,
     rank,
+    rank_int,
     rref,
     solve,
     sympy_module,
@@ -57,7 +60,7 @@ class Representation:
             raise RepError("one matrix per arrow expected")
         for arrow, (s, t), m in zip(q.arrows, q.arrow_indices, self.maps):
             if m.field != self.field:
-                raise FieldMismatchError("field mismatch")
+                raise FieldMismatchError(self.field, m.field)
             want = (self.dims[t], self.dims[s])
             if (m.rows, m.cols) != want:
                 raise RepError(
@@ -94,7 +97,7 @@ def _check_pair(x: Representation, y: Representation):
     if x.quiver != y.quiver:
         raise RepError("representations live on different quivers")
     if x.field != y.field:
-        raise FieldMismatchError("field mismatch")
+        raise FieldMismatchError(x.field, y.field)
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ class Morphism:
             if (b.rows, b.cols) != (y.dims[i], x.dims[i]):
                 raise RepError(f"block at vertex {v} has the wrong shape")
             if b.field != x.field:
-                raise FieldMismatchError("field mismatch")
+                raise FieldMismatchError(x.field, b.field)
         for arrow, (s, t), xm, ym in zip(q.arrows, q.arrow_indices, x.maps, y.maps):
             if ym * self.blocks[s] != self.blocks[t] * xm:
                 raise RepError(f"intertwining law fails at arrow {arrow.name}")
@@ -171,15 +174,15 @@ def bundle_space_dim(x: Representation, y: Representation) -> int:
     return sum(xd[s] * yd[t] for s, t in x.quiver.arrow_indices)
 
 
-def d_matrix(x: Representation, y: Representation) -> Matrix:
-    """The matrix of d_{X,Y}, assembled arrow by arrow.
+def _d_entries(x: Representation, y: Representation, x_maps, y_maps):
+    """The row-major entries of d_{X,Y}, with the arrow maps given as entry lists.
 
     Column (v; r, c) is the unit block E(r, c) at vertex v.  For an arrow
     rho: s -> t, E(r, c) at s adds Y_rho[i, r] at entry (i, c) of the rho
-    block, and E(r, c) at t subtracts X_rho[c, j] at entry (r, j).
+    block, and E(r, c) at t subtracts X_rho[c, j] at entry (r, j).  The
+    entries are the plain sums of the map entries, so over F_p they are not
+    reduced, and maps scaled by one integer give d scaled by it.
     """
-    _check_pair(x, y)
-    field = x.field
     xd, yd = x.dims, y.dims
     col0 = []
     dom = 0
@@ -189,9 +192,8 @@ def d_matrix(x: Representation, y: Representation) -> Matrix:
     cod = bundle_space_dim(x, y)
     ent = [0] * (cod * dom)
     row0 = 0
-    for (s, t), xm, ym in zip(x.quiver.arrow_indices, x.maps, y.maps):
+    for (s, t), xe, ye in zip(x.quiver.arrow_indices, x_maps, y_maps):
         dxs, dys, dxt, dyt = xd[s], yd[s], xd[t], yd[t]
-        ye, xe = ym.entries, xm.entries
         for c in range(dxs):
             base = (row0 + c * dyt) * dom
             for r in range(dys):
@@ -208,6 +210,14 @@ def d_matrix(x: Representation, y: Representation) -> Matrix:
                     if v:
                         ent[col + j * dyt * dom] -= v
         row0 += dyt * dxs
+    return cod, dom, ent
+
+
+def d_matrix(x: Representation, y: Representation) -> Matrix:
+    """The matrix of d_{X,Y}, assembled arrow by arrow."""
+    _check_pair(x, y)
+    field = x.field
+    cod, dom, ent = _d_entries(x, y, [m.entries for m in x.maps], [m.entries for m in y.maps])
     if isinstance(field, PrimeField):
         p = field.p
         return Matrix._trusted(cod, dom, [v % p for v in ent], field)
@@ -229,15 +239,37 @@ def bundle_coordinate(x: Representation, y: Representation, arrow_name, row, col
     return None
 
 
+def _hom_kernel_q(x: Representation, y: Representation):
+    """The `kernel_basis` vectors of d_{X,Y} over Q, found on integers.
+
+    X's and Y's maps are scaled by the lcm of all their denominators, which
+    scales d_{X,Y} by it and leaves its kernel unchanged.
+    """
+    maps = x.maps + y.maps
+    den = lcm(*[v.denominator for m in maps for v in m.entries])
+    x_maps, y_maps = (
+        [[v.numerator * (den // v.denominator) for v in m.entries] for m in rep.maps] for rep in (x, y)
+    )
+    cod, dom, ent = _d_entries(x, y, x_maps, y_maps)
+    return kernel_basis_int([ent[i * dom : (i + 1) * dom] for i in range(cod)], dom)
+
+
 def hom_space(x: Representation, y: Representation):
-    """Basis of Hom(X, Y) as a list of morphisms."""
+    """Basis of Hom(X, Y) as a list of morphisms.
+
+    The basis is that of `kernel_basis(d_matrix(x, y))`; over Q it is found
+    on integers, without `d_matrix`'s Fraction entries.
+    """
     _check_pair(x, y)
-    d = d_matrix(x, y)
     field = x.field
+    if field == QQ:
+        vectors = _hom_kernel_q(x, y)
+    else:
+        vectors = [col.entries for col in kernel_basis(d_matrix(x, y))]
     basis = []
-    for col in kernel_basis(d):
+    for vec in vectors:
         # d(f) = 0 is the intertwining law, so each kernel vector is a morphism
-        vec, pos, blocks = col.entries, 0, []
+        pos, blocks = 0, []
         for dx, dy in zip(x.dims, y.dims):
             seg = vec[pos : pos + dx * dy]  # column-major: row r is seg[r::dy]
             blocks.append(Matrix._trusted(dy, dx, [v for r in range(dy) for v in seg[r::dy]], field))
@@ -359,6 +391,9 @@ class EndAlgebra:
         return Morphism(x, x, tuple(Matrix(d, d, e, x.field) for d, e in zip(x.dims, blocks)))
 
 
+_ZERO = Fraction(0)
+
+
 def _combination(coords, basis_blocks, dims):
     """sum_k coords[k] * basis_blocks[k], per vertex on row-major entry lists."""
     out = [[0] * (d * d) for d in dims]
@@ -403,6 +438,13 @@ def end_algebra(x: Representation) -> EndAlgebra:
     each basis vector.  Products are per-vertex block products read at those
     positions; a guard checks that each product, and the identity, is the
     combination of basis vectors its coordinates claim.
+
+    Over Q all of this runs on integers.  Each basis vector b_k is stored as
+    the integer blocks B_k = M b_k, M the lcm of the basis' denominators, so
+    B_k is M at its free column.  A product P = B_i B_j is M^2 b_i b_j, its
+    coordinates are P[pos_k] / M^2, and the guard reads
+    sum_k P[pos_k] B_k == M P.  The trace form, whose kernel is the radical,
+    is taken on the integer numerators: scaling does not change its rank.
     """
     basis = hom_space(x, x)
     field = x.field
@@ -411,41 +453,55 @@ def end_algebra(x: Representation) -> EndAlgebra:
         return EndAlgebra(x, (), (), (), 0 if field == QQ else None)
     n = len(basis)
     dims = x.dims
-    positions = []  # (vertex, row-major index) of each basis vector's free column
-    for b in basis:
-        # the last nonzero entry in the column-major flattening of the blocks
-        v = max(i for i, m in enumerate(b.blocks) if not m.is_zero())
-        m, d = b.blocks[v], dims[v]
-        c, r = max((c, r) for r in range(d) for c in range(d) if m[r, c])
-        positions.append((v, r * d + c))
     blocks = [[m.entries for m in b.blocks] for b in basis]
     p = field.p if isinstance(field, PrimeField) else None
+    scale = 1
+    if p is None:
+        scale = lcm(*[v.denominator for b in blocks for ent in b for v in ent])
+        blocks = [
+            [[v.numerator * (scale // v.denominator) for v in ent] for ent in b] for b in blocks
+        ]
+    positions = []  # (vertex, row-major index) of each basis vector's free column
+    for b in blocks:
+        # the last nonzero entry in the column-major flattening of the blocks
+        v = max(i for i, ent in enumerate(b) if any(ent))
+        d = dims[v]
+        c, r = max((i % d, i // d) for i, e in enumerate(b[v]) if e)
+        positions.append((v, r * d + c))
 
-    def coords_of(prod):
-        coords = tuple(field.coerce(prod[v][i]) for v, i in positions)
-        comb = _combination(coords, blocks, dims)
-        if p is not None:
+    def coords_of(prod, den):
+        """Coordinates of prod / den, checked against the basis."""
+        ints = [prod[v][i] for v, i in positions]
+        if p is None:
+            coords = tuple(Fraction(c, den) if c else _ZERO for c in ints)
+            comb = _combination(ints, blocks, dims)
+            if scale != 1:
+                prod = [[scale * e for e in b] for b in prod]
+        else:
+            coords = tuple(c % p for c in ints)
+            comb = [[e % p for e in b] for b in _combination(coords, blocks, dims)]
             prod = [[e % p for e in b] for b in prod]
-            comb = [[e % p for e in b] for b in comb]
         if comb != prod:
             raise RepError("morphism does not lie in the computed Hom space")
         return coords
 
-    structure = tuple(
-        tuple(coords_of(_block_products(bi, bj, dims)) for bj in blocks) for bi in blocks
-    )
-    ident = coords_of(_identity_blocks(dims))
+    products = [[_block_products(bi, bj, dims) for bj in blocks] for bi in blocks]
+    square = scale * scale
+    structure = tuple(tuple(coords_of(prod, square) for prod in row) for row in products)
+    ident = coords_of(_identity_blocks(dims), 1)
     radical_dim = None
-    if field == QQ:
+    if p is None:
         # radical = kernel of the trace form of the left regular representation:
-        # L_i has columns structure[i][j], trace(L_i L_j) = sum s[i][l][k] s[j][k][l]
-        gram = [0] * (n * n)
+        # L_i has columns structure[i][j], trace(L_i L_j) = sum s[i][l][k] s[j][k][l],
+        # here on the numerators s * scale^2 of the structure constants
+        nums = [[[prod[v][i] for v, i in positions] for prod in row] for row in products]
+        gram = [[0] * n for _ in range(n)]
         for i in range(n):
-            terms = [(k, l, s) for l, prod in enumerate(structure[i]) for k, s in enumerate(prod) if s]
+            terms = [(k, l, s) for l, prod in enumerate(nums[i]) for k, s in enumerate(prod) if s]
             for j in range(i, n):
-                sj = structure[j]
-                gram[i * n + j] = gram[j * n + i] = sum(s * sj[k][l] for k, l, s in terms)
-        radical_dim = n - rank(Matrix(n, n, gram, QQ))
+                sj = nums[j]
+                gram[i][j] = gram[j][i] = sum(s * sj[k][l] for k, l, s in terms)
+        radical_dim = n - rank_int(gram, n)
     return EndAlgebra(x, tuple(basis), structure, ident, radical_dim)
 
 

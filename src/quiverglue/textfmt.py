@@ -50,10 +50,10 @@ def header(tokens, lineno):
 
 def check_quiver(tokens, lineno, quiver, what):
     """A `quiver <name>` line must name the quiver the text is read against."""
-    if len(tokens) != 2 or tokens[1] != quiver.name:
-        named = tokens[1] if len(tokens) > 1 else "?"
+    expect(len(tokens) == 2, lineno, "quiver <name>")
+    if tokens[1] != quiver.name:
         raise ParseError(
-            f"line {lineno}: {what} references quiver {named!r}, expected {quiver.name!r}"
+            f"line {lineno}: {what} references quiver {tokens[1]!r}, expected {quiver.name!r}"
         )
 
 

@@ -11,7 +11,9 @@ from quiverglue.decompose import (
     DecomposeError,
     OracleUnstableError,
 )
-from quiverglue.linalg import FieldMismatchError, Matrix, QQ, block_diag, hstack, kron, rank, solve
+from quiverglue.linalg import (
+    FieldMismatchError, Matrix, QQ, block_diag, hstack, inverse, kron, rank, solve,
+)
 from quiverglue.quiver import (
     QuiverError,
     RootClass,
@@ -83,6 +85,38 @@ def all_k2_reps(quiver, max_dim=2):
             yield Representation(quiver, QQ, (da, db), (a, b))
 
 
+FRACTIONAL_PIVOTS = (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2, 3))
+FRACTIONAL_ENTRIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2, 3))
+
+
+def fractional_base_change(d, rng):
+    """An invertible d x d matrix L D U over Q: D diagonal with pivots such as 2,
+    3, 1/2 and -2/3, L and U unit triangular with entries such as 1/2 and -2/3."""
+    lower = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    upper = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    for r in range(d):
+        for c in range(r):
+            lower[r][c] = rng.choice(FRACTIONAL_ENTRIES)
+            upper[c][r] = rng.choice(FRACTIONAL_ENTRIES)
+    diag = [rng.choice(FRACTIONAL_PIVOTS) for _ in range(d)]
+    ent = [
+        sum(lower[r][k] * diag[k] * upper[k][c] for k in range(d)) for r in range(d) for c in range(d)
+    ]
+    return Matrix(d, d, ent, QQ)
+
+
+def fractional_conjugate(x, rng):
+    """x over Q carried along a `fractional_base_change` P_v at every vertex:
+    the map of rho: s -> t becomes P_t X_rho P_s^-1."""
+    q = x.quiver
+    base = [fractional_base_change(d, rng) for d in x.dims]
+    maps = tuple(
+        base[t] * m * (inverse(base[s]) if x.dims[s] else base[s])
+        for (s, t), m in zip(q.arrow_indices, x.maps)
+    )
+    return Representation(q, QQ, x.dims, maps, x.name)
+
+
 def k2_root_table(max_entry=4):
     """The expected root set on K(2) with entries <= max_entry."""
     roots = set()
@@ -146,7 +180,7 @@ class MapBundle:
             if (b.rows, b.cols) != want:
                 raise RepError(f"bundle block at arrow {arrow.name} has the wrong shape")
             if b.field != x.field:
-                raise FieldMismatchError("field mismatch")
+                raise FieldMismatchError(x.field, b.field)
 
 
 def elementary_bundle(x, y, arrow_name, row, col):
@@ -192,6 +226,69 @@ def d_matrix_by_columns(x, y):
         for i, val in enumerate(colvec):
             ent[i * dom + j] = val
     return Matrix(cod, dom, ent, field)
+
+
+# -- elimination as one loop over the field's methods, before Q and F_p got
+# -- their own kernels
+
+
+def field_elimination(a, reduce_above=True):
+    """`linalg._elimination` through the field's add/mul/inv: the reduced row
+    echelon form and its pivots.  It always reduces fully, so with
+    reduce_above=False only its pivots match the kernels'."""
+    f = a.field
+    rows = [a.row(r) for r in range(a.rows)]
+    pivots = []
+    pr = 0
+    for pc in range(a.cols):
+        pivot_row = None
+        for r in range(pr, len(rows)):
+            if rows[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = f.inv(rows[pr][pc])
+        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc] != 0:
+                factor = rows[r][pc]
+                rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_kernel_basis(a):
+    """The entries of `kernel_basis(a)`, read off `field_elimination`: one vector
+    per free column, 1 there, 0 at the other free columns."""
+    f = a.field
+    reduced, pivots = field_elimination(a)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [f.zero()] * a.cols
+        v[fc] = f.one()
+        for row, pc in zip(reduced, pivots):
+            v[pc] = f.neg(row[fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_hom_space(x, y):
+    """The `hom_space` basis as block entry tuples, from the kernel of the
+    column-by-column d_{X,Y}."""
+    out = []
+    for vec in reference_kernel_basis(d_matrix_by_columns(x, y)):
+        blocks, pos = [], 0
+        for dx, dy in zip(x.dims, y.dims):
+            seg = vec[pos : pos + dx * dy]
+            blocks.append(tuple(seg[c * dy + r] for r in range(dy) for c in range(dx)))
+            pos += dx * dy
+        out.append(tuple(blocks))
+    return out
 
 
 # -- F_p elimination on dense rows, before it moved to sparse rows

@@ -188,6 +188,25 @@ def test_bound_below_one_exits_one(capsys, bound):
     assert "--bound" in err and "bound exhausted" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["excdecomp", "-q", "S5", "(10,3,3,3,3,8)", "--prime", "3"], "bound exhausted over F_3"),
+        (
+            ["reproduce", "sub8-realroot", "--prime", "2"],
+            "failed to sample an exceptional representation at (2,1,1,1,0,0,2,2,0) over F_2",
+        ),
+    ],
+    ids=["excdecomp", "sub8-realroot"],
+)
+def test_sampling_failure_over_a_small_prime_exits_two(capsys, argv, message):
+    # an undecided result, not an input error: a larger prime decides both
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; try a larger prime\n"
+
+
 def test_perpsimples_more_roots_than_vertices_exits_one(capsys):
     roots = ["(1,0,0,0,0)", "(0,1,0,0,0)", "(0,0,1,0,0)", "(0,0,0,1,0)", "(0,0,0,0,1)", "(1,1,0,0,0)"]
     assert main(["perpsimples", "-q", "S4", *roots]) == 1
@@ -332,7 +351,7 @@ def test_inputs_over_different_fields_exit_one(capsys, tmp_path, argv):
     )
     assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: field mismatch\n"
+    assert captured.out == "" and captured.err == "error: field mismatch: Q vs F_101\n"
 
 
 def test_loopglue_scalars_are_field_entries(capsys):

@@ -9,7 +9,9 @@ moved to End(X) coordinates and Ext independence to pivot columns.
 seeded_commands.json (the F_p `reproduce` ids at other seeds, the S5
 isotropic root at small primes) and file_commands.json (`glue`, `pushdown`
 and `check-theta` on files built from the fixtures, over Q and F_101) were
-recorded before F_p elimination moved to sparse rows.  The file commands on
+recorded before F_p elimination moved to sparse rows; the S5 `excdecomp`
+at --prime 3 was recorded again when a sampling failure moved from exit 1
+to exit 2 and its message came to name the prime.  The file commands on
 the three-member sequence (S_q0, Malpha, Mbeta), `glue-mor`, `qm --bases`
 and `loopglue` with `-x` or `--bases` were recorded before the loop functor
 became the one-member case of the gluing functor.

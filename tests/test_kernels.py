@@ -1,10 +1,12 @@
 """Differential tests: the fast Q and F_p kernels against their references.
 
-The Q and F_p eliminations must agree with the field-method elimination loop
-(run here through field objects that are neither a `RationalField` nor a
-`PrimeField`, so `_elimination` takes its generic branch).  The sparse-row
-F_p kernel must also agree with the dense-row kernel it replaced, on the
-sparse `d_{X,Y}` matrices the library eliminates and on rows built to cancel.
+The Q and F_p eliminations must agree with `field_elimination`, the loop
+over the field's methods that `_elimination` ran before each field got its
+own kernel; `solve` is compared with that loop patched in for
+`_elimination`.  The sparse-row F_p kernel must also agree with the
+dense-row kernel it replaced, on the sparse `d_{X,Y}` matrices the library
+eliminates and on rows built to cancel.  The Q kernel must agree on the
+integer `d_{X,Y}` matrices `hom_space` eliminates and on fractional ones.
 The arrow-by-arrow `d_matrix` must equal the column-by-column definition
 through `apply_d`.
 """
@@ -19,18 +21,26 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import d_matrix_by_columns, dense_elimination_fp
+from oracles import (
+    d_matrix_by_columns,
+    dense_elimination_fp,
+    field_elimination,
+    fractional_conjugate,
+    reference_kernel_basis,
+)
 from quiverglue import fixtures, linalg
 from quiverglue.linalg import (
     Matrix,
     PrimeField,
     QQ,
-    RationalField,
     _elimination,
     _elimination_fp,
     _elimination_q,
+    _int_rows,
     kernel_basis,
+    kernel_basis_int,
     rank,
+    rank_int,
     rref,
     solve,
 )
@@ -40,30 +50,19 @@ from quiverglue.reps import Representation, d_matrix, random_rep
 PRIMES = (2, 3, 101, 2**31 - 1)
 
 
-class MethodField:
-    """F_p through PrimeField's methods, without being a PrimeField."""
-
-    def __init__(self, p):
-        self._f = PrimeField(p)
-        self.p = p
-        self.characteristic = p
-        self.name = f"generic F_{p}"
-
-    def __getattr__(self, name):
-        return getattr(self._f, name)
-
-    def __eq__(self, other):
-        return isinstance(other, MethodField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("generic", self.p))
+def reference_solve(a, b):
+    with mock.patch.object(linalg, "_elimination", field_elimination):
+        return solve(a, b)
 
 
-def _pair(p, rows, cols, entries):
-    return (
-        Matrix(rows, cols, entries, PrimeField(p)),
-        Matrix(rows, cols, entries, MethodField(p)),
-    )
+def assert_matches_field_elimination(a):
+    """_elimination, rank, rref and kernel_basis of a against the field-method loop."""
+    reduced_ref, pivots_ref = field_elimination(a)
+    assert _elimination(a) == (reduced_ref, pivots_ref)
+    assert rank(a) == len(pivots_ref)
+    reduced, pivots = rref(a)
+    assert (reduced.row_lists(), pivots) == (reduced_ref, pivots_ref)
+    assert [v.entries for v in kernel_basis(a)] == reference_kernel_basis(a)
 
 
 @st.composite
@@ -83,21 +82,16 @@ def fp_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(fp_matrices())
-def test_fp_elimination_matches_generic(case):
-    fast, ref = _pair(*case)
-    assert _elimination(fast) == _elimination(ref)
-    assert rank(fast) == rank(ref)
-    reduced, pivots = rref(fast)
-    reduced_ref, pivots_ref = rref(ref)
-    assert (reduced.entries, pivots) == (reduced_ref.entries, pivots_ref)
-    assert [v.entries for v in kernel_basis(fast)] == [v.entries for v in kernel_basis(ref)]
+def test_fp_elimination_matches_field_elimination(case):
+    p, rows, cols, entries = case
+    assert_matches_field_elimination(Matrix(rows, cols, entries, PrimeField(p)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(fp_matrices(), st.integers(0, 2**32), st.booleans())
-def test_fp_solve_matches_generic(case, seed, consistent):
-    p, rows, cols, _ = case
-    fast, ref = _pair(*case)
+def test_fp_solve_matches_field_elimination(case, seed, consistent):
+    p, rows, cols, entries = case
+    fast = Matrix(rows, cols, entries, PrimeField(p))
     rng = random.Random(seed)
     if consistent:
         x = Matrix(cols, 1, [rng.randrange(p) for _ in range(cols)], PrimeField(p))
@@ -105,7 +99,7 @@ def test_fp_solve_matches_generic(case, seed, consistent):
     else:
         b = [rng.randrange(p) for _ in range(rows)]
     got = solve(fast, b)
-    assert got == solve(ref, b)
+    assert got == reference_solve(fast, b)
     if consistent:
         assert got is not None
     if got is not None:
@@ -232,29 +226,6 @@ def test_fp_sparse_rows_drop_cancelled_entries():
 # -- Q ---------------------------------------------------------------------------
 
 
-class MethodRationals:
-    """Q through RationalField's methods, without being a RationalField."""
-
-    name = "generic Q"
-    characteristic = 0
-
-    def __init__(self):
-        self._f = RationalField()
-
-    def __getattr__(self, name):
-        return getattr(self._f, name)
-
-    def __eq__(self, other):
-        return isinstance(other, MethodRationals)
-
-    def __hash__(self):
-        return hash("generic Q")
-
-
-def _q_pair(rows, cols, entries):
-    return Matrix(rows, cols, entries, QQ), Matrix(rows, cols, entries, MethodRationals())
-
-
 q_entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 small_q_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -274,33 +245,37 @@ def q_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(q_matrices())
-def test_q_elimination_matches_generic(case):
-    fast, ref = _q_pair(*case)
-    assert _elimination(fast) == _elimination(ref)
-    assert _elimination_q(fast, True) == _elimination(ref)
-    assert rank(fast) == rank(ref)
-    reduced, pivots = rref(fast)
-    reduced_ref, pivots_ref = rref(ref)
-    assert (reduced.entries, pivots) == (reduced_ref.entries, pivots_ref)
-    assert [v.entries for v in kernel_basis(fast)] == [v.entries for v in kernel_basis(ref)]
+def test_q_elimination_matches_field_elimination(case):
+    assert_matches_field_elimination(Matrix(*case))
 
 
 @settings(max_examples=200, deadline=None)
 @given(q_matrices())
 def test_q_forward_rows_stay_primitive_integers(case):
-    fast, ref = _q_pair(*case)
-    rows, pivots = _elimination_q(fast, False)
-    assert pivots == rref(ref)[1]
+    a = Matrix(*case)
+    rows, pivots = _elimination_q(_int_rows(a), a.cols, False)
+    assert pivots == field_elimination(a)[1]
     for row in rows:
         assert all(type(x) is int for x in row)
         assert gcd(*row) in (0, 1)
 
 
 @settings(max_examples=200, deadline=None)
+@given(q_matrices(), st.integers(1, 60))
+def test_q_integer_rows_scaled_per_row_give_the_same_kernel_and_rank(case, scale):
+    # kernel_basis_int and rank_int take rows cleared of denominators by any
+    # factors, as hom_space and end_algebra pass them
+    a = Matrix(*case)
+    rows = [[x * (scale + i) for x in row] for i, row in enumerate(_int_rows(a))]
+    assert [tuple(v) for v in kernel_basis_int(rows, a.cols)] == reference_kernel_basis(a)
+    assert rank_int(rows, a.cols) == len(field_elimination(a)[1])
+
+
+@settings(max_examples=200, deadline=None)
 @given(q_matrices(), st.integers(0, 2**32), st.booleans())
-def test_q_solve_matches_generic(case, seed, consistent):
+def test_q_solve_matches_field_elimination(case, seed, consistent):
     rows, cols, _ = case
-    fast, ref = _q_pair(*case)
+    fast = Matrix(*case)
     rng = random.Random(seed)
     if consistent:
         x = Matrix(cols, 1, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)])
@@ -308,7 +283,7 @@ def test_q_solve_matches_generic(case, seed, consistent):
     else:
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rows)]
     got = solve(fast, b)
-    assert got == solve(ref, b)
+    assert got == reference_solve(fast, b)
     if consistent:
         assert got is not None
     if got is not None:
@@ -317,14 +292,32 @@ def test_q_solve_matches_generic(case, seed, consistent):
 
 def test_q_kernel_on_edge_shapes():
     for rows, cols in ((0, 0), (0, 4), (4, 0)):
-        fast, ref = _q_pair(rows, cols, [])
-        assert _elimination(fast) == _elimination(ref)
-        assert rank(fast) == 0
-        assert [v.entries for v in kernel_basis(fast)] == [v.entries for v in kernel_basis(ref)]
+        a = Matrix(rows, cols, [])
+        assert_matches_field_elimination(a)
+        assert rank(a) == 0
     assert solve(Matrix(2, 0, []), [0, 0]) == []
     assert solve(Matrix(2, 0, []), [0, Fraction(1, 2)]) is None
     zeros, pivots = rref(Matrix.zeros(3, 2))
     assert pivots == [] and zeros == Matrix.zeros(3, 2)
+
+
+@pytest.mark.parametrize("name,a,b", D_MATRIX_CASES[:4])
+def test_q_kernel_matches_field_elimination_on_fractional_d_matrices(name, a, b):
+    # modules over Q with denominators from a base change with non-unit pivots
+    q = fixtures.load_quiver(name)
+    rng = random.Random(name)
+    for seed in (0, 1):
+        x = fractional_conjugate(_over_q(random_rep(q, a, 5, seed)), rng)
+        y = x if b is None else fractional_conjugate(_over_q(random_rep(q, b, 5, seed + 7)), rng)
+        d = d_matrix(x, y)
+        assert any(v.denominator > 1 for v in d.entries)
+        assert_matches_field_elimination(d)
+
+
+def _over_q(x):
+    """x with its residues read as integers over Q."""
+    maps = tuple(Matrix(m.rows, m.cols, m.entries, QQ) for m in x.maps)
+    return Representation(x.quiver, QQ, x.dims, maps)
 
 
 # -- d_matrix ------------------------------------------------------------------

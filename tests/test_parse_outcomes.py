@@ -12,7 +12,11 @@ there, or append a token.  The golden was recorded before the five parsers
 moved onto one reader; `python tests/test_parse_outcomes.py` records it
 again.  Since then only the 17 morphism cases whose `quiver` line names
 another quiver changed: they parsed before morphisms checked that line as
-representations do, and now record its ParseError.
+representations do, and now record its ParseError.  Later 26 messages moved
+and were recorded again: the 17 `quiver` lines with a missing or an extra
+token now give the `quiver <name>` usage (16 of them said that the quiver
+they named was not the one they named), and the 9 field mismatches name
+both fields.
 """
 
 import hashlib

@@ -6,8 +6,10 @@ import pytest
 
 from oracles import (
     all_k2_reps,
+    fractional_conjugate,
     minimal_polynomial_of_matrix,
     reference_end_algebra,
+    reference_hom_space,
     reference_indecomposable,
 )
 from quiverglue import reps
@@ -196,17 +198,63 @@ def test_end_algebra_and_indecomposable_match_reference():
     cases = list(_reference_cases())
     assert len(cases) == 296 + 5 + 7
     for x in cases:
-        end, ref = end_algebra(x), reference_end_algebra(x)
-        assert end.basis == ref.basis
-        assert end.structure == ref.structure
-        assert end.identity_coords == ref.identity_coords
-        assert end.radical_dim == ref.radical_dim
-        verdict, expected = indecomposable(x), reference_indecomposable(x)
-        assert verdict.tag == expected.tag
-        if expected.witness is None:
-            assert verdict.witness is None
-        else:
-            assert verdict.witness.blocks == expected.witness.blocks
+        assert_end_algebra_and_verdict_match_reference(x)
+
+
+def assert_end_algebra_and_verdict_match_reference(x):
+    end, ref = end_algebra(x), reference_end_algebra(x)
+    assert end.basis == ref.basis
+    assert end.structure == ref.structure
+    assert end.identity_coords == ref.identity_coords
+    assert end.radical_dim == ref.radical_dim
+    verdict, expected = indecomposable(x), reference_indecomposable(x)
+    assert verdict.tag == expected.tag
+    if expected.witness is None:
+        assert verdict.witness is None
+    else:
+        assert verdict.witness.blocks == expected.witness.blocks
+
+
+def fractional_cases():
+    """Fixtures and some K2 modules over Q, carried along base changes with
+    non-unit pivots and fractional entries, and the direct sums of two of them
+    on one quiver."""
+    rng = random.Random(23)
+    k2_sample = list(all_k2_reps(k2(), max_dim=2))[::29]
+    base = [load_rep(n) for n in FIXTURE_NAMES] + k2_sample
+    conjugated = [fractional_conjugate(x, rng) for x in base]
+    sums = [
+        direct_sum(a, b)
+        for a, b in itertools.combinations(conjugated, 2)
+        if a.quiver == b.quiver and a.total_dim() + b.total_dim() <= 7
+    ]
+    return conjugated + sums
+
+
+def _has_denominators(blocks):
+    return any(v.denominator > 1 for m in blocks for v in m.entries)
+
+
+def test_hom_space_with_denominators_matches_reference():
+    cases = fractional_cases()
+    fractional_bases = 0
+    for x, y in itertools.product(cases, repeat=2):
+        if x.quiver != y.quiver or x.total_dim() + y.total_dim() > 9:
+            continue
+        basis = hom_space(x, y)
+        assert [tuple(b.entries for b in f.blocks) for f in basis] == reference_hom_space(x, y)
+        fractional_bases += any(_has_denominators(f.blocks) for f in basis)
+    assert fractional_bases > 50  # the denominator path is taken
+
+
+def test_end_algebra_and_indecomposable_with_denominators_match_reference():
+    cases = fractional_cases()
+    assert sum(_has_denominators(x.maps) for x in cases) > 30
+    # End(X) bases with denominators, so end_algebra clears them
+    assert sum(any(_has_denominators(f.blocks) for f in hom_space(x, x)) for x in cases) > 20
+    for x in cases:
+        assert_end_algebra_and_verdict_match_reference(x)
+    assert {indecomposable(x).tag for x in cases} == {"indecomposable", "decomposable"}
 
 
 def test_end_algebra_guard_rejects_a_basis_not_closed_under_composition(monkeypatch):
