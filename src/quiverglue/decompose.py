@@ -84,19 +84,23 @@ class Oracle:
             self.quiver, a, self.config.prime, _derive_seed(self.config.seed, index)
         )
 
+    def _least_hom(self, draw, floor):
+        """The least hom_dim(x, y) over the pairs draw(k), k < samples; stops early at floor."""
+        best = None
+        for k in range(self.config.samples):
+            h = hom_dim(*draw(k))
+            best = h if best is None else min(best, h)
+            if best == floor:
+                break
+        return best
+
     def hom(self, a, b) -> int:
         key = (tuple(a), tuple(b))
         if key not in self._hom:
-            best = None
-            floor = max(0, euler_form(self.quiver, a, b))
-            for k in range(self.config.samples):
-                x = self.sample(a, 2 * k + 1)
-                y = self.sample(b, 2 * k + 2)
-                h = hom_dim(x, y)
-                best = h if best is None else min(best, h)
-                if best == floor:
-                    break
-            self._hom[key] = best
+            self._hom[key] = self._least_hom(
+                lambda k: (self.sample(a, 2 * k + 1), self.sample(b, 2 * k + 2)),
+                max(0, euler_form(self.quiver, a, b)),
+            )
         return self._hom[key]
 
     def ext(self, a, b) -> int:
@@ -105,14 +109,7 @@ class Oracle:
     def schurian(self, a) -> bool:
         key = tuple(a)
         if key not in self._schur:
-            best = None
-            for k in range(self.config.samples):
-                x = self.sample(a, 3 * k + 7)
-                h = hom_dim(x, x)
-                best = h if best is None else min(best, h)
-                if best == 1:
-                    break
-            self._schur[key] = best == 1
+            self._schur[key] = self._least_hom(lambda k: [self.sample(a, 3 * k + 7)] * 2, 1) == 1
         return self._schur[key]
 
     def exceptional_root(self, a) -> bool:

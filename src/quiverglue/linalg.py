@@ -6,17 +6,20 @@ plain Gaussian elimination with exact field arithmetic is all we need.
 Matrices with zero rows or columns are legal and common (maps in and out
 of zero spaces at unsupported vertices).
 
-Elimination has one kernel per field.  Over Q each row is a list of ints,
-cleared of denominators; rows are combined fraction-free from the pivot
-column on, kept primitive by dividing out the gcd of their entries, and
-only the final pivot division goes back to `Fraction`s.  Callers that hold
-an integer matrix already (Hom and End(X) over Q) call `kernel_basis_int`
-and `rank_int` on its rows directly.  Over F_p each row is a sparse
-{column: residue} dict, since the `d_{X,Y}` matrices behind Hom and Ext
-are mostly zeros: each row is reduced against a table of pivot rows keyed
-by leading column, and entries that cancel are deleted.  `rank` stops
-after forward elimination in both.  All of it is pure Python: numpy is not
-a dependency, since importing it costs more memory and start-up time than
+Elimination takes a matrix as rows of ints, read in a field, and has one
+kernel per field behind `echelon`.  Over Q the rows are cleared of
+denominators, combined fraction-free from the pivot column on and kept
+primitive by dividing out the gcd of their entries; only a final pivot
+division goes back to `Fraction`s.  Over F_p the entries may be any ints,
+reduced mod p as each row is read into a sparse {column: residue} dict,
+since the `d_{X,Y}` matrices behind Hom and Ext are mostly zeros: each row
+is reduced against a table of pivot rows keyed by leading column, and
+entries that cancel are deleted.  Callers that hold integer rows
+(`hom_space`, which assembles d_{X,Y} on ints for both fields, and the
+radical of `end_algebra`) call `kernel_rows` and `rank_rows`; `rank`,
+`kernel_basis`, `rref` and `solve` take a `Matrix` and turn it into int
+rows through `_rows`.  A rank stops after forward elimination.  All of it is pure Python: numpy is not a
+dependency, since importing it costs more memory and start-up time than
 the small matrices here ever win back.
 """
 
@@ -89,6 +92,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class RationalField:
     """The field of arbitrary-precision rationals."""
 
@@ -105,10 +112,10 @@ class RationalField:
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b
@@ -126,6 +133,9 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
+
+    def div(self, a, b):
+        return Fraction(a, b)
 
     def format(self, a):
         return str(a)
@@ -183,6 +193,9 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    def div(self, a, b):
+        return a * self.inv(b) % self.p
 
     def format(self, a):
         return str(a)
@@ -424,19 +437,49 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, cols, ent, f)
 
 
-def _elimination(a: Matrix, reduce_above=True):
-    """Row echelon form; returns (list of rows, pivot column indices).
+def clear_denominators(seqs):
+    """(M, [M * s for s in seqs]): M is the lcm of every denominator in seqs.
 
-    The rows are dense lists, the nonzero ones first in pivot order.  With
-    reduce_above they are in reduced row echelon form.  Without it only
-    forward elimination runs, which is all `rank` needs: the pivots are
-    those of the RREF, but the rows are not reduced above their pivots (over
-    Q they are unnormalised integer rows, over F_p they lead with 1).
+    The entries are Fractions or ints, and the products are lists of ints.
+    Residues mod p are ints, so over F_p M is 1 and the lists are copies.
     """
-    if isinstance(a.field, PrimeField):
-        return _elimination_fp(a, reduce_above)
-    rows, pivots = _elimination_q(_int_rows(a), a.cols, reduce_above)
-    if reduce_above:
+    den = lcm(*[v.denominator for s in seqs for v in s])
+    return den, [[v.numerator * (den // v.denominator) for v in s] for s in seqs]
+
+
+def _rows(a: Matrix):
+    """The rows of a, one at a time, as sequences of ints: its residues over F_p, its
+    entries cleared of denominators over Q (by one common factor, which leaves every
+    answer unchanged)."""
+    m, e = a.cols, a.entries
+    if not a.field.characteristic:
+        e = clear_denominators([e])[1][0]
+    return (e[i * m : (i + 1) * m] for i in range(a.rows))
+
+
+def echelon(rows, m, field, reduce_above):
+    """Row echelon form of an integer matrix with m columns, read in field.
+
+    The rows may be any iterable of lists of ints (over F_p of any int
+    sequences, each read once and dropped, so a caller may pass a
+    generator).  Over F_p the entries may be any ints, such as the
+    unreduced sums `reps._d_entries` builds.  Returns (rows, pivots): one list of ints per row, the pivot
+    rows first in pivot order, then zero rows.  Over Q a pivot row is not
+    divided by its pivot; over F_p it is, so it leads with 1.  With
+    reduce_above every pivot row is also cleared above its pivot, and
+    dividing the pivot rows by their pivots gives the reduced row echelon
+    form.  Without it only forward elimination runs, which is all a rank
+    needs: the pivots are those of the RREF.
+    """
+    if field.characteristic:
+        return _elimination_fp(rows, m, field.p, reduce_above)
+    return _elimination_q(rows, m, reduce_above)
+
+
+def _elimination(a: Matrix, reduce_above=True):
+    """`echelon` of a Matrix; with reduce_above its rows are the RREF's, in the field."""
+    rows, pivots = echelon(_rows(a), a.cols, a.field, reduce_above)
+    if reduce_above and not a.field.characteristic:
         rows = [[Fraction(x, row[pc]) if x else _ZERO for x in row] for row, pc in zip(rows, pivots)]
         rows.extend([_ZERO] * a.cols for _ in range(a.rows - len(pivots)))
     return rows, pivots
@@ -453,24 +496,24 @@ def _subtract_fp(row, factor, prow, p):
             del row[c]
 
 
-def _elimination_fp(a: Matrix, reduce_above):
-    """_elimination over F_p on sparse rows, {column: nonzero residue}.
+def _elimination_fp(rows, m, p, reduce_above):
+    """`echelon` over F_p on sparse rows, {column: nonzero residue}.
 
-    Each row in turn is reduced against a table of pivot rows keyed by
-    their leading column: while its leading column has a pivot row, the
-    right multiple of that row is subtracted, and entries that cancel to 0
-    are deleted.  A row left nonzero leads at a new column and is stored
-    scaled to lead with 1.  The pivot set depends only on the row space, so
-    it is already that of the RREF.  Back-substitution runs from the last
-    pivot down; each pivot row it subtracts is zero at every other pivot
-    column, so it adds entries only at free columns.
+    Each int row in turn is reduced mod p into a sparse row, then reduced
+    against a table of pivot rows keyed by their leading column: while its
+    leading column has a pivot row, the right multiple of that row is
+    subtracted, and entries that cancel to 0 are deleted.  A row left
+    nonzero leads at a new column and is stored scaled to lead with 1.  The
+    pivot set depends only on the row space, so it is already that of the
+    RREF.  Back-substitution runs from the last pivot down; each pivot row
+    it subtracts is zero at every other pivot column, so it adds entries
+    only at free columns.
     """
-    p = a.field.p
-    n, m = a.rows, a.cols
-    e = a.entries
     table = {}
-    for i in range(n):
-        row = {c: x for c, x in enumerate(e[i * m : (i + 1) * m]) if x}
+    n = 0  # rows read
+    for r in rows:
+        n += 1
+        row = {c: y for c, x in enumerate(r) if x and (y := x % p)}
         while row:
             lead = min(row)
             prow = table.get(lead)
@@ -485,51 +528,30 @@ def _elimination_fp(a: Matrix, reduce_above):
             row = table[pc]
             for c in [c for c in row if c != pc and c in table]:
                 _subtract_fp(row, row[c], table[c], p)
-    rows = []
+    out = []
     for pc in pivots:
         dense = [0] * m
         for c, x in table[pc].items():
             dense[c] = x
-        rows.append(dense)
-    rows.extend([0] * m for _ in range(n - len(pivots)))
-    return rows, pivots
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _int_rows(a: Matrix):
-    """The rows of a matrix over Q, each scaled by the lcm of its denominators."""
-    m, e = a.cols, a.entries
-    rows = []
-    for i in range(a.rows):
-        row = e[i * m : (i + 1) * m]
-        den = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    return rows
+        out.append(dense)
+    out.extend([0] * m for _ in range(n - len(pivots)))
+    return out, pivots
 
 
 def _elimination_q(rows, m, reduce_above):
-    """Echelon form over Q of integer rows with m columns, fraction-free.
+    """`echelon` over Q, fraction-free.
 
-    Returns (rows, pivots); the rows are integer lists, primitive (divided
-    by the gcd of their entries), the pivot rows first in pivot order and
-    not divided by their pivots.  Against a pivot pv, a row with entry f in
-    the pivot column becomes (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f),
-    and is then made primitive again, so entries grow no more than the row
-    needs (integer-preserving elimination in the spirit of Bareiss, 1968).
-    With reduce_above every pivot row is also cleared above its pivot, and
-    dividing each pivot row by its pivot gives the unique reduced row
-    echelon form.  Scaling a row leaves all of this unchanged, so a caller
-    may pass rows cleared of denominators by any factors.  `rows` is
-    rebound entry by entry, its inner lists are not modified.
+    The rows come back primitive (divided by the gcd of their entries).
+    Against a pivot pv, a row with entry f in the pivot column becomes
+    (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), and is then made
+    primitive again, so entries grow no more than the row needs
+    (integer-preserving elimination in the spirit of Bareiss, 1968).
+    Scaling a row leaves all of this unchanged, so a caller may pass rows
+    cleared of denominators by any factors.  The caller's rows are not
+    modified.
     """
+    rows = [[x // h for x in row] if (h := gcd(*row)) > 1 else row for row in rows]
     n = len(rows)
-    for i, row in enumerate(rows):
-        h = gcd(*row)
-        if h > 1:
-            rows[i] = [x // h for x in row]
     pivots = []
     pr = 0
     for pc in range(m):
@@ -561,32 +583,32 @@ def _elimination_q(rows, m, reduce_above):
     return rows, pivots
 
 
-def kernel_basis_int(rows, m):
-    """Basis of the right null space of an integer matrix, as Fraction lists.
+def kernel_rows(rows, m, field):
+    """Basis of the right null space of an integer matrix with m columns, read in field.
 
-    The matrix has m columns and its rows are lists of ints, read over Q.
-    The vectors are those `kernel_basis` gives: one per free column, 1 there
-    and 0 at the other free columns, found without a Fraction per cell.
+    One vector per free column, 1 there and 0 at the other free columns, as
+    lists of field elements (Fractions over Q, residues over F_p).
     """
-    reduced, pivots = _elimination_q(rows, m, True)
+    reduced, pivots = echelon(rows, m, field, True)
     pivot_set = set(pivots)
+    zero, one, div = field.zero(), field.one(), field.div
     basis = []
     for fc in range(m):
         if fc in pivot_set:
             continue
-        v = [_ZERO] * m
-        v[fc] = _ONE
+        v = [zero] * m
+        v[fc] = one
         for row, pc in zip(reduced, pivots):
             x = row[fc]
             if x:
-                v[pc] = Fraction(-x, row[pc])
+                v[pc] = div(-x, row[pc])
         basis.append(v)
     return basis
 
 
-def rank_int(rows, m) -> int:
-    """Rank over Q of an integer matrix with m columns, given as lists of ints."""
-    return len(_elimination_q(rows, m, False)[1])
+def rank_rows(rows, m, field) -> int:
+    """Rank in field of an integer matrix with m columns, given as rows of ints."""
+    return len(echelon(rows, m, field, False)[1])
 
 
 def rref(a: Matrix):
@@ -595,27 +617,12 @@ def rref(a: Matrix):
 
 
 def rank(a: Matrix) -> int:
-    _, pivots = _elimination(a, reduce_above=False)
-    return len(pivots)
+    return rank_rows(_rows(a), a.cols, a.field)
 
 
 def kernel_basis(a: Matrix):
     """Basis of the right null space, as a list of column vectors (n x 1 matrices)."""
-    f = a.field
-    if isinstance(f, RationalField):
-        return [Matrix._trusted(a.cols, 1, v, f) for v in kernel_basis_int(_int_rows(a), a.cols)]
-    reduced, pivots = _elimination(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [f.zero()] * a.cols
-        v[fc] = f.one()
-        for pr, pc in enumerate(pivots):
-            # reduced row echelon: pivot rows read off the dependency directly
-            v[pc] = f.neg(reduced[pr][fc])
-        basis.append(Matrix.column(v, f))
-    return basis
+    return [Matrix._trusted(a.cols, 1, v, a.field) for v in kernel_rows(_rows(a), a.cols, a.field)]
 
 
 def inverse(a: Matrix) -> Matrix:

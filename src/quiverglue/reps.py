@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import (
     QQ,
@@ -24,12 +23,13 @@ from .linalg import (
     Matrix,
     PrimeField,
     block_diag,
+    clear_denominators,
     hstack,
     inverse,
     kernel_basis,
-    kernel_basis_int,
+    kernel_rows,
     rank,
-    rank_int,
+    rank_rows,
     rref,
     solve,
     sympy_module,
@@ -239,35 +239,22 @@ def bundle_coordinate(x: Representation, y: Representation, arrow_name, row, col
     return None
 
 
-def _hom_kernel_q(x: Representation, y: Representation):
-    """The `kernel_basis` vectors of d_{X,Y} over Q, found on integers.
-
-    X's and Y's maps are scaled by the lcm of all their denominators, which
-    scales d_{X,Y} by it and leaves its kernel unchanged.
-    """
-    maps = x.maps + y.maps
-    den = lcm(*[v.denominator for m in maps for v in m.entries])
-    x_maps, y_maps = (
-        [[v.numerator * (den // v.denominator) for v in m.entries] for m in rep.maps] for rep in (x, y)
-    )
-    cod, dom, ent = _d_entries(x, y, x_maps, y_maps)
-    return kernel_basis_int([ent[i * dom : (i + 1) * dom] for i in range(cod)], dom)
-
-
 def hom_space(x: Representation, y: Representation):
     """Basis of Hom(X, Y) as a list of morphisms.
 
-    The basis is that of `kernel_basis(d_matrix(x, y))`; over Q it is found
-    on integers, without `d_matrix`'s Fraction entries.
+    The basis is that of `kernel_basis(d_matrix(x, y))`, found on integers
+    for both fields: X's and Y's maps, cleared of denominators over Q (by
+    the lcm of all of them, which scales d_{X,Y} and leaves its kernel
+    unchanged) and as residues over F_p, give d_{X,Y} as unreduced ints,
+    whose kernel `kernel_rows` reads in the field.
     """
     _check_pair(x, y)
     field = x.field
-    if field == QQ:
-        vectors = _hom_kernel_q(x, y)
-    else:
-        vectors = [col.entries for col in kernel_basis(d_matrix(x, y))]
+    _, maps = clear_denominators([m.entries for m in x.maps + y.maps])
+    k = len(x.maps)
+    cod, dom, ent = _d_entries(x, y, maps[:k], maps[k:])
     basis = []
-    for vec in vectors:
+    for vec in kernel_rows((ent[i * dom : (i + 1) * dom] for i in range(cod)), dom, field):
         # d(f) = 0 is the intertwining law, so each kernel vector is a morphism
         pos, blocks = 0, []
         for dx, dy in zip(x.dims, y.dims):
@@ -391,9 +378,6 @@ class EndAlgebra:
         return Morphism(x, x, tuple(Matrix(d, d, e, x.field) for d, e in zip(x.dims, blocks)))
 
 
-_ZERO = Fraction(0)
-
-
 def _combination(coords, basis_blocks, dims):
     """sum_k coords[k] * basis_blocks[k], per vertex on row-major entry lists."""
     out = [[0] * (d * d) for d in dims]
@@ -439,28 +423,20 @@ def end_algebra(x: Representation) -> EndAlgebra:
     positions; a guard checks that each product, and the identity, is the
     combination of basis vectors its coordinates claim.
 
-    Over Q all of this runs on integers.  Each basis vector b_k is stored as
-    the integer blocks B_k = M b_k, M the lcm of the basis' denominators, so
-    B_k is M at its free column.  A product P = B_i B_j is M^2 b_i b_j, its
-    coordinates are P[pos_k] / M^2, and the guard reads
-    sum_k P[pos_k] B_k == M P.  The trace form, whose kernel is the radical,
-    is taken on the integer numerators: scaling does not change its rank.
+    All of this runs on integers, for both fields.  Each basis vector b_k is
+    stored as the integer blocks B_k = M b_k, M the lcm of the basis'
+    denominators (1 over F_p), so B_k is M at its free column.  A product
+    P = B_i B_j is M^2 b_i b_j, its coordinates are P[pos_k] / M^2 in the
+    field, and the guard checks that sum_k P[pos_k] B_k - M P is zero in
+    the field.  Over Q the trace form, whose kernel is the radical, is taken
+    on the integer numerators: scaling does not change its rank.
     """
     basis = hom_space(x, x)
     field = x.field
-    if not basis:
-        # the zero representation
-        return EndAlgebra(x, (), (), (), 0 if field == QQ else None)
-    n = len(basis)
     dims = x.dims
-    blocks = [[m.entries for m in b.blocks] for b in basis]
-    p = field.p if isinstance(field, PrimeField) else None
-    scale = 1
-    if p is None:
-        scale = lcm(*[v.denominator for b in blocks for ent in b for v in ent])
-        blocks = [
-            [[v.numerator * (scale // v.denominator) for v in ent] for ent in b] for b in blocks
-        ]
+    n, nv = len(basis), len(dims)
+    scale, flat = clear_denominators([m.entries for b in basis for m in b.blocks])
+    blocks = [flat[k * nv : (k + 1) * nv] for k in range(n)]
     positions = []  # (vertex, row-major index) of each basis vector's free column
     for b in blocks:
         # the last nonzero entry in the column-major flattening of the blocks
@@ -468,29 +444,26 @@ def end_algebra(x: Representation) -> EndAlgebra:
         d = dims[v]
         c, r = max((i % d, i // d) for i, e in enumerate(b[v]) if e)
         positions.append((v, r * d + c))
+    coerce, div, zero = field.coerce, field.div, field.zero()
 
     def coords_of(prod, den):
         """Coordinates of prod / den, checked against the basis."""
         ints = [prod[v][i] for v, i in positions]
-        if p is None:
-            coords = tuple(Fraction(c, den) if c else _ZERO for c in ints)
-            comb = _combination(ints, blocks, dims)
-            if scale != 1:
-                prod = [[scale * e for e in b] for b in prod]
-        else:
-            coords = tuple(c % p for c in ints)
-            comb = [[e % p for e in b] for b in _combination(coords, blocks, dims)]
-            prod = [[e % p for e in b] for b in prod]
-        if comb != prod:
+        comb = _combination(ints, blocks, dims)
+        want = [[scale * e for e in b] for b in prod] if scale != 1 else prod
+        # over F_p the two sides are unreduced: they need only agree mod p
+        if comb != want and any(
+            coerce(a - w) for cb, wb in zip(comb, want) for a, w in zip(cb, wb)
+        ):
             raise RepError("morphism does not lie in the computed Hom space")
-        return coords
+        return tuple(div(c, den) if c else zero for c in ints)
 
     products = [[_block_products(bi, bj, dims) for bj in blocks] for bi in blocks]
     square = scale * scale
     structure = tuple(tuple(coords_of(prod, square) for prod in row) for row in products)
     ident = coords_of(_identity_blocks(dims), 1)
     radical_dim = None
-    if p is None:
+    if field == QQ:
         # radical = kernel of the trace form of the left regular representation:
         # L_i has columns structure[i][j], trace(L_i L_j) = sum s[i][l][k] s[j][k][l],
         # here on the numerators s * scale^2 of the structure constants
@@ -501,7 +474,7 @@ def end_algebra(x: Representation) -> EndAlgebra:
             for j in range(i, n):
                 sj = nums[j]
                 gram[i][j] = gram[j][i] = sum(s * sj[k][l] for k, l, s in terms)
-        radical_dim = n - rank_int(gram, n)
+        radical_dim = n - rank_rows(gram, n, field)
     return EndAlgebra(x, tuple(basis), structure, ident, radical_dim)
 
 

@@ -247,6 +247,7 @@ def parse_fragment(text: str, quiver: Quiver) -> CoverFragment:
     arrows = []
     dims = {}
     maps = {}
+    references = []  # (line, "vertex" or "arrow", id) of each dim and map line
     lines = directives(text)
     for lineno, parts in lines:
         kind = parts[0]
@@ -263,14 +264,20 @@ def parse_fragment(text: str, quiver: Quiver) -> CoverFragment:
         elif kind == "dim":
             expect(len(parts) == 3, lineno, "dim <vertex> <n>")
             dims[parts[1]] = nat(parts[2], lineno)
+            references.append((lineno, "vertex", parts[1]))
         elif kind == "map":
             expect(len(parts) == 3, lineno, "map <arrow> <rows>x<cols>")
             rows, cols = shape(parts[2], lineno)
             maps[parts[1]] = read_matrix(lines, rows, cols, field, f"fragment arrow {parts[1]}")
+            references.append((lineno, "arrow", parts[1]))
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r} in fragment")
     if name is None:
         raise ParseError("missing 'fragment <name> over <field>' line")
+    declared = {"vertex": set(vertex_ids), "arrow": {a[0] for a in arrows}}
+    for lineno, what, ident in references:
+        if ident not in declared[what]:
+            raise ParseError(f"line {lineno}: unknown fragment {what} {ident!r}")
     for vid in vertex_ids:
         dims.setdefault(vid, 0)
     for aid, src, dst, _ in arrows:

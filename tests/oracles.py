@@ -295,7 +295,8 @@ def reference_hom_space(x, y):
 
 
 def dense_elimination_fp(a, reduce_above):
-    """`linalg._elimination_fp` on dense int rows with inline modular arithmetic.
+    """`linalg._elimination_fp` on the dense int rows of a matrix over F_p,
+    with inline modular arithmetic.
 
     Left of the pivot column, the pivot row and every row still to be
     cleared are zero, so each row operation starts at the pivot column.

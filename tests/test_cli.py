@@ -275,6 +275,22 @@ def test_bad_fragment_dim_exits_one(capsys, tmp_path):
     assert "natural number" in captured.err and "Traceback" not in captured.err
 
 
+
+@pytest.mark.parametrize(
+    "extra,message",
+    (("dim zz 4", "unknown fragment vertex 'zz'"), ("map zz 1x1\n1", "unknown fragment arrow 'zz'")),
+)
+def test_fragment_line_for_an_undeclared_id_exits_one(capsys, tmp_path, extra, message):
+    # dim and map lines name ids that vertex and arrow lines declare, as in rep files
+    text = format_fragment(fragment_from_coefficient_quiver(load_rep("M")))
+    frag = tmp_path / "bad.frag"
+    frag.write_text(text + extra + "\n")
+    assert main(["pushdown", "-q", "K3", str(frag)]) == 1
+    captured = capsys.readouterr()
+    line = len(text.splitlines()) + 1
+    assert captured.err.strip() == f"error: line {line}: {message}"
+    assert captured.out == ""
+
 # the tree-shaped basis of Ext(M, M), one element replaced by an entry outside its 3x2 block
 M_TREE_BASIS = ("a 1 1", "a 2 1", "b 1 2", "b 3 2", "c 1 2", "c 3 2")
 

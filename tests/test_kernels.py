@@ -5,8 +5,11 @@ over the field's methods that `_elimination` ran before each field got its
 own kernel; `solve` is compared with that loop patched in for
 `_elimination`.  The sparse-row F_p kernel must also agree with the
 dense-row kernel it replaced, on the sparse `d_{X,Y}` matrices the library
-eliminates and on rows built to cancel.  The Q kernel must agree on the
-integer `d_{X,Y}` matrices `hom_space` eliminates and on fractional ones.
+eliminates and on rows built to cancel.  Both take integer rows, through
+`echelon`, `kernel_rows` and `rank_rows`; over F_p the entries may be
+unreduced or negative, as `reps._d_entries` builds them for `hom_space`.
+The Q kernel must agree on the integer `d_{X,Y}` matrices `hom_space`
+eliminates and on fractional ones.
 The arrow-by-arrow `d_matrix` must equal the column-by-column definition
 through `apply_d`.
 """
@@ -36,16 +39,17 @@ from quiverglue.linalg import (
     _elimination,
     _elimination_fp,
     _elimination_q,
-    _int_rows,
+    _rows,
+    echelon,
     kernel_basis,
-    kernel_basis_int,
+    kernel_rows,
     rank,
-    rank_int,
+    rank_rows,
     rref,
     solve,
 )
 from quiverglue.quiver import Arrow, Quiver
-from quiverglue.reps import Representation, d_matrix, random_rep
+from quiverglue.reps import Representation, _d_entries, d_matrix, random_rep
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 
@@ -121,9 +125,16 @@ def test_forward_only_rank_on_edge_shapes():
 # -- sparse F_p rows against the dense kernel ---------------------------------
 
 
+def _dense_on_rows(rows, m, p, reduce_above):
+    """dense_elimination_fp with the signature of `_elimination_fp`."""
+    rows = list(rows)
+    a = Matrix(len(rows), m, [x for r in rows for x in r], PrimeField(p))
+    return dense_elimination_fp(a, reduce_above)
+
+
 def _dense_answers(a, b):
     """rank, kernel basis and solve(a, b) with the dense F_p kernel swapped in."""
-    with mock.patch.object(linalg, "_elimination_fp", dense_elimination_fp):
+    with mock.patch.object(linalg, "_elimination_fp", _dense_on_rows):
         return _answers(a, b)
 
 
@@ -154,10 +165,10 @@ def deadline(seconds):
 
 def assert_matches_dense_kernel(a, rng):
     """Both modes against the dense kernel (forward: the pivots), then rank, kernel and solve."""
-    with deadline(30):
-        assert _elimination_fp(a, True) == dense_elimination_fp(a, True)
-        assert _elimination_fp(a, False)[1] == dense_elimination_fp(a, False)[1]
     p = a.field.p
+    with deadline(30):
+        assert _elimination_fp(_rows(a), a.cols, p, True) == dense_elimination_fp(a, True)
+        assert _elimination_fp(_rows(a), a.cols, p, False)[1] == dense_elimination_fp(a, False)[1]
     x = Matrix(a.cols, 1, [rng.randrange(p) for _ in range(a.cols)], a.field)
     for b in (list((a * x).entries), [rng.randrange(p) for _ in range(a.rows)]):
         assert _answers(a, b) == _dense_answers(a, b)
@@ -217,10 +228,76 @@ def test_fp_sparse_rows_match_dense_kernel_under_cancellation(a, seed):
 def test_fp_sparse_rows_drop_cancelled_entries():
     # over F_2 the second row cancels completely against the first and the
     # third leaves only its last entry
-    a = Matrix.from_rows([[1, 1, 0, 1], [1, 1, 0, 1], [1, 1, 0, 0]], PrimeField(2))
+    rows = [[1, 1, 0, 1], [1, 1, 0, 1], [1, 1, 0, 0]]
     with deadline(10):
-        assert _elimination_fp(a, True) == ([[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 3])
-        assert _elimination_fp(a, False)[1] == [0, 3]
+        assert _elimination_fp(rows, 4, 2, True) == ([[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 3])
+        assert _elimination_fp(rows, 4, 2, False)[1] == [0, 3]
+
+
+# -- F_p int rows with unreduced and negative entries -------------------------
+
+
+def dense_kernel(a):
+    """The kernel vectors of a over F_p, read off the dense kernel's RREF."""
+    p = a.field.p
+    reduced, pivots = dense_elimination_fp(a, True)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [0] * a.cols
+        v[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc] % p
+        basis.append(v)
+    return basis
+
+
+def assert_int_rows_match_dense_kernel(rows, m, p):
+    """echelon, kernel_rows and rank_rows on int rows against the dense kernel on their residues."""
+    f = PrimeField(p)
+    a = Matrix(len(rows), m, [x for r in rows for x in r], f)
+    with deadline(30):
+        assert echelon(rows, m, f, True) == dense_elimination_fp(a, True)
+        assert echelon(rows, m, f, False)[1] == dense_elimination_fp(a, False)[1]
+        assert kernel_rows(rows, m, f) == dense_kernel(a)
+        assert rank_rows(rows, m, f) == len(dense_elimination_fp(a, False)[1])
+
+
+@st.composite
+def unreduced_int_rows(draw):
+    """(p, rows, cols): int rows with entries around 0 and around multiples of p."""
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.builds(lambda k, r: k * p + r, st.integers(-4, 4), st.integers(-2, 2)),
+        st.integers(-3 * p, 3 * p),
+    )
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return p, draw(st.lists(row, min_size=rows, max_size=rows)), cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_int_rows())
+def test_fp_unreduced_int_rows_match_dense_kernel(case):
+    p, rows, cols = case
+    assert_int_rows_match_dense_kernel(rows, cols, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name,a,b", D_MATRIX_CASES[:4])
+def test_fp_unreduced_d_entries_match_dense_kernel(name, a, b, p):
+    # the d_{X,Y} hom_space eliminates: on loop-free quivers each entry is an
+    # entry of Y's maps or minus one of X's, in (-p, p) and not reduced mod p
+    q = fixtures.load_quiver(name)
+    for seed in (0, 1):
+        x = random_rep(q, a, p, seed)
+        y = x if b is None else random_rep(q, b, p, seed + 7)
+        cod, dom, ent = _d_entries(x, y, [m.entries for m in x.maps], [m.entries for m in y.maps])
+        rows = [ent[i * dom : (i + 1) * dom] for i in range(cod)]
+        if p > 2:
+            assert any(v < 0 for v in ent)
+        assert_int_rows_match_dense_kernel(rows, dom, p)
 
 
 # -- Q ---------------------------------------------------------------------------
@@ -253,7 +330,7 @@ def test_q_elimination_matches_field_elimination(case):
 @given(q_matrices())
 def test_q_forward_rows_stay_primitive_integers(case):
     a = Matrix(*case)
-    rows, pivots = _elimination_q(_int_rows(a), a.cols, False)
+    rows, pivots = _elimination_q(_rows(a), a.cols, False)
     assert pivots == field_elimination(a)[1]
     for row in rows:
         assert all(type(x) is int for x in row)
@@ -263,12 +340,12 @@ def test_q_forward_rows_stay_primitive_integers(case):
 @settings(max_examples=200, deadline=None)
 @given(q_matrices(), st.integers(1, 60))
 def test_q_integer_rows_scaled_per_row_give_the_same_kernel_and_rank(case, scale):
-    # kernel_basis_int and rank_int take rows cleared of denominators by any
+    # kernel_rows and rank_rows take rows cleared of denominators by any
     # factors, as hom_space and end_algebra pass them
     a = Matrix(*case)
-    rows = [[x * (scale + i) for x in row] for i, row in enumerate(_int_rows(a))]
-    assert [tuple(v) for v in kernel_basis_int(rows, a.cols)] == reference_kernel_basis(a)
-    assert rank_int(rows, a.cols) == len(field_elimination(a)[1])
+    rows = [[x * (scale + i) for x in row] for i, row in enumerate(_rows(a))]
+    assert [tuple(v) for v in kernel_rows(rows, a.cols, QQ)] == reference_kernel_basis(a)
+    assert rank_rows(rows, a.cols, QQ) == len(field_elimination(a)[1])
 
 
 @settings(max_examples=200, deadline=None)

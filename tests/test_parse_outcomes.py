@@ -16,7 +16,11 @@ representations do, and now record its ParseError.  Later 26 messages moved
 and were recorded again: the 17 `quiver` lines with a missing or an extra
 token now give the `quiver <name>` usage (16 of them said that the quiver
 they named was not the one they named), and the 9 field mismatches name
-both fields.
+both fields.  Then 25 fragment cases moved when `dim` and `map` lines
+naming an undeclared vertex or arrow id became a ParseError that names
+the line and the id: 10 of them parsed, dropping the line, 13 gave the
+bare id of a KeyError, and 2 reported the wrong map shape that the
+dropped `dim` line caused.
 """
 
 import hashlib

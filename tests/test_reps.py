@@ -278,6 +278,30 @@ def test_end_algebra_mul_and_element_agree_with_composition():
     assert end.element(end.identity_coords).blocks == identity_morphism(x).blocks
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_fp_hom_space_and_end_algebra_match_reference(p):
+    # over F_p hom_space eliminates the unreduced integer d_{X,Y} of the residues,
+    # and end_algebra reduces its products mod p only in the guard
+    cases = [
+        (load_quiver("K3"), (3, 1), (2, 3)),
+        (load_quiver("S4"), (3, 2, 2, 1, 1), (2, 1, 1, 1, 1)),
+        (k2(), (2, 2), (1, 1)),
+    ]
+    larger = 0
+    for q, a, b in cases:
+        for seed in range(2):
+            x, y = random_rep(q, a, p, seed), random_rep(q, b, p, seed + 5)
+            for u, v in itertools.product((x, y, direct_sum(x, y)), repeat=2):
+                basis = hom_space(u, v)
+                assert [tuple(m.entries for m in f.blocks) for f in basis] == reference_hom_space(u, v)
+            for u in (x, direct_sum(x, y), direct_sum(x, x)):
+                end, ref = end_algebra(u), reference_end_algebra(u)
+                assert (end.structure, end.identity_coords) == (ref.structure, ref.identity_coords)
+                assert end.radical_dim is None
+                larger += end.dim > 2
+    assert larger
+
+
 # -- hom_space builds its basis unvalidated; the law is checked here ---------------
 
 
