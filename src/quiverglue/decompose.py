@@ -48,9 +48,9 @@ class SamplingError(DecomposeError):
     """Sampling over F_p found no answer, which over a larger prime it may."""
 
 
-class OracleUnstableError(DecomposeError):
-    def __init__(self):
-        super().__init__("oracle unstable, increase samples")
+class OracleUnstableError(SamplingError):
+    def __init__(self, prime):
+        super().__init__(f"oracle unstable over F_{prime}, increase samples; try a larger prime")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def generic_summands(x: Representation, seed=0):
             if e is not None:
                 break
         else:
-            raise OracleUnstableError()
+            raise OracleUnstableError(p)
         y1, y2, _ = split_by_idempotent(y, end.element(e))
         stack.append(y1)
         stack.append(y2)
@@ -216,7 +216,7 @@ def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConf
             if _verify_canonical(oracle, a, summands):
                 return CanonicalDecomposition(quiver, a, summands)
         cfg = cfg.escalate()
-    raise OracleUnstableError()
+    raise OracleUnstableError(cfg.prime)
 
 
 # -- perpendicular-category simples --------------------------------------

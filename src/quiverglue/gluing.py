@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, block_diag, kron, rref
+from .linalg import Matrix, block_diag, echelon, kron
 from .quiver import Arrow, Quiver, format_quiver
 from .reps import (
     Morphism,
@@ -33,7 +33,8 @@ from .reps import (
     Representation,
     _check_pair,
     bundle_coordinate,
-    d_matrix,
+    check_ext_pair,
+    d_rows,
     ext_dim,
     hom_dim,
     is_schurian,
@@ -61,19 +62,25 @@ class ExtBasisElement:
         return ExtBasisElement(self.arrow, self.row, self.col, i, j, l)
 
 
-def _new_classes(d: Matrix, coords):
-    """Indices into coords of the unit vectors a greedy pass keeps, in order, modulo Im(d).
+def _ext_classes(x: Representation, y: Representation, coords):
+    """(dim Ext(X, Y), the indices into coords of the unit vectors a greedy pass keeps).
 
-    The unit vector at coordinate c is kept when its class is independent of
-    the classes kept before it: these are the pivot columns of
-    [d | unit columns] that fall past d.
+    One forward elimination of [d_{X,Y} | unit columns at coords]: Ext, the
+    cokernel of d, has dimension cod minus the pivots in d's columns, and a
+    unit column is a pivot, so kept, when its class is independent of Im(d)
+    and of the classes kept before it.  Forward pivots are the RREF's.
     """
-    aug = Matrix.from_rows(
-        [d.row(r) + [1 if c == r else 0 for c in coords] for r in range(d.rows)],
-        d.field,
-        cols=d.cols + len(coords),
-    )
-    return [c - d.cols for c in rref(aug)[1] if c >= d.cols]
+    cod, dom, rows = d_rows(x, y)
+    aug = (row + [int(c == r) for c in coords] for r, row in enumerate(rows))
+    pivots = echelon(aug, dom + len(coords), x.field, False)[1]
+    kept = [pc - dom for pc in pivots if pc >= dom]
+    return cod - (len(pivots) - len(kept)), kept
+
+
+def _is_basis(x: Representation, y: Representation, coords):
+    """True when the unit vectors at coords map to a basis of Ext(X, Y)."""
+    n, kept = _ext_classes(x, y, coords)
+    return len(kept) == len(coords) == n
 
 
 def _coordinates(x: Representation, y: Representation, elements):
@@ -82,10 +89,7 @@ def _coordinates(x: Representation, y: Representation, elements):
 
 def tree_shaped_ext_basis(x: Representation, y: Representation):
     """Greedy tree-shaped basis of Ext(X, Y) in (arrow, row, col) lex order."""
-    _check_pair(x, y)
-    n = ext_dim(x, y)
-    if n == 0:
-        return []
+    check_ext_pair(x, y)
     q = x.quiver
     elements = [
         ExtBasisElement(arrow.name, r, c)
@@ -93,7 +97,7 @@ def tree_shaped_ext_basis(x: Representation, y: Representation):
         for r in range(y.dims[q.index(arrow.target)])
         for c in range(x.dims[q.index(arrow.source)])
     ]
-    kept = _new_classes(d_matrix(x, y), _coordinates(x, y, elements))
+    n, kept = _ext_classes(x, y, _coordinates(x, y, elements))
     if len(kept) != n:
         raise RepError("elementary bundles failed to span Ext; this cannot happen")
     return [elements[k] for k in kept]
@@ -106,7 +110,7 @@ def basis_is_independent(x: Representation, y: Representation, elements) -> bool
     so it makes the answer False.
     """
     coords = _coordinates(x, y, elements)
-    return None not in coords and len(_new_classes(d_matrix(x, y), coords)) == len(coords)
+    return None not in coords and len(_ext_classes(x, y, coords)[1]) == len(coords)
 
 
 def _ext_basis(x: Representation, y: Representation, supplied, label):
@@ -114,7 +118,9 @@ def _ext_basis(x: Representation, y: Representation, supplied, label):
     if supplied is None:
         return tree_shaped_ext_basis(x, y)
     supplied = list(supplied)
-    if len(supplied) != ext_dim(x, y) or not basis_is_independent(x, y, supplied):
+    check_ext_pair(x, y)
+    coords = _coordinates(x, y, supplied)
+    if None in coords or not _is_basis(x, y, coords):
         raise RepError(f"supplied {label} is not a basis")
     return supplied
 
@@ -392,8 +398,7 @@ def check_theta_iso(g: GluingData, x: Representation) -> bool:
                 bundle_coordinate(fx2, m1, e.arrow, e.row, off + e.col * xi + t) for t in range(xi)
             )
     # every Theta vector must be a new class, and together they must span Ext
-    kept = _new_classes(d_matrix(fx2, m1), coords)
-    return len(kept) == len(coords) == ext_dim(fx2, m1)
+    return _is_basis(fx2, m1, coords)
 
 
 # -- the paragraph-5 loop functor --------------------------------------

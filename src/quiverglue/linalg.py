@@ -14,13 +14,14 @@ division goes back to `Fraction`s.  Over F_p the entries may be any ints,
 reduced mod p as each row is read into a sparse {column: residue} dict,
 since the `d_{X,Y}` matrices behind Hom and Ext are mostly zeros: each row
 is reduced against a table of pivot rows keyed by leading column, and
-entries that cancel are deleted.  Callers that hold integer rows
-(`hom_space`, which assembles d_{X,Y} on ints for both fields, and the
-radical of `end_algebra`) call `kernel_rows` and `rank_rows`; `rank`,
-`kernel_basis`, `rref` and `solve` take a `Matrix` and turn it into int
-rows through `_rows`.  A rank stops after forward elimination.  All of it is pure Python: numpy is not a
-dependency, since importing it costs more memory and start-up time than
-the small matrices here ever win back.
+entries that cancel are deleted.  Callers that hold integer rows call
+`echelon`, `kernel_rows` and `rank_rows`: Hom, Ext and the Ext-class
+checks of gluing on the rows of `reps.d_rows`, and the radical of
+`end_algebra`.  `rank`, `kernel_basis`, `rref` and `solve` take a `Matrix`
+and turn it into int rows through `_rows`.  A rank stops after forward
+elimination.  All of it is pure Python: numpy is not a dependency, since
+importing it costs more memory and start-up time than the small matrices
+here ever win back.
 """
 
 from __future__ import annotations
@@ -463,8 +464,8 @@ def echelon(rows, m, field, reduce_above):
     The rows may be any iterable of lists of ints (over F_p of any int
     sequences, each read once and dropped, so a caller may pass a
     generator).  Over F_p the entries may be any ints, such as the
-    unreduced sums `reps._d_entries` builds.  Returns (rows, pivots): one list of ints per row, the pivot
-    rows first in pivot order, then zero rows.  Over Q a pivot row is not
+    unreduced sums of `reps.d_rows`.  Returns (rows, pivots): one list of
+    ints per row, the pivot rows first in pivot order, then zero rows.  Over Q a pivot row is not
     divided by its pivot; over F_p it is, so it leads with 1.  With
     reduce_above every pivot row is also cleared above its pivot, and
     dividing the pivot rows by their pivots gives the reduced row echelon

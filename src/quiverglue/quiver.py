@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .textfmt import ParseError, directives, expect
@@ -115,11 +116,10 @@ def parse_dimvector(text: str):
         t = t[1:-1]
     elif t.startswith("(") or t.endswith(")"):
         raise ParseError(f"unbalanced parentheses in dimension vector {text!r}")
-    parts = [p for p in t.split(",") if p.strip() != ""]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"non-integer entry in dimension vector {text!r}") from None
+    parts = t.split(",") if t.strip() else []
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", p) for p in parts):
+        raise ParseError(f"non-integer entry in dimension vector {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def format_dimvector(a):

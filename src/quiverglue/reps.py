@@ -28,7 +28,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     kernel_rows,
-    rank,
     rank_rows,
     rref,
     solve,
@@ -174,16 +173,21 @@ def bundle_space_dim(x: Representation, y: Representation) -> int:
     return sum(xd[s] * yd[t] for s, t in x.quiver.arrow_indices)
 
 
-def _d_entries(x: Representation, y: Representation, x_maps, y_maps):
-    """The row-major entries of d_{X,Y}, with the arrow maps given as entry lists.
+def d_rows(x: Representation, y: Representation):
+    """d_{X,Y} on integers: (cod, dom, rows), the rows yielded one at a time.
 
-    Column (v; r, c) is the unit block E(r, c) at vertex v.  For an arrow
-    rho: s -> t, E(r, c) at s adds Y_rho[i, r] at entry (i, c) of the rho
-    block, and E(r, c) at t subtracts X_rho[c, j] at entry (r, j).  The
-    entries are the plain sums of the map entries, so over F_p they are not
-    reduced, and maps scaled by one integer give d scaled by it.
+    X's and Y's maps are cleared of denominators together over Q (by the lcm
+    of all of them, which scales d_{X,Y} and changes neither its kernel nor
+    its rank) and read as residues over F_p.  Column (v; r, c) is the unit
+    block E(r, c) at vertex v.  For an arrow rho: s -> t, E(r, c) at s adds
+    Y_rho[i, r] at entry (i, c) of the rho block, and E(r, c) at t subtracts
+    X_rho[c, j] at entry (r, j).  The entries are the plain sums of the map
+    entries, so over F_p they are not reduced: `linalg.echelon` reads them
+    in the field.
     """
-    xd, yd = x.dims, y.dims
+    _check_pair(x, y)
+    _, maps = clear_denominators([m.entries for m in x.maps + y.maps])
+    xd, yd, k = x.dims, y.dims, len(x.maps)
     col0 = []
     dom = 0
     for dx, dy in zip(xd, yd):
@@ -192,7 +196,7 @@ def _d_entries(x: Representation, y: Representation, x_maps, y_maps):
     cod = bundle_space_dim(x, y)
     ent = [0] * (cod * dom)
     row0 = 0
-    for (s, t), xe, ye in zip(x.quiver.arrow_indices, x_maps, y_maps):
+    for (s, t), xe, ye in zip(x.quiver.arrow_indices, maps[:k], maps[k:]):
         dxs, dys, dxt, dyt = xd[s], yd[s], xd[t], yd[t]
         for c in range(dxs):
             base = (row0 + c * dyt) * dom
@@ -210,18 +214,7 @@ def _d_entries(x: Representation, y: Representation, x_maps, y_maps):
                     if v:
                         ent[col + j * dyt * dom] -= v
         row0 += dyt * dxs
-    return cod, dom, ent
-
-
-def d_matrix(x: Representation, y: Representation) -> Matrix:
-    """The matrix of d_{X,Y}, assembled arrow by arrow."""
-    _check_pair(x, y)
-    field = x.field
-    cod, dom, ent = _d_entries(x, y, [m.entries for m in x.maps], [m.entries for m in y.maps])
-    if isinstance(field, PrimeField):
-        p = field.p
-        return Matrix._trusted(cod, dom, [v % p for v in ent], field)
-    return Matrix(cod, dom, ent, field)
+    return cod, dom, (ent[i * dom : (i + 1) * dom] for i in range(cod))
 
 
 def bundle_coordinate(x: Representation, y: Representation, arrow_name, row, col):
@@ -240,21 +233,15 @@ def bundle_coordinate(x: Representation, y: Representation, arrow_name, row, col
 
 
 def hom_space(x: Representation, y: Representation):
-    """Basis of Hom(X, Y) as a list of morphisms.
+    """Basis of Hom(X, Y) as a list of morphisms: the kernel of `d_rows(x, y)`.
 
-    The basis is that of `kernel_basis(d_matrix(x, y))`, found on integers
-    for both fields: X's and Y's maps, cleared of denominators over Q (by
-    the lcm of all of them, which scales d_{X,Y} and leaves its kernel
-    unchanged) and as residues over F_p, give d_{X,Y} as unreduced ints,
-    whose kernel `kernel_rows` reads in the field.
+    One morphism per free column of d_{X,Y}, as `kernel_rows` gives them: 1
+    there and 0 at the other free columns.
     """
-    _check_pair(x, y)
+    _, dom, rows = d_rows(x, y)
     field = x.field
-    _, maps = clear_denominators([m.entries for m in x.maps + y.maps])
-    k = len(x.maps)
-    cod, dom, ent = _d_entries(x, y, maps[:k], maps[k:])
     basis = []
-    for vec in kernel_rows((ent[i * dom : (i + 1) * dom] for i in range(cod)), dom, field):
+    for vec in kernel_rows(rows, dom, field):
         # d(f) = 0 is the intertwining law, so each kernel vector is a morphism
         pos, blocks = 0, []
         for dx, dy in zip(x.dims, y.dims):
@@ -266,17 +253,21 @@ def hom_space(x: Representation, y: Representation):
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
-    _check_pair(x, y)
-    d = d_matrix(x, y)
-    return d.cols - rank(d)
+    _, dom, rows = d_rows(x, y)
+    return dom - rank_rows(rows, dom, x.field)
 
 
-def ext_dim(x: Representation, y: Representation) -> int:
+def check_ext_pair(x: Representation, y: Representation):
+    """`_check_pair`, and Ext is computed only on loop-free quivers."""
     _check_pair(x, y)
     if not x.quiver.is_loop_free():
         raise RepError("ext_dim requires a loop-free quiver")
-    d = d_matrix(x, y)
-    return d.rows - rank(d)
+
+
+def ext_dim(x: Representation, y: Representation) -> int:
+    check_ext_pair(x, y)
+    cod, dom, rows = d_rows(x, y)
+    return cod - rank_rows(rows, dom, x.field)
 
 
 # -- direct sums and splitting -----------------------------------------

@@ -37,9 +37,7 @@ from quiverglue.reps import (
     _minpoly_factors,
     bundle_space_dim,
     compose,
-    d_matrix,
     end_algebra,
-    ext_dim,
     hom_space,
     identity_morphism,
     split_by_idempotent,
@@ -607,7 +605,7 @@ def reference_generic_summands(x, seed=0):
             continue
         e = reference_splitting_idempotent(y, basis, rng)
         if e is None:
-            raise OracleUnstableError()
+            raise OracleUnstableError(x.field.p)
         y1, y2, _ = split_by_idempotent(y, e)
         stack.append(y1)
         stack.append(y2)
@@ -654,7 +652,9 @@ class IncrementalRank:
 
 
 def _image_tracker(x, y):
-    d = d_matrix(x, y)
+    """Im(d_{X,Y}) in an IncrementalRank, from the column-by-column d; its
+    dim minus its rank is dim Ext(X, Y)."""
+    d = d_matrix_by_columns(x, y)
     inc = IncrementalRank(x.field, d.rows)
     for c in range(d.cols):
         inc.add(d.col(c))
@@ -662,11 +662,11 @@ def _image_tracker(x, y):
 
 
 def reference_tree_shaped_ext_basis(x, y):
-    n = ext_dim(x, y)
+    inc = _image_tracker(x, y)
+    n = inc.dim - inc.rank()
     out = []
     if n == 0:
         return out
-    inc = _image_tracker(x, y)
     q = x.quiver
     for arrow in q.arrows:
         for r in range(y.dims[q.index(arrow.target)]):
@@ -730,7 +730,7 @@ def reference_check_theta_iso(g, x):
                 count += 1
                 if not inc.add(blocks_to_vector(MapBundle(fx2, m1, tuple(blocks)).blocks)):
                     independent = False
-    target_dim = ext_dim(fx2, m1)
+    target_dim = inc.dim - base_rank
     return independent and count == target_dim and inc.rank() - base_rank == target_dim
 
 

@@ -157,6 +157,15 @@ def test_reproduce_fast_ids(capsys):
     assert code == 0 and out.rstrip().endswith("status: ok")
 
 
+@pytest.mark.parametrize("vector", ["(1,,1)", "(1,1,)", "(1_0,1)", "(\u0663,1)"])
+def test_malformed_vector_entries_exit_one(capsys, vector):
+    # an empty entry was skipped and int() read "1_0" as 10 and an Arabic-Indic 3 as 3
+    assert main(["candecomp", "-q", "K3", vector]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: non-integer entry in dimension vector {vector!r}\n"
+
+
 @pytest.mark.parametrize("prime", ["4", "1"])
 def test_non_prime_modulus_exits_one(capsys, prime):
     assert main(["candecomp", "-q", "K3", "(2,2)", "--prime", prime]) == 1
@@ -196,8 +205,12 @@ def test_bound_below_one_exits_one(capsys, bound):
             ["reproduce", "sub8-realroot", "--prime", "2"],
             "failed to sample an exceptional representation at (2,1,1,1,0,0,2,2,0) over F_2",
         ),
+        (
+            ["candecomp", "-q", "S4", "(1,1,2,1,1)", "--prime", "2", "--samples", "1"],
+            "oracle unstable over F_2, increase samples",
+        ),
     ],
-    ids=["excdecomp", "sub8-realroot"],
+    ids=["excdecomp", "sub8-realroot", "candecomp"],
 )
 def test_sampling_failure_over_a_small_prime_exits_two(capsys, argv, message):
     # an undecided result, not an input error: a larger prime decides both

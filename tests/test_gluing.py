@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     blocks_to_vector,
     elementary_bundle,
+    fractional_conjugate,
     reference_apply_F,
     reference_apply_loop_F,
     reference_basis_is_independent,
@@ -19,6 +20,7 @@ from quiverglue.decompose import OracleConfig, sample_exceptional_rep
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.gluing import (
     ExtBasisElement,
+    _ext_basis,
     apply_F,
     apply_F_mor,
     basis_is_independent,
@@ -30,6 +32,7 @@ from quiverglue.gluing import (
     format_bases,
     format_gluing,
     glued_dims,
+    loop_quiver,
     parse_bases,
     restrict_to_tail,
     tree_shaped_ext_basis,
@@ -283,6 +286,12 @@ def _independence_pairs():
         for y in fixtures:
             if x.quiver == y.quiver:
                 yield x, y
+    # fixture pairs carried along base changes with fractional entries
+    frac = random.Random(17)
+    for x in fixtures:
+        for y in fixtures:
+            if x.quiver == y.quiver:
+                yield fractional_conjugate(x, frac), fractional_conjugate(y, frac)
     rng = random.Random(7)
     for name, da, db in RANDOM_PAIRS:
         q = load_quiver(name)
@@ -293,6 +302,23 @@ def _independence_pairs():
     zero = Representation.zero_rep(m.quiver, (0, 0))
     yield from ((zero, m), (m, zero), (zero, zero))
     yield Representation.zero_rep(m.quiver, (2, 0)), Representation.zero_rep(m.quiver, (0, 3))
+
+
+def test_ext_bases_need_a_loop_free_quiver_and_independence_does_not():
+    rng = random.Random(4)
+    q = loop_quiver(2)
+    x, y = _random_q_rep(q, (2,), rng), _random_q_rep(q, (1,), rng)
+    with pytest.raises(RepError, match="loop-free"):
+        tree_shaped_ext_basis(x, y)
+    with pytest.raises(RepError, match="loop-free"):
+        _ext_basis(x, y, [ExtBasisElement("l1", 0, 0)], "basis")
+    elements = [ExtBasisElement(a, 0, c) for a in ("l1", "l2") for c in range(2)]
+    verdicts = set()
+    for trial in ([], elements[:1], elements, elements[::-1], elements[1:3]):
+        verdict = basis_is_independent(x, y, trial)
+        assert verdict == reference_basis_is_independent(x, y, trial)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_ext_independence_matches_incremental_rank_reference():
@@ -329,10 +355,13 @@ def _theta_cases():
     # three members whose tail Q(Malpha, Mbeta) has arrows both ways
     ma, mb, s0 = load_rep("Malpha"), load_rep("Mbeta"), simples[0]
     three = (build_gluing([s0, ma, mb]), build_gluing([ma, s0, mb]), build_gluing([mb, ma, s0]))
-    for g in (sub4_gluing(), reversed_sub4, build_gluing(simples)) + three:
+    # members and X with fractional entries
+    fractional = build_gluing([fractional_conjugate(m, rng) for m in (ma, mb, s0)])
+    for g in (sub4_gluing(), reversed_sub4, build_gluing(simples)) + three + (fractional,):
         for _ in range(6):
             dims = (1,) + tuple(rng.randint(0, 2) for _ in range(g.r - 1))
-            yield g, _random_q_rep(g.qm, dims, rng)
+            x = _random_q_rep(g.qm, dims, rng)
+            yield g, fractional_conjugate(x, rng) if g is fractional else x
     for p in (2, 3, 101):
         dims = [(1, 0, 0, 0, 0), (1, 1, 1, 0, 0), (0, 0, 0, 1, 1)]
         g = build_gluing([random_rep(q, d, p, k) for k, d in enumerate(dims)])

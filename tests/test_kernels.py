@@ -7,18 +7,19 @@ own kernel; `solve` is compared with that loop patched in for
 dense-row kernel it replaced, on the sparse `d_{X,Y}` matrices the library
 eliminates and on rows built to cancel.  Both take integer rows, through
 `echelon`, `kernel_rows` and `rank_rows`; over F_p the entries may be
-unreduced or negative, as `reps._d_entries` builds them for `hom_space`.
+unreduced or negative, as `reps.d_rows` builds them for Hom and Ext.
 The Q kernel must agree on the integer `d_{X,Y}` matrices `hom_space`
 eliminates and on fractional ones.
-The arrow-by-arrow `d_matrix` must equal the column-by-column definition
-through `apply_d`.
+The arrow-by-arrow `d_rows` must equal the column-by-column definition
+through `apply_d`: mod p over F_p, and times the lcm of the maps'
+denominators over Q.
 """
 
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -49,7 +50,7 @@ from quiverglue.linalg import (
     solve,
 )
 from quiverglue.quiver import Arrow, Quiver
-from quiverglue.reps import Representation, _d_entries, d_matrix, random_rep
+from quiverglue.reps import Representation, d_rows, random_rep
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 
@@ -174,6 +175,12 @@ def assert_matches_dense_kernel(a, rng):
         assert _answers(a, b) == _dense_answers(a, b)
 
 
+def d_matrix_of_rows(x, y):
+    """The Matrix of `d_rows(x, y)` in the field."""
+    cod, dom, rows = d_rows(x, y)
+    return Matrix(cod, dom, [v for row in rows for v in row], x.field)
+
+
 # (quiver, dimension vector of X, of Y); Y None means d_{X,X}
 D_MATRIX_CASES = (
     ("K3", (2, 3), None),
@@ -191,7 +198,7 @@ def test_fp_sparse_rows_match_dense_kernel_on_d_matrices(name, a, b, p):
     q = fixtures.load_quiver(name)
     for seed in (0, 1):
         x = random_rep(q, a, p, seed)
-        d = d_matrix(x, x if b is None else random_rep(q, b, p, seed + 7))
+        d = d_matrix_of_rows(x, x if b is None else random_rep(q, b, p, seed + 7))
         assert_matches_dense_kernel(d, random.Random(seed))
         if a == (10, 3, 3, 3, 3, 8) and p == PRIMES[-1]:
             # the isotropic root: End(X) of a general X is 5-dimensional
@@ -286,17 +293,17 @@ def test_fp_unreduced_int_rows_match_dense_kernel(case):
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name,a,b", D_MATRIX_CASES[:4])
-def test_fp_unreduced_d_entries_match_dense_kernel(name, a, b, p):
-    # the d_{X,Y} hom_space eliminates: on loop-free quivers each entry is an
+def test_fp_unreduced_d_rows_match_dense_kernel(name, a, b, p):
+    # the d_{X,Y} Hom and Ext eliminate: on loop-free quivers each entry is an
     # entry of Y's maps or minus one of X's, in (-p, p) and not reduced mod p
     q = fixtures.load_quiver(name)
     for seed in (0, 1):
         x = random_rep(q, a, p, seed)
         y = x if b is None else random_rep(q, b, p, seed + 7)
-        cod, dom, ent = _d_entries(x, y, [m.entries for m in x.maps], [m.entries for m in y.maps])
-        rows = [ent[i * dom : (i + 1) * dom] for i in range(cod)]
+        _, dom, rows = d_rows(x, y)
+        rows = list(rows)
         if p > 2:
-            assert any(v < 0 for v in ent)
+            assert any(v < 0 for row in rows for v in row)
         assert_int_rows_match_dense_kernel(rows, dom, p)
 
 
@@ -386,7 +393,7 @@ def test_q_kernel_matches_field_elimination_on_fractional_d_matrices(name, a, b)
     for seed in (0, 1):
         x = fractional_conjugate(_over_q(random_rep(q, a, 5, seed)), rng)
         y = x if b is None else fractional_conjugate(_over_q(random_rep(q, b, 5, seed + 7)), rng)
-        d = d_matrix(x, y)
+        d = d_matrix_by_columns(x, y)
         assert any(v.denominator > 1 for v in d.entries)
         assert_matches_field_elimination(d)
 
@@ -397,7 +404,7 @@ def _over_q(x):
     return Representation(x.quiver, QQ, x.dims, maps)
 
 
-# -- d_matrix ------------------------------------------------------------------
+# -- d_rows --------------------------------------------------------------------
 
 LOOPED = Quiver(
     "LOOPED",
@@ -421,28 +428,43 @@ def _random_rep(q, dims, field, rng):
     return Representation(q, field, dims, tuple(maps))
 
 
+def assert_d_rows_match_definition(x, y):
+    """d_rows(x, y) on ints: the column-by-column d_{X,Y} mod p over F_p, and
+    that d times the lcm of all of X's and Y's map denominators over Q."""
+    ref = d_matrix_by_columns(x, y)
+    cod, dom, rows = d_rows(x, y)
+    rows = list(rows)
+    assert (cod, dom, len(rows)) == (ref.rows, ref.cols, ref.rows)
+    ent = [v for row in rows for v in row]
+    assert all(len(row) == dom for row in rows) and all(type(v) is int for v in ent)
+    if x.field.characteristic:
+        assert [v % x.field.p for v in ent] == list(ref.entries)
+    else:
+        scale = lcm(*(v.denominator for m in x.maps + y.maps for v in m.entries))
+        assert ent == [scale * v for v in ref.entries]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(sorted(QUIVERS)),
     st.sampled_from((None,) + PRIMES),
     st.integers(0, 2**32),
 )
-def test_d_matrix_matches_apply_d_definition(name, p, seed):
+def test_d_rows_match_apply_d_definition(name, p, seed):
     q = QUIVERS[name]
     field = QQ if p is None else PrimeField(p)
     rng = random.Random(seed)
     top = 3 if q.n <= 5 else 2
     x = _random_rep(q, tuple(rng.randint(0, top) for _ in range(q.n)), field, rng)
     y = _random_rep(q, tuple(rng.randint(0, top) for _ in range(q.n)), field, rng)
-    assert d_matrix(x, y) == d_matrix_by_columns(x, y)
+    assert_d_rows_match_definition(x, y)
 
 
-def test_d_matrix_with_zero_dimensions():
+def test_d_rows_with_zero_dimensions():
     for name, q in QUIVERS.items():
         for field in (QQ, PrimeField(101)):
             rng = random.Random(7)
             zero = _random_rep(q, (0,) * q.n, field, rng)
             x = _random_rep(q, tuple(i % 3 for i in range(q.n)), field, rng)
             for a, b in ((zero, zero), (zero, x), (x, zero)):
-                d = d_matrix(a, b)
-                assert d == d_matrix_by_columns(a, b), name
+                assert_d_rows_match_definition(a, b)

@@ -6,6 +6,8 @@ import pytest
 
 from oracles import (
     all_k2_reps,
+    d_matrix_by_columns,
+    field_elimination,
     fractional_conjugate,
     minimal_polynomial_of_matrix,
     reference_end_algebra,
@@ -23,7 +25,7 @@ from quiverglue.reps import (
     Representation,
     _minimal_polynomial_coords,
     compose,
-    d_matrix,
+    d_rows,
     direct_sum,
     end_algebra,
     ext_dim,
@@ -68,11 +70,12 @@ def test_hom_ext_euler_identity_on_fixtures():
     assert hom_dim(mb, ma) == 0 and ext_dim(mb, ma) == 1
 
 
-def test_d_matrix_shape():
+def test_d_rows_shape():
     m = load_rep("M")
-    d = d_matrix(m, m)
+    cod, dom, rows = d_rows(m, m)
     # domain: vertex blocks 2*2 + 3*3 = 13; codomain: arrow blocks 3 * (3*2) = 18
-    assert (d.rows, d.cols) == (18, 13)
+    assert (cod, dom) == (18, 13)
+    assert [len(row) for row in rows] == [13] * 18
 
 
 def test_simple_and_zero():
@@ -245,6 +248,36 @@ def test_hom_space_with_denominators_matches_reference():
         assert [tuple(b.entries for b in f.blocks) for f in basis] == reference_hom_space(x, y)
         fractional_bases += any(_has_denominators(f.blocks) for f in basis)
     assert fractional_bases > 50  # the denominator path is taken
+
+
+def assert_hom_ext_dims_match_reference(x, y):
+    """hom_dim and ext_dim against dom and cod minus the rank of the column-by-column d."""
+    d = d_matrix_by_columns(x, y)
+    rank = len(field_elimination(d)[1])
+    assert (hom_dim(x, y), ext_dim(x, y)) == (d.cols - rank, d.rows - rank)
+
+
+def test_hom_ext_dims_with_denominators_match_reference():
+    cases = fractional_cases()
+    for x, y in itertools.product(cases, repeat=2):
+        if x.quiver == y.quiver and x.total_dim() + y.total_dim() <= 9:
+            assert_hom_ext_dims_match_reference(x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_fp_hom_ext_dims_match_reference(p):
+    cases = (
+        (load_quiver("K3"), (3, 1), (2, 3)),
+        (load_quiver("K3"), (2, 2), (2, 2)),
+        (load_quiver("S4"), (3, 2, 2, 1, 1), (2, 1, 1, 1, 1)),
+        (load_quiver("S4"), (1, 1, 1, 0, 0), (1, 0, 0, 1, 1)),
+        (k2(), (2, 2), (1, 1)),
+    )
+    for q, a, b in cases:
+        for seed in range(3):
+            x, y = random_rep(q, a, p, seed), random_rep(q, b, p, seed + 5)
+            for u, v in itertools.product((x, y, direct_sum(x, y)), repeat=2):
+                assert_hom_ext_dims_match_reference(u, v)
 
 
 def test_end_algebra_and_indecomposable_with_denominators_match_reference():

@@ -25,10 +25,12 @@ GONE = {
     "gluing.apply_loop_F",
     "linalg.IncrementalRank.add",
     "linalg.IncrementalRank.contains",
+    "reps.d_matrix",
 }
 # the names behind the Hom, End(X) and elimination spans
 TRACED = (
-    (reps, "d_matrix"),
+    (reps, "hom_dim"),
+    (reps, "ext_dim"),
     (reps, "hom_space"),
     (reps, "end_algebra"),
     (reps, "indecomposable"),
