@@ -1,8 +1,7 @@
 """Exact-arithmetic toolkit for gluing quiver representations along Ext bases.
 
-Importing the package loads no third-party module: sympy, used only to
-factor minimal polynomials, is imported on first use by
-`linalg.sympy_module`.
+The package is pure Python with no third-party dependency: minimal
+polynomials are factored over Q and F_p by its own `poly` module.
 """
 
 __version__ = "0.1.0"

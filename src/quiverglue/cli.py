@@ -65,7 +65,7 @@ from .treemod import (
     parse_fragment,
     push_down,
 )
-from .textfmt import entries
+from .textfmt import entries, integer
 
 
 class InputError(ValueError):
@@ -309,10 +309,9 @@ def cmd_check_seq(args, out):
         if not vec or not mult:
             raise InputError(f"expected '<vector>x<coefficient>', got {term!r}")
         roots.append(_vec(q, vec))
-        try:
-            coeffs.append(int(mult))
-        except ValueError:
-            raise InputError(f"non-integer coefficient in {term!r}") from None
+        coeffs.append(integer(mult))
+        if coeffs[-1] is None:
+            raise InputError(f"non-integer coefficient in {term!r}")
     _oracle_header(args, out)
     report = verify_reduced_sequence(q, roots, coeffs, target, _config(args))
     out.extend(report.lines())

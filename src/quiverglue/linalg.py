@@ -21,36 +21,17 @@ checks of gluing on the rows of `reps.d_rows`, and the radical of
 and turn it into int rows through `_rows`.  A rank stops after forward
 elimination.  All of it is pure Python: numpy is not a dependency, since
 importing it costs more memory and start-up time than the small matrices
-here ever win back.
+here ever win back.  Polynomial arithmetic and factorisation, which the
+endomorphism-algebra routines of `reps` also need, live in `poly`.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 DEFAULT_PRIME = 2147483647  # prime below 2**31, used for Monte-Carlo sampling
-
-
-@lru_cache(maxsize=None)
-def sympy_module():
-    """The sympy module, imported on the first call, for polynomial factorisation.
-
-    sympy >= 1.13 warns when it sorts GF(p) factor lists internally; that is
-    harmless here and silenced so command output stays stable.  The filter
-    goes in after the import, because importing sympy puts its own filter
-    for its deprecation warnings in front of the existing ones.
-    """
-    import sympy
-
-    warnings.filterwarnings(
-        "ignore",
-        message="(?s).*Ordered comparisons with modular integers.*",
-        category=DeprecationWarning,
-    )
-    return sympy
 
 
 class FieldMismatchError(ValueError):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .textfmt import ParseError, directives, expect
+from .textfmt import ParseError, directives, expect, integer
 
 
 class QuiverError(ValueError):
@@ -116,10 +115,10 @@ def parse_dimvector(text: str):
         t = t[1:-1]
     elif t.startswith("(") or t.endswith(")"):
         raise ParseError(f"unbalanced parentheses in dimension vector {text!r}")
-    parts = t.split(",") if t.strip() else []
-    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", p) for p in parts):
+    parts = tuple(integer(p) for p in t.split(",")) if t.strip() else ()
+    if None in parts:
         raise ParseError(f"non-integer entry in dimension vector {text!r}")
-    return tuple(int(p) for p in parts)
+    return parts
 
 
 def format_dimvector(a):

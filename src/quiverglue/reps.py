@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .linalg import (
     QQ,
@@ -30,8 +30,6 @@ from .linalg import (
     kernel_rows,
     rank_rows,
     rref,
-    solve,
-    sympy_module,
 )
 from .quiver import Quiver
 from .textfmt import (
@@ -483,63 +481,75 @@ class Verdict:
 
 
 def _minimal_polynomial_coords(end: EndAlgebra, g):
-    """Monic minimal polynomial of g in End(X), and the powers of g below its degree.
+    """Monic minimal polynomial of g in End(X), low degree first, and the powers of g
+    below its degree.
 
     End(X) is unital and acts faithfully on X, so this is the minimal
-    polynomial of g's action matrix.
+    polynomial of g's action matrix.  One incremental elimination finds it:
+    each power is reduced against a table of pivot rows keyed by leading
+    column, every row carrying the combination of powers it stands for, and
+    the first power that reduces to zero gives the dependency.  Over Q the
+    rows are integers, cleared of denominators and kept primitive by the
+    fraction-free step of `linalg._elimination_q`; over F_p they are
+    residues, and pivot rows are scaled to lead with 1.
     """
     n = end.dim
     field = end.rep.field
-    powers = [list(end.identity_coords)]
-    while len(powers) <= n:
-        target = end.mul(powers[-1], g)
+    p = field.characteristic
+    powers = []
+    table = {}
+    power = list(end.identity_coords)
+    while True:
         k = len(powers)
-        cols = Matrix(n, k, [p[r] for r in range(n) for p in powers], field)
-        dep = solve(cols, target)
-        if dep is not None:
-            return [field.neg(c) for c in dep] + [field.one()], powers
-        powers.append(target)
-    raise RepError("minimal polynomial computation failed to terminate")
+        den, (row,) = clear_denominators([power])
+        row += [0] * (n + 1)
+        row[n + k] = den  # row = den * power, so power k with coefficient den
+        lead = next((c for c in range(n) if row[c]), n)
+        while lead < n and lead in table:
+            prow = table[lead]
+            f = row[lead]
+            if p:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+            else:
+                h = gcd(f, prow[lead])
+                s, t = prow[lead] // h, f // h
+                row = [s * x - t * y for x, y in zip(row, prow)]
+                h = gcd(*row)
+                row = [x // h for x in row] if h > 1 else row
+            lead = next((c for c in range(lead + 1, n) if row[c]), n)
+        if lead == n:
+            dep = row[n:]
+            return [field.div(c, dep[k]) for c in dep[:k]] + [field.one()], powers
+        if p:
+            inv = pow(row[lead], -1, p)
+            row = [x * inv % p for x in row]
+        table[lead] = row
+        powers.append(power)
+        power = end.mul(power, g)
 
 
-def _sympy_poly(f, t, field):
-    """f, a coefficient list (leading first) or a polynomial, as a sympy Poly over Q or F_p."""
-    sympy = sympy_module()
-    if field == QQ:
-        return sympy.Poly(f, t)
-    return sympy.Poly(f, t, modulus=field.p, symmetric=False)
-
-
-def _minpoly_factors(coeffs, field):
-    """Irreducible factorization over Q or F_p of a minimal polynomial, via sympy."""
-    sympy = sympy_module()
-
-    t = sympy.Symbol("t")
-    lead_first = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
-    return t, sympy.factor_list(_sympy_poly(lead_first, t, field))[1]
-
-
-def _splitting_coords(end: EndAlgebra, g, powers, t, factors):
-    """Coordinates of u(g)a(g), where minpoly = a*b with a, b coprime and ua + vb = 1.
+def _splitting_coords(end: EndAlgebra, g, powers, factors):
+    """Coordinates of u(g)a(g), where minpoly = a*b with a the first factor's power,
+    a and b coprime and ua + vb = 1.
 
     None unless it is a nontrivial idempotent, checked in End(X) coordinates.
     """
-    sympy = sympy_module()
+    from . import poly
 
     field = end.rep.field
-    a = _sympy_poly(factors[0][0] ** factors[0][1], t, field)
-    b = _sympy_poly(sympy.prod(f ** e for f, e in factors[1:]), t, field)
-    u, _v, gcd = a.gcdex(b)
-    if not gcd.is_one:
-        return None
-    coeffs = [sympy.Rational(c) for c in reversed((u * a).all_coeffs())]
-    coeffs = [field.coerce(Fraction(c.p, c.q)) for c in coeffs]
+    p = field.characteristic
+    f, k = factors[0]
+    a, b = poly.power(f, k, p), [1]
+    for f, k in factors[1:]:
+        b = poly.mul(b, poly.power(f, k, p), p)
+    u = poly.gcdex(a, b, p)[0]
+    coeffs = [field.coerce(c) for c in poly.mul(u, a, p)]
     while len(powers) < len(coeffs):
         powers.append(end.mul(powers[-1], g))
     e = [0] * end.dim
-    for c, p in zip(coeffs, powers):
+    for c, power in zip(coeffs, powers):
         if c:
-            e = [x + c * y for x, y in zip(e, p)]
+            e = [x + c * y for x, y in zip(e, power)]
     e = [field.coerce(x) for x in e]
     if not any(e) or e == list(end.identity_coords) or end.mul(e, e) != e:
         return None
@@ -547,11 +557,18 @@ def _splitting_coords(end: EndAlgebra, g, powers, t, factors):
 
 
 def _spectral_split(end: EndAlgebra, g):
-    """The irreducible factors of g's minimal polynomial, and the coordinates
-    of the nontrivial idempotent they give (None when they give none)."""
+    """The irreducible factors of g's minimal polynomial, as `poly.factor_list` gives
+    them, and the coordinates of the nontrivial idempotent they give (None when they
+    give none).
+
+    `poly` is imported here, on first use, so that commands which factor
+    nothing do not pay for loading it at start-up.
+    """
+    from . import poly
+
     coeffs, powers = _minimal_polynomial_coords(end, g)
-    t, factors = _minpoly_factors(coeffs, end.rep.field)
-    e = _splitting_coords(end, g, powers, t, factors) if len(factors) >= 2 else None
+    factors = poly.factor_list(coeffs, end.rep.field.characteristic)
+    e = _splitting_coords(end, g, powers, factors) if len(factors) >= 2 else None
     return factors, e
 
 
@@ -595,7 +612,7 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
         factors, e = _spectral_split(end, g)
         if e is not None:
             return Verdict("decomposable", witness=end.element(e))
-        if len(factors) == 1 and factors[0][0].degree() == semisimple_dim:
+        if len(factors) == 1 and len(factors[0][0]) - 1 == semisimple_dim:
             # the image of g generates End/rad, which is then Q[t]/(p),
             # a field: no nontrivial idempotents exist
             return Verdict("indecomposable")

@@ -10,6 +10,8 @@ files that carry entries open with `<kind> <name> over Q` or
 
 from __future__ import annotations
 
+import re
+
 from .linalg import Matrix, PrimeField, QQ
 
 
@@ -57,12 +59,15 @@ def check_quiver(tokens, lineno, quiver, what):
         )
 
 
+def integer(token):
+    """The int a token spells in ASCII digits, with an optional sign and surrounding
+    whitespace, or None; a bare `int()` would also read `1_0` and non-ASCII digits."""
+    return int(token) if re.fullmatch(r"\s*[+-]?[0-9]+\s*", token) else None
+
+
 def _nat(token):
-    try:
-        n = int(token)
-    except ValueError:
-        return None
-    return n if n >= 0 else None
+    n = integer(token)
+    return n if n is not None and n >= 0 else None
 
 
 def nat(token, lineno):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,6 @@ from quiverglue.reps import (
     _check_pair,
     _combination,
     _identity_blocks,
-    _minpoly_factors,
     bundle_space_dim,
     compose,
     end_algebra,
@@ -493,10 +493,19 @@ def _poly_eval_morphism(coeffs, g):
     return acc
 
 
+def _sympy_factors_over_q(coeffs):
+    """(t, sympy's irreducible factors over Q) of a polynomial given low degree first."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    lead_first = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+    return t, sympy.factor_list(sympy.Poly(lead_first, t))[1]
+
+
 def _idempotent_from_minpoly(coeffs, g):
     import sympy
 
-    t, factors = _minpoly_factors(coeffs, QQ)
+    t, factors = _sympy_factors_over_q(coeffs)
     if len(factors) < 2:
         return None
     a = factors[0][0] ** factors[0][1]
@@ -531,7 +540,7 @@ def reference_indecomposable(x, seed=0):
         candidates.append(reference_element(end, coords))
     for g in candidates:
         coeffs = minimal_polynomial_of_matrix(block_diag(g.blocks, QQ))
-        _, factors = _minpoly_factors(coeffs, QQ)
+        _, factors = _sympy_factors_over_q(coeffs)
         if len(factors) >= 2:
             e = _idempotent_from_minpoly(coeffs, g)
             if e is not None:
@@ -564,7 +573,9 @@ def reference_splitting_idempotent(x, basis, rng):
             block_diag([Matrix._trusted(d, d, gv, f) for d, gv in zip(dims, g)], f)
         )
         poly = sympy.Poly([int(c) for c in reversed(coeffs)], t, modulus=p, symmetric=False)
-        factors = sympy.factor_list(poly)[1]
+        with warnings.catch_warnings():  # sympy >= 1.13 warns as it sorts F_p factors
+            warnings.simplefilter("ignore", DeprecationWarning)
+            factors = sympy.factor_list(poly)[1]
         if len(factors) < 2:
             continue
         a = factors[0][0] ** factors[0][1]

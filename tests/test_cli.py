@@ -166,6 +166,27 @@ def test_malformed_vector_entries_exit_one(capsys, vector):
     assert captured.err == f"error: non-integer entry in dimension vector {vector!r}\n"
 
 
+@pytest.mark.parametrize("coefficient", ["1_0", "١"])
+def test_malformed_check_seq_coefficient_exits_one(capsys, coefficient):
+    # int() read "1_0" as 10 and an Arabic-Indic 1 as 1
+    term = f"(1,0)x{coefficient}"
+    assert main(["check-seq", "-q", "K3", "(1,0)", term]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: non-integer coefficient in {term!r}\n"
+
+
+@pytest.mark.parametrize("token", ["1_0", "١"])
+def test_malformed_dim_in_a_file_exits_one(capsys, tmp_path, token):
+    # int() read "dim q 1_0" as dimension 10
+    path = tmp_path / "x.rep"
+    path.write_text(f"rep X over Q\nquiver K3\ndim q {token}\ndim qp 0\n", encoding="utf-8")
+    assert main(["schur", "-q", "K3", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 3: expected a natural number, got {token!r}" in captured.err
+
+
 @pytest.mark.parametrize("prime", ["4", "1"])
 def test_non_prime_modulus_exits_one(capsys, prime):
     assert main(["candecomp", "-q", "K3", "(2,2)", "--prime", prime]) == 1

@@ -1,4 +1,4 @@
-"""The CLI contract: recorded transcripts, one parser per process, a lazy sympy import.
+"""The CLI contract: recorded transcripts, one parser per process, no sympy.
 
 The transcripts under tests/golden/ must not change.  They hold the stdout
 and exit code of every `reproduce` id at --seed 0, recorded before the
@@ -14,7 +14,11 @@ at --prime 3 was recorded again when a sampling failure moved from exit 1
 to exit 2 and its message came to name the prime.  The file commands on
 the three-member sequence (S_q0, Malpha, Mbeta), `glue-mor`, `qm --bases`
 and `loopglue` with `-x` or `--bases` were recorded before the loop functor
-became the one-member case of the gluing functor.
+became the one-member case of the gluing functor.  indec_field_end.json
+holds `indec` on two modules whose End/rad is larger than Q, recorded
+while sympy still factored the minimal polynomials; they, every
+`reproduce` id and the F_2 `candecomp` of the S5 isotropic root must give
+the same transcripts in a process that cannot import sympy.
 """
 
 import json
@@ -36,6 +40,7 @@ EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
 README_COMMANDS = json.loads((GOLDEN / "readme_commands.json").read_text(encoding="utf-8"))
 SEEDED_COMMANDS = json.loads((GOLDEN / "seeded_commands.json").read_text(encoding="utf-8"))
 FILE_COMMANDS = json.loads((GOLDEN / "file_commands.json").read_text(encoding="utf-8"))
+FIELD_END_COMMANDS = json.loads((GOLDEN / "indec_field_end.json").read_text(encoding="utf-8"))
 
 # a representation of Q(Malpha, Mbeta), whose arrows are x1_2_1 and x2_1_1
 QM_REP = "rep X over Q\nquiver QM\ndim m1 1\ndim m2 2\nmap x1_2_1 2x1\n1\n0\nmap x2_1_1 1x2\n0 1\n"
@@ -170,3 +175,72 @@ def test_no_sympy_warning_under_default_warning_filters():
     proc = fresh("-W", "default", "-m", "quiverglue.cli", "reproduce", "sub5-candecomp")
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# K2 modules whose End/rad is larger than Q, recorded in indec_field_end.json:
+# End(Xi) = Q(i), so deciding needs an irreducible quadratic factor, and
+# End(Y) = Q(i) x Q(sqrt 2), split along the first of the factors t^2 + 1, t^2 - 2
+FIELD_END_REPS = {
+    "field.rep": "rep Xi over Q\nquiver K2\ndim q 2\ndim qp 2\nmap a 2x2\n1 0\n0 1\nmap b 2x2\n0 -1\n1 0\n",
+    "split.rep": (
+        "rep Y over Q\nquiver K2\ndim q 4\ndim qp 4\nmap a 4x4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        "map b 4x4\n0 -1 0 0\n1 0 0 0\n0 0 0 2\n0 0 1 0\n"
+    ),
+}
+
+
+def write_field_end_reps(directory):
+    for name, text in FIELD_END_REPS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden", FIELD_END_COMMANDS, ids=[g["argv"][-1] for g in FIELD_END_COMMANDS])
+def test_indec_over_a_larger_field_matches_golden_transcript(capsys, tmp_path, golden):
+    write_field_end_reps(tmp_path)
+    code = cli.main([arg.replace("{dir}", str(tmp_path)) for arg in golden["argv"]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
+# Runs each command line of argv[1] (a JSON list) through cli.main with sympy made
+# unimportable, and prints the transcripts and whether sympy got loaded anyway.
+WITHOUT_SYMPY = """
+import contextlib, io, json, sys
+
+class BlockSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockSympy())
+from quiverglue import cli
+
+seen = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    seen.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"seen": seen, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_commands_that_factor_run_without_sympy(tmp_path):
+    write_field_end_reps(tmp_path)
+    want = [
+        (["reproduce", rid, "--seed", "0"], EXIT_CODES[rid],
+         (GOLDEN / f"reproduce-{rid}.txt").read_text(encoding="utf-8"), "")
+        for rid in sorted(EXIT_CODES)
+    ]
+    f2 = ["candecomp", "-q", "S5", "(10,3,3,3,3,8)", "--prime", "2"]
+    goldens = [g for g in SEEDED_COMMANDS if g["argv"] == f2] + FIELD_END_COMMANDS
+    want += [
+        ([arg.replace("{dir}", str(tmp_path)) for arg in g["argv"]], g["code"], g["stdout"], g["stderr"])
+        for g in goldens
+    ]
+    assert len(want) == len(EXIT_CODES) + 3
+    proc = fresh("-c", WITHOUT_SYMPY, json.dumps([argv for argv, *_ in want]))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [tuple(s) for s in report["seen"]] == [tuple(w[1:]) for w in want]
+    assert report["sympy"] is False
