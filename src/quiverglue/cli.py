@@ -520,11 +520,16 @@ def cmd_reproduce(args, out):
 # -- argument parsing ------------------------------------------------------
 
 
+def _int(text):
+    """The int an option value spells, by `textfmt.integer`."""
+    value = integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -534,8 +539,8 @@ def _positive_int(text):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=_positive_int, default=5, help="Monte-Carlo samples")
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="sampling prime")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
+    common.add_argument("--prime", type=_int, default=DEFAULT_PRIME, help="sampling prime")
+    common.add_argument("--seed", type=_int, default=0, help="sampling seed")
     common.add_argument("--bound", type=_positive_int, default=None, help="perp search bound")
 
     parser = argparse.ArgumentParser(

@@ -39,7 +39,7 @@ from .reps import (
     hom_dim,
     is_schurian,
 )
-from .textfmt import ParseError, directives, expect
+from .textfmt import ParseError, directives, expect, integer
 
 
 @dataclass(frozen=True)
@@ -434,10 +434,10 @@ def parse_bases(text: str):
         if parts[0] != "extbasis":
             continue
         expect(len(parts) == 7, lineno, "extbasis <i> <j> <l> <arrow> <row> <col>")
-        try:
-            i, j, l, row, col = (int(parts[k]) for k in (1, 2, 3, 5, 6))
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field in extbasis line") from None
+        fields = [integer(parts[k]) for k in (1, 2, 3, 5, 6)]
+        if None in fields:
+            raise ParseError(f"line {lineno}: non-integer field in extbasis line")
+        i, j, l, row, col = fields
         if row < 1 or col < 1:
             raise ParseError(f"line {lineno}: extbasis rows/cols are 1-based")
         out.append(ExtBasisElement(parts[4], row - 1, col - 1, i, j, l))

@@ -6,16 +6,19 @@ plain Gaussian elimination with exact field arithmetic is all we need.
 Matrices with zero rows or columns are legal and common (maps in and out
 of zero spaces at unsupported vertices).
 
-Elimination takes a matrix as rows of ints, read in a field, and has one
-kernel per field behind `echelon`.  Over Q the rows are cleared of
-denominators, combined fraction-free from the pivot column on and kept
-primitive by dividing out the gcd of their entries; only a final pivot
-division goes back to `Fraction`s.  Over F_p the entries may be any ints,
-reduced mod p as each row is read into a sparse {column: residue} dict,
-since the `d_{X,Y}` matrices behind Hom and Ext are mostly zeros: each row
-is reduced against a table of pivot rows keyed by leading column, and
-entries that cancel are deleted.  Callers that hold integer rows call
-`echelon`, `kernel_rows` and `rank_rows`: Hom, Ext and the Ext-class
+Elimination takes a matrix as rows of ints, read in a field, and is one
+routine for both fields, `echelon`.  Each row is read once into a sparse
+{column: int} dict, reduced mod p over F_p, since the `d_{X,Y}` matrices
+behind Hom and Ext are mostly zeros; `reduce_row` reduces it against a
+table of pivot rows keyed by leading column, deleting entries that cancel,
+and stores what is left under its new leading column.  Only two steps
+depend on the field: clearing a column (over F_p against a pivot row that
+leads with 1, over Q by a fraction-free combination made primitive again)
+and normalising a new pivot row (scaled to lead with 1 over F_p, divided
+by its gcd over Q).  Over Q only a final pivot division goes back to
+`Fraction`s.  `reps` finds minimal polynomials with `reduce_row` too.
+Callers that hold integer rows call `echelon`, `kernel_rows` and
+`rank_rows`: Hom, Ext and the Ext-class
 checks of gluing on the rows of `reps.d_rows`, and the radical of
 `end_algebra`.  `rank`, `kernel_basis`, `rref` and `solve` take a `Matrix`
 and turn it into int rows through `_rows`.  A rank stops after forward
@@ -442,20 +445,48 @@ def _rows(a: Matrix):
 def echelon(rows, m, field, reduce_above):
     """Row echelon form of an integer matrix with m columns, read in field.
 
-    The rows may be any iterable of lists of ints (over F_p of any int
-    sequences, each read once and dropped, so a caller may pass a
-    generator).  Over F_p the entries may be any ints, such as the
-    unreduced sums of `reps.d_rows`.  Returns (rows, pivots): one list of
-    ints per row, the pivot rows first in pivot order, then zero rows.  Over Q a pivot row is not
-    divided by its pivot; over F_p it is, so it leads with 1.  With
+    The rows may be any iterable of int sequences, each read once and
+    dropped, so a caller may pass a generator.  Over F_p the entries may be
+    any ints, such as the unreduced sums of `reps.d_rows`; over Q they may
+    be cleared of denominators by any factor per row.  Returns (rows,
+    pivots): one list of ints per row, the pivot rows first in pivot order,
+    then zero rows.  Over Q a pivot row is primitive (its entries have gcd
+    1) and is not divided by its pivot; over F_p it leads with 1.  With
     reduce_above every pivot row is also cleared above its pivot, and
     dividing the pivot rows by their pivots gives the reduced row echelon
     form.  Without it only forward elimination runs, which is all a rank
     needs: the pivots are those of the RREF.
+
+    Each row is read into a sparse row, {column: nonzero int}, reduced mod
+    p over F_p, and passed to `reduce_row`.  The pivot set depends only on
+    the row space, so it is already that of the RREF.  Back-substitution
+    runs from the last pivot down; each pivot row it clears against is
+    zero at every other pivot column, so it adds entries only at free
+    columns.
     """
-    if field.characteristic:
-        return _elimination_fp(rows, m, field.p, reduce_above)
-    return _elimination_q(rows, m, reduce_above)
+    p = field.characteristic
+    table = {}
+    n = 0  # rows read
+    for r in rows:
+        n += 1
+        if p:
+            reduce_row({c: y for c, x in enumerate(r) if x and (y := x % p)}, table, p)
+        else:
+            reduce_row({c: x for c, x in enumerate(r) if x}, table, p)
+    pivots = sorted(table)
+    if reduce_above:
+        for pc in reversed(pivots):
+            row = table[pc]
+            for c in [c for c in row if c != pc and c in table]:
+                _clear(row, c, table[c], p)
+    out = []
+    for pc in pivots:
+        dense = [0] * m
+        for c, x in table[pc].items():
+            dense[c] = x
+        out.append(dense)
+    out.extend([0] * m for _ in range(n - len(pivots)))
+    return out, pivots
 
 
 def _elimination(a: Matrix, reduce_above=True):
@@ -467,102 +498,67 @@ def _elimination(a: Matrix, reduce_above=True):
     return rows, pivots
 
 
-def _subtract_fp(row, factor, prow, p):
-    """row -= factor * prow over F_p on sparse rows, in place; zeros are deleted."""
-    g = p - factor
-    for c, y in prow.items():
-        x = (row.get(c, 0) + g * y) % p
-        if x:
-            row[c] = x
-        else:
-            del row[c]
+def reduce_row(row, table, p):
+    """Reduce a sparse row against table, the pivot rows keyed by leading column.
 
-
-def _elimination_fp(rows, m, p, reduce_above):
-    """`echelon` over F_p on sparse rows, {column: nonzero residue}.
-
-    Each int row in turn is reduced mod p into a sparse row, then reduced
-    against a table of pivot rows keyed by their leading column: while its
-    leading column has a pivot row, the right multiple of that row is
-    subtracted, and entries that cancel to 0 are deleted.  A row left
-    nonzero leads at a new column and is stored scaled to lead with 1.  The
-    pivot set depends only on the row space, so it is already that of the
-    RREF.  Back-substitution runs from the last pivot down; each pivot row
-    it subtracts is zero at every other pivot column, so it adds entries
-    only at free columns.
+    row is {column: nonzero int}, residues mod p over F_p (p > 0) and
+    integers over Q (p = 0), and is changed in place.  While its leading
+    column has a pivot row, that column is cleared (`_clear`).  A row left
+    nonzero is normalised, scaled to lead with 1 over F_p and divided by
+    the gcd of its entries over Q, stored in table under its leading
+    column, and that column is returned; None when the row reduces to 0.
     """
-    table = {}
-    n = 0  # rows read
-    for r in rows:
-        n += 1
-        row = {c: y for c, x in enumerate(r) if x and (y := x % p)}
-        while row:
-            lead = min(row)
-            prow = table.get(lead)
-            if prow is None:
+    while row:
+        lead = min(row)
+        prow = table.get(lead)
+        if prow is None:
+            if p:
                 inv = pow(row[lead], -1, p)
-                table[lead] = {c: x * inv % p for c, x in row.items()} if inv != 1 else row
-                break
-            _subtract_fp(row, row[lead], prow, p)
-    pivots = sorted(table)
-    if reduce_above:
-        for pc in reversed(pivots):
-            row = table[pc]
-            for c in [c for c in row if c != pc and c in table]:
-                _subtract_fp(row, row[c], table[c], p)
-    out = []
-    for pc in pivots:
-        dense = [0] * m
-        for c, x in table[pc].items():
-            dense[c] = x
-        out.append(dense)
-    out.extend([0] * m for _ in range(n - len(pivots)))
-    return out, pivots
+                if inv != 1:
+                    for c, x in row.items():
+                        row[c] = x * inv % p
+            elif (h := gcd(*row.values())) > 1:
+                for c, x in row.items():
+                    row[c] = x // h
+            table[lead] = row
+            return lead
+        _clear(row, lead, prow, p)
+    return None
 
 
-def _elimination_q(rows, m, reduce_above):
-    """`echelon` over Q, fraction-free.
+def _clear(row, c, prow, p):
+    """Clear column c of a sparse row against prow, a pivot row leading at c, in place.
 
-    The rows come back primitive (divided by the gcd of their entries).
-    Against a pivot pv, a row with entry f in the pivot column becomes
-    (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), and is then made
-    primitive again, so entries grow no more than the row needs
-    (integer-preserving elimination in the spirit of Bareiss, 1968).
-    Scaling a row leaves all of this unchanged, so a caller may pass rows
-    cleared of denominators by any factors.  The caller's rows are not
-    modified.
+    Over F_p prow leads with 1, and row[c] * prow is subtracted.  Over Q,
+    with pivot pv = prow[c], f = row[c] and g = gcd(pv, f), row becomes
+    (pv/g)*row - (f/g)*prow and is made primitive again, so entries grow no
+    more than the row needs (integer-preserving elimination in the spirit
+    of Bareiss, 1968).  Entries that cancel are deleted.
     """
-    rows = [[x // h for x in row] if (h := gcd(*row)) > 1 else row for row in rows]
-    n = len(rows)
-    pivots = []
-    pr = 0
-    for pc in range(m):
-        if pr == n:
-            break
-        for r in range(pr, n):
-            if rows[r][pc]:
-                break
+    f = row[c]
+    if p:
+        g = p - f
+        for k, y in prow.items():
+            x = (row.get(k, 0) + g * y) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        return
+    g = gcd(prow[c], f)
+    s, t = prow[c] // g, f // g
+    if s != 1:
+        for k, x in row.items():
+            row[k] = s * x
+    for k, y in prow.items():
+        x = row.get(k, 0) - t * y
+        if x:
+            row[k] = x
         else:
-            continue
-        prow = rows[r]
-        rows[r] = rows[pr]
-        rows[pr] = prow
-        pv = prow[pc]
-        tail = prow[pc:]
-        for i in range(0 if reduce_above else pr + 1, n):
-            row = rows[i]
-            f = row[pc]
-            if f and i != pr:
-                g = gcd(pv, f)
-                s, t = pv // g, f // g
-                # rows below the pivot row are zero left of pc, rows above are not
-                head = [s * x for x in row[:pc]] if i < pr and s != 1 else row[:pc]
-                row = head + [s * x - t * y for x, y in zip(row[pc:], tail)]
-                h = gcd(*row)
-                rows[i] = [x // h for x in row] if h > 1 else row
-        pivots.append(pc)
-        pr += 1
-    return rows, pivots
+            del row[k]
+    if (h := gcd(*row.values())) > 1:
+        for k, x in row.items():
+            row[k] = x // h
 
 
 def kernel_rows(rows, m, field):

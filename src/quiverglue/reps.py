@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .linalg import (
     QQ,
@@ -29,6 +28,7 @@ from .linalg import (
     kernel_basis,
     kernel_rows,
     rank_rows,
+    reduce_row,
     rref,
 )
 from .quiver import Quiver
@@ -297,11 +297,10 @@ def split_by_idempotent(x: Representation, e: Morphism):
     im_dims = []
     for v in range(q.n):
         ev = e.blocks[v]
+        if ev * ev != ev:
+            raise RepError(f"not an idempotent: e o e differs from e at vertex {q.vertices[v]}")
         im = _column_space_basis(ev)
-        ker = kernel_basis(ev)
-        cols = im + ker
-        if len(cols) != x.dims[v]:
-            raise RepError("idempotent does not split the vertex space")
+        cols = im + kernel_basis(ev)
         if cols:
             p = hstack(cols)
         else:
@@ -486,12 +485,13 @@ def _minimal_polynomial_coords(end: EndAlgebra, g):
 
     End(X) is unital and acts faithfully on X, so this is the minimal
     polynomial of g's action matrix.  One incremental elimination finds it:
-    each power is reduced against a table of pivot rows keyed by leading
-    column, every row carrying the combination of powers it stands for, and
-    the first power that reduces to zero gives the dependency.  Over Q the
-    rows are integers, cleared of denominators and kept primitive by the
-    fraction-free step of `linalg._elimination_q`; over F_p they are
-    residues, and pivot rows are scaled to lead with 1.
+    power k of g, cleared of denominators by M (1 over F_p), becomes the
+    sparse row [M power_k | M at column n + k], which `linalg.reduce_row`
+    reduces against the pivot rows of the lower powers.  Every row then
+    carries in its columns from n on the combination of powers it stands
+    for.  The first power whose first n columns reduce to zero gives the
+    dependency: its row then leads from column n on, where no pivot row
+    leads.
     """
     n = end.dim
     field = end.rep.field
@@ -501,29 +501,12 @@ def _minimal_polynomial_coords(end: EndAlgebra, g):
     power = list(end.identity_coords)
     while True:
         k = len(powers)
-        den, (row,) = clear_denominators([power])
-        row += [0] * (n + 1)
-        row[n + k] = den  # row = den * power, so power k with coefficient den
-        lead = next((c for c in range(n) if row[c]), n)
-        while lead < n and lead in table:
-            prow = table[lead]
-            f = row[lead]
-            if p:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-            else:
-                h = gcd(f, prow[lead])
-                s, t = prow[lead] // h, f // h
-                row = [s * x - t * y for x, y in zip(row, prow)]
-                h = gcd(*row)
-                row = [x // h for x in row] if h > 1 else row
-            lead = next((c for c in range(lead + 1, n) if row[c]), n)
-        if lead == n:
-            dep = row[n:]
+        den, (ints,) = clear_denominators([power])
+        row = {c: x for c, x in enumerate(ints) if x}
+        row[n + k] = den
+        if reduce_row(row, table, p) >= n:
+            dep = [row.get(n + j, 0) for j in range(k + 1)]
             return [field.div(c, dep[k]) for c in dep[:k]] + [field.one()], powers
-        if p:
-            inv = pow(row[lead], -1, p)
-            row = [x * inv % p for x in row]
-        table[lead] = row
         powers.append(power)
         power = end.mul(power, g)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .linalg import Matrix, PrimeField, QQ
+from .linalg import Matrix, ModulusError, PrimeField, QQ
 
 
 class ParseError(ValueError):
@@ -43,9 +43,12 @@ def header(tokens, lineno):
     if tokens[3:] == ["Q"]:
         return tokens[1], QQ
     if len(tokens) == 5 and tokens[3] == "F":
+        p = integer(tokens[4])
+        if p is None:
+            raise ParseError(f"line {lineno}: bad modulus {tokens[4]!r}: not an integer")
         try:
-            return tokens[1], PrimeField(int(tokens[4]))
-        except ValueError as exc:
+            return tokens[1], PrimeField(p)
+        except ModulusError as exc:
             raise ParseError(f"line {lineno}: bad modulus {tokens[4]!r}: {exc}") from None
     raise ParseError(f"line {lineno}: expected 'over Q' or 'over F <p>'")
 

@@ -293,7 +293,7 @@ def reference_hom_space(x, y):
 
 
 def dense_elimination_fp(a, reduce_above):
-    """`linalg._elimination_fp` on the dense int rows of a matrix over F_p,
+    """`linalg.echelon` over F_p on the dense int rows of a matrix,
     with inline modular arithmetic.
 
     Left of the pivot column, the pivot row and every row still to be

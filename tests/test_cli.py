@@ -187,6 +187,27 @@ def test_malformed_dim_in_a_file_exits_one(capsys, tmp_path, token):
     assert f"line 3: expected a natural number, got {token!r}" in captured.err
 
 
+@pytest.mark.parametrize("modulus", ["1_01", "\u0661\u0660\u0661"])
+def test_malformed_modulus_in_a_file_exits_one(capsys, tmp_path, modulus):
+    # int() read "over F 1_01" and an Arabic-Indic 101 as F_101
+    path = tmp_path / "x.rep"
+    path.write_text(f"rep X over F {modulus}\nquiver K2\ndim q 1\ndim qp 0\n", encoding="utf-8")
+    assert main(["schur", "-q", "K2", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 1: bad modulus {modulus!r}: not an integer" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--prime", "--seed", "--samples", "--bound"])
+@pytest.mark.parametrize("value", ["1_01", "\u0663"])
+def test_malformed_integer_options_exit_one(capsys, option, value):
+    # int() read "--prime 1_01" as 101 and "--samples" with an Arabic-Indic 3 as 3
+    assert main(["candecomp", "-q", "K3", "(1,1)", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid int value: {value!r}" in captured.err
+
+
 @pytest.mark.parametrize("prime", ["4", "1"])
 def test_non_prime_modulus_exits_one(capsys, prime):
     assert main(["candecomp", "-q", "K3", "(2,2)", "--prime", prime]) == 1

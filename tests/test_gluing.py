@@ -53,6 +53,7 @@ from quiverglue.reps import (
     parse_rep,
     random_rep,
 )
+from quiverglue.textfmt import ParseError
 
 
 def sub4_gluing():
@@ -244,6 +245,15 @@ def test_bases_serialization_roundtrip():
     text = format_bases(g.bases)
     assert parse_bases(text) == list(g.bases)
     assert "extbasis 1 2 1 r1 1 1" in text
+
+
+@pytest.mark.parametrize(
+    "line", ["extbasis 1_0 \u0662 1 r1 1 1", "extbasis 1 2 1 r1 1_0 1", "extbasis 1 2 1 r1 1 \u0661"]
+)
+def test_bases_reject_non_ascii_integer_fields(line):
+    # int() read "1_0" as 10 and an Arabic-Indic 2 as 2
+    with pytest.raises(ParseError, match="line 1: non-integer field in extbasis line"):
+        parse_bases(line + "\n")
 
 
 def test_format_gluing_parseable_quiver():

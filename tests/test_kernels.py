@@ -1,15 +1,16 @@
-"""Differential tests: the fast Q and F_p kernels against their references.
+"""Differential tests: the sparse pivot-table elimination against its references.
 
-The Q and F_p eliminations must agree with `field_elimination`, the loop
-over the field's methods that `_elimination` ran before each field got its
-own kernel; `solve` is compared with that loop patched in for
-`_elimination`.  The sparse-row F_p kernel must also agree with the
-dense-row kernel it replaced, on the sparse `d_{X,Y}` matrices the library
-eliminates and on rows built to cancel.  Both take integer rows, through
-`echelon`, `kernel_rows` and `rank_rows`; over F_p the entries may be
-unreduced or negative, as `reps.d_rows` builds them for Hom and Ext.
-The Q kernel must agree on the integer `d_{X,Y}` matrices `hom_space`
-eliminates and on fractional ones.
+`linalg.echelon` is one routine for Q and F_p.  Over both fields it must
+agree with `field_elimination`, the loop over the field's methods that
+`_elimination` ran before the fields got integer kernels; `solve` is
+compared with that loop patched in for `_elimination`.  Over F_p it must
+also agree with `dense_elimination_fp`, the dense-row kernel the sparse
+rows replaced, on the sparse `d_{X,Y}` matrices the library eliminates
+and on rows built to cancel, and with it swapped in for `echelon`.  It
+takes integer rows, through `echelon`, `kernel_rows` and `rank_rows`;
+over F_p the entries may be unreduced or negative, as `reps.d_rows`
+builds them for Hom and Ext.  Over Q it must agree on the integer
+`d_{X,Y}` matrices `hom_space` eliminates and on fractional ones.
 The arrow-by-arrow `d_rows` must equal the column-by-column definition
 through `apply_d`: mod p over F_p, and times the lcm of the maps'
 denominators over Q.
@@ -38,8 +39,6 @@ from quiverglue.linalg import (
     PrimeField,
     QQ,
     _elimination,
-    _elimination_fp,
-    _elimination_q,
     _rows,
     echelon,
     kernel_basis,
@@ -126,17 +125,21 @@ def test_forward_only_rank_on_edge_shapes():
 # -- sparse F_p rows against the dense kernel ---------------------------------
 
 
-def _dense_on_rows(rows, m, p, reduce_above):
-    """dense_elimination_fp with the signature of `_elimination_fp`."""
+def _dense_on_rows(rows, m, field, reduce_above):
+    """dense_elimination_fp with the signature of `echelon`."""
     rows = list(rows)
-    a = Matrix(len(rows), m, [x for r in rows for x in r], PrimeField(p))
+    a = Matrix(len(rows), m, [x for r in rows for x in r], field)
     return dense_elimination_fp(a, reduce_above)
 
 
 def _dense_answers(a, b):
-    """rank, kernel basis and solve(a, b) with the dense F_p kernel swapped in."""
-    with mock.patch.object(linalg, "_elimination_fp", _dense_on_rows):
-        return _answers(a, b)
+    """rank, kernel basis and solve(a, b) with the dense F_p kernel swapped in for `echelon`."""
+    with mock.patch.object(linalg, "echelon", side_effect=_dense_on_rows) as swapped:
+        answers = _answers(a, b)
+    # rank, kernel_basis and solve each eliminate once; a swap that is never
+    # called would compare the sparse kernel with itself
+    assert swapped.call_count == 3
+    return answers
 
 
 def _answers(a, b):
@@ -168,8 +171,8 @@ def assert_matches_dense_kernel(a, rng):
     """Both modes against the dense kernel (forward: the pivots), then rank, kernel and solve."""
     p = a.field.p
     with deadline(30):
-        assert _elimination_fp(_rows(a), a.cols, p, True) == dense_elimination_fp(a, True)
-        assert _elimination_fp(_rows(a), a.cols, p, False)[1] == dense_elimination_fp(a, False)[1]
+        assert echelon(_rows(a), a.cols, a.field, True) == dense_elimination_fp(a, True)
+        assert echelon(_rows(a), a.cols, a.field, False)[1] == dense_elimination_fp(a, False)[1]
     x = Matrix(a.cols, 1, [rng.randrange(p) for _ in range(a.cols)], a.field)
     for b in (list((a * x).entries), [rng.randrange(p) for _ in range(a.rows)]):
         assert _answers(a, b) == _dense_answers(a, b)
@@ -237,8 +240,8 @@ def test_fp_sparse_rows_drop_cancelled_entries():
     # third leaves only its last entry
     rows = [[1, 1, 0, 1], [1, 1, 0, 1], [1, 1, 0, 0]]
     with deadline(10):
-        assert _elimination_fp(rows, 4, 2, True) == ([[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 3])
-        assert _elimination_fp(rows, 4, 2, False)[1] == [0, 3]
+        assert echelon(rows, 4, PrimeField(2), True) == ([[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 3])
+        assert echelon(rows, 4, PrimeField(2), False)[1] == [0, 3]
 
 
 # -- F_p int rows with unreduced and negative entries -------------------------
@@ -337,7 +340,7 @@ def test_q_elimination_matches_field_elimination(case):
 @given(q_matrices())
 def test_q_forward_rows_stay_primitive_integers(case):
     a = Matrix(*case)
-    rows, pivots = _elimination_q(_rows(a), a.cols, False)
+    rows, pivots = echelon(_rows(a), a.cols, QQ, False)
     assert pivots == field_elimination(a)[1]
     for row in rows:
         assert all(type(x) is int for x in row)

@@ -20,7 +20,9 @@ both fields.  Then 25 fragment cases moved when `dim` and `map` lines
 naming an undeclared vertex or arrow id became a ParseError that names
 the line and the id: 10 of them parsed, dropping the line, 13 gave the
 bare id of a KeyError, and 2 reported the wrong map shape that the
-dropped `dim` line caused.
+dropped `dim` line caused.  One more moved when the `over F <p>` modulus
+became a `textfmt.integer` token: `over F x` now says "not an integer"
+instead of quoting int()'s message.
 """
 
 import hashlib

@@ -153,6 +153,15 @@ def test_parse_rep_rejects_bad_modulus(modulus):
         parse_rep(f"rep X over F {modulus}\nquiver K2\ndim q 1\n", k2())
 
 
+def test_split_by_idempotent_rejects_a_nilpotent():
+    # rank + nullity = 2 for any 2 x 2 block, so a count of image and kernel
+    # columns let this through and gave two (1,0) summands
+    x = rep(k2(), (2, 0), ([], []))
+    e = Morphism(x, x, (Matrix.from_rows([[0, 1], [0, 0]], QQ), Matrix.zeros(0, 0, QQ)))
+    with pytest.raises(RepError, match="not an idempotent"):
+        split_by_idempotent(x, e)
+
+
 def test_morphism_roundtrip():
     x = load_rep("X0")
     f = identity_morphism(x)
@@ -373,6 +382,30 @@ def test_hom_space_basis_vectors_are_morphisms():
 
 
 # -- the spectral splitting routine over F_p ---------------------------------------
+
+
+def test_q_minimal_polynomial_from_coordinates_matches_action_matrix():
+    # power rows cleared of denominators, from End(X) bases and coordinates
+    # that have them, through the Q steps of `linalg.reduce_row`
+    rng = random.Random(3)
+    fractional = checked = 0
+    for x in fractional_cases():
+        end = end_algebra(x)
+        if end.dim < 2:
+            continue
+        fractional += any(_has_denominators(f.blocks) for f in end.basis)
+        draws = (
+            [rng.randint(-3, 3) for _ in range(end.dim)],
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(end.dim)],
+            list(end.identity_coords),
+        )
+        for g in draws:
+            coeffs, powers = _minimal_polynomial_coords(end, g)
+            assert coeffs == minimal_polynomial_of_matrix(block_diag(end.element(g).blocks, QQ))
+            assert len(powers) == len(coeffs) - 1 and powers[0] == list(end.identity_coords)
+            assert all(b == end.mul(a, g) for a, b in zip(powers, powers[1:]))
+            checked += len(coeffs) > 2
+    assert fractional > 10 and checked > 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
