@@ -7,10 +7,18 @@ computed as the summand type of a sampled generic representation, split
 recursively by spectral idempotents of its endomorphism ring, in End(X)
 coordinates and by the same routine `reps.indecomposable` uses over Q.
 The result is then re-verified against the defining properties (sum
-identity, pairwise vanishing generic Ext, generically Schurian summands),
-with the sample count escalated on failure.  The defining properties
-determine the canonical decomposition uniquely, so the verified output is
+identity, pairwise vanishing generic Ext, generically Schurian summands,
+and ext(r, r) = 0 for a summand r of multiplicity at least 2), with the
+sample count escalated on failure.  The defining properties determine the
+canonical decomposition uniquely (Kac), so the verified output is
 independent of how the splitting proceeded.
+
+A sampled Hom is an upper bound on the generic one, so a sampled Schurian
+verdict and a sampled ext of 0 are certificates, and so is a verified
+canonical decomposition.  A vector is a Schur root iff its canonical
+decomposition is itself x1; the root-decomposition algorithm reads its
+non-Schur pre-check off the canonical decomposition and samples End(X) of
+the vector itself only when that decomposition is the vector x1.
 """
 
 from __future__ import annotations
@@ -184,13 +192,14 @@ def _verify_canonical(oracle: Oracle, a, summands) -> bool:
             total[i] += mult * v
     if tuple(total) != tuple(a):
         return False
-    roots = [r for r, _ in summands]
-    for r in roots:
+    for r, _ in summands:
         if not oracle.schurian(r):
             return False
-    for i, ri in enumerate(roots):
-        for j, rj in enumerate(roots):
-            if i != j and oracle.ext(ri, rj) != 0:
+    # Kac: ext = 0 between distinct summands, and ext(r, r) = 0 for a
+    # repeated one (a real or isotropic Schur root)
+    for i, (ri, mult) in enumerate(summands):
+        for j, (rj, _) in enumerate(summands):
+            if (i != j or mult > 1) and oracle.ext(ri, rj) != 0:
                 return False
     return True
 
@@ -537,18 +546,31 @@ def _is_reduced_candidate(oracle, roots):
 
 
 def _candidate_roots(quiver, a):
-    """Exceptional-root candidates fitting under a componentwise."""
-    import itertools
+    """Exceptional-root candidates fitting under a componentwise.
 
+    Walks the box depth-first and carries <v, v> along: fixing coordinate i
+    adds v_i^2 - v_i * (v_j summed over the arrows between i and an earlier
+    vertex j), so no vector's form is computed from scratch.
+    """
+    n = quiver.n
+    earlier = [[] for _ in range(n)]
+    for s, t in quiver.arrow_indices:
+        earlier[max(s, t)].append(min(s, t))
+    cand = [0] * n
     out = []
-    for cand in itertools.product(*[range(v + 1) for v in a]):
-        if sum(cand) == 0 or cand == a:
-            continue
-        if euler_form_unchecked(quiver, cand, cand) != 1:
-            continue
-        if not classify_root(quiver, cand).is_root():
-            continue
-        out.append(cand)
+
+    def rec(i, form):
+        if i == n:
+            if form == 1:
+                out.append(tuple(cand))
+            return
+        nbr = sum(cand[j] for j in earlier[i])
+        for v in range(a[i] + 1):
+            cand[i] = v
+            rec(i + 1, form + v * (v - nbr))
+
+    rec(0, 0)
+    out = [c for c in out if c != a and classify_root(quiver, c).is_root()]
     out.sort(key=lambda v: (-sum(v), v))
     return out
 
@@ -640,12 +662,13 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
     cls = classify_root(quiver, a)
     if not cls.is_root():
         raise DecomposeError(f"{format_dimvector(a)} is not a root")
+    # a is a Schur root iff its canonical decomposition is a x1 (Kac)
+    canonical = canonical_decomposition(quiver, a, config)
     oracle = Oracle(quiver, config)
-    if oracle.schurian(a):
+    if canonical.summands == ((a, 1),) and oracle.schurian(a):
         raise DecomposeError(
             f"{format_dimvector(a)} is a Schur root; the algorithm handles non-Schur roots"
         )
-    canonical = canonical_decomposition(quiver, a, config)
     audit = []
 
     def sequence_report(roots, coeffs, iterations):

@@ -3,13 +3,16 @@ import random
 
 import pytest
 
-from oracles import reference_generic_summands
+from oracles import reference_candidate_roots, reference_generic_summands
+from quiverglue import decompose
 from quiverglue.decompose import (
     DecomposeError,
     Oracle,
     OracleConfig,
     OracleUnstableError,
+    _candidate_roots,
     _nonneg_combination,
+    _verify_canonical,
     canonical_decomposition,
     exceptional_sequence_decomposition,
     generic_summands,
@@ -19,6 +22,7 @@ from quiverglue.decompose import (
 )
 from quiverglue.fixtures import load_quiver
 from quiverglue.linalg import DEFAULT_PRIME
+from quiverglue.quiver import classify_root
 from quiverglue.reps import ext_dim, hom_dim, random_rep
 
 
@@ -105,6 +109,19 @@ def test_perp_simples_left_side_postconditions():
     assert rank(cols) == 4
 
 
+@pytest.mark.parametrize("p,samples", [(2, 40), (DEFAULT_PRIME, 5)])
+def test_verify_canonical_rejects_a_repeated_summand_with_ext(p, samples):
+    # <r, r> = -1, so ext(r, r) > 0 and r x2 is not canonical; over F_2 the
+    # sampled modules split (10,3,3,3,3,8) this way, and the third escalation
+    # (40 samples) used to accept it
+    q = load_quiver("S5")
+    r = (3, 1, 1, 1, 1, 2)
+    rest = [(v, 1) for v in [(1, 0, 0, 0, 1, 1), (1, 0, 0, 1, 0, 1), (1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 0, 1)]]
+    oracle = Oracle(q, OracleConfig(prime=p, samples=samples))
+    assert oracle.schurian(r)
+    assert not _verify_canonical(oracle, (10, 3, 3, 3, 3, 8), ((r, 2), *rest))
+
+
 def test_sample_exceptional_rep():
     q = load_quiver("S4")
     x = sample_exceptional_rep(q, (1, 0, 1, 0, 0), CONFIG)
@@ -122,6 +139,59 @@ def test_excdecomp_rejects_schur_root():
     q = load_quiver("K2")
     with pytest.raises(DecomposeError):
         exceptional_sequence_decomposition(q, (1, 1), CONFIG)
+
+
+# the Schur-root error is read off the canonical decomposition; it must still
+# be raised exactly when the sampled End(X) of the vector is the scalars
+SCHUR_BOXES = [("K3", 3), ("S4", 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name,top", SCHUR_BOXES)
+def test_excdecomp_schur_error_iff_sampled_schurian(name, top, p):
+    q = load_quiver(name)
+    config = OracleConfig(prime=p)
+    for a in itertools.product(range(top + 1), repeat=q.n):
+        if not any(a) or not classify_root(q, a).is_root():
+            continue
+        try:
+            exceptional_sequence_decomposition(q, a, config, verify=False)
+            schur_error = False
+        except DecomposeError as exc:
+            schur_error = "is a Schur root" in str(exc)
+        assert schur_error == Oracle(q, config).schurian(a), a
+
+
+def test_excdecomp_on_the_isotropic_root_samples_no_end_of_it(monkeypatch):
+    # the canonical decomposition of (10,3,3,3,3,8) is not itself x1, which
+    # settles that it is no Schur root without a Hom between two of its samples
+    a = (10, 3, 3, 3, 3, 8)
+    pairs = []
+
+    def counted(x, y):
+        pairs.append((x.dims, y.dims))
+        return hom_dim(x, y)
+
+    monkeypatch.setattr(decompose, "hom_dim", counted)
+    report = exceptional_sequence_decomposition(load_quiver("S5"), a, CONFIG)
+    assert report.result == "trivial"
+    assert pairs  # the wrapper is on the oracle's path
+    assert (a, a) not in pairs
+
+
+@pytest.mark.parametrize(
+    "name,vectors",
+    [
+        ("K3", list(itertools.product(range(6), repeat=2))),
+        ("S4", list(itertools.product(range(3), repeat=5)) + [(4, 2, 2, 1, 1)]),
+        ("S5", [(10, 3, 3, 3, 3, 8), (6, 2, 2, 2, 2, 4), (4, 1, 2, 1, 1, 3)]),
+    ],
+)
+def test_candidate_roots_match_product_enumeration(name, vectors):
+    q = load_quiver(name)
+    for a in vectors:
+        if any(a):
+            assert _candidate_roots(q, a) == reference_candidate_roots(q, a), a
 
 
 def test_excdecomp_sub4_nontrivial_and_verified():
