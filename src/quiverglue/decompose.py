@@ -3,13 +3,16 @@ root-decomposition algorithm into reduced exceptional sequences.
 
 Generic quantities (hom, ext, Schur-ness) are Monte-Carlo estimates from
 seeded samples over a large prime field.  The canonical decomposition is
-computed as the summand type of a sampled generic representation, split
-recursively by spectral idempotents of its endomorphism ring, in End(X)
-coordinates and by the same routine `reps.indecomposable` uses over Q.
-The result is then re-verified against the defining properties (sum
-identity, pairwise vanishing generic Ext, generically Schurian summands,
-and ext(r, r) = 0 for a summand r of multiplicity at least 2), with the
-sample count escalated on failure.  The defining properties determine the
+computed as the summand type of a sampled generic representation X: the
+identity of End(X) is split recursively into orthogonal idempotents, each
+by the spectral idempotent of a random element of its corner algebra, by
+the same routine `reps.indecomposable` uses over Q, and the summands are
+read off the primitive ones.  All of it runs in the coordinates of the one
+End(X); the module itself is never split.  The result is then
+re-verified against the defining properties (sum identity, pairwise
+vanishing generic Ext, generically Schurian summands, and ext(r, r) = 0
+for a summand r of multiplicity at least 2), with the sample count
+escalated on failure.  The defining properties determine the
 canonical decomposition uniquely (Kac), so the verified output is
 independent of how the splitting proceeded.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .linalg import DEFAULT_PRIME, Matrix, QQ, rank, solve
+from .linalg import DEFAULT_PRIME, Matrix, QQ, rank, rank_rows, solve
 from .quiver import (
     Quiver,
     classify_root,
@@ -44,7 +47,6 @@ from .reps import (
     ext_dim,
     hom_dim,
     random_rep,
-    split_by_idempotent,
 )
 
 
@@ -132,32 +134,42 @@ SPLIT_ATTEMPTS = 16
 def generic_summands(x: Representation, seed=0):
     """Dimension vectors of the indecomposable summands of a sampled module.
 
-    Each module whose End(X) is larger than the scalars is split by the
-    spectral idempotent of a random element of End(X), one draw mod p per
-    basis element, with the same routine that decides indecomposability
+    Runs in one End(X), on coordinate vectors: the summands of X are the
+    images eX of the primitive idempotents e of a splitting of 1 into
+    orthogonal idempotents (Krull-Schmidt), and nothing splits the module
+    itself.  The corner algebra e End(X) e is End(eX), spanned by the
+    e b_k e over the basis b_k.  When it is the scalars, eX is
+    indecomposable with dimension vector the per-vertex ranks of e's
+    blocks.  Otherwise e = f + (e - f) by the spectral idempotent f of
+    g = e r e, r one draw mod p per basis element (so g is uniform in
+    e End(X) e), with the same routine that decides indecomposability
     over Q.
     """
+    if x.is_zero():
+        return []
     rng = random.Random(seed)
-    p = x.field.characteristic
+    field = x.field
+    p = field.characteristic
+    end = end_algebra(x)
+    n = end.dim
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
     out = []
-    stack = [x]
+    stack = [list(end.identity_coords)]
     while stack:
-        y = stack.pop()
-        if y.is_zero():
-            continue
-        end = end_algebra(y)
-        if end.dim == 1:
-            out.append(y.dims)
+        e = stack.pop()
+        corner = [end.mul(e, end.mul(u, e)) for u in units]
+        if rank_rows(corner, n, field) == 1:
+            out.append(tuple(rank(b) for b in end.element(e).blocks))
             continue
         for _ in range(SPLIT_ATTEMPTS):
-            _, e = _spectral_split(end, [rng.randrange(p) for _ in range(end.dim)])
-            if e is not None:
+            g = end.mul(e, end.mul([rng.randrange(p) for _ in range(n)], e))
+            _, f = _spectral_split(end, e, g)
+            if f is not None:
                 break
         else:
             raise OracleUnstableError(p)
-        y1, y2, _ = split_by_idempotent(y, end.element(e))
-        stack.append(y1)
-        stack.append(y2)
+        stack.append(f)
+        stack.append([field.sub(a, b) for a, b in zip(e, f)])
     return out
 
 
@@ -278,14 +290,14 @@ def _nonneg_search(vec, accepted):
     )
 
 
-def _topo_order_by_ext(oracle: Oracle, roots):
-    """Order roots so that generic ext(r_i, r_j) = 0 for i < j."""
+def _topo_order_by_ext(ext, roots):
+    """Order roots so that ext(r_i, r_j) = 0 for i < j, ext(a, b) giving generic ext."""
     remaining = list(range(len(roots)))
     ordered = []
     while remaining:
         for idx in remaining:
             if all(
-                oracle.ext(roots[idx], roots[j]) == 0 for j in remaining if j != idx
+                ext(roots[idx], roots[j]) == 0 for j in remaining if j != idx
             ):
                 ordered.append(idx)
                 remaining.remove(idx)
@@ -359,7 +371,7 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
                 continue
             accepted.append(cand)
             if len(accepted) == needed:
-                return _topo_order_by_ext(oracle, accepted)
+                return _topo_order_by_ext(oracle.ext, accepted)
     raise SamplingError(f"bound exhausted over F_{config.prime}; try a larger prime")
 
 
@@ -494,9 +506,11 @@ class DecompositionReport:
 MAX_SEARCH_NODES = 500_000
 
 
-def _trivial_report(quiver, a, canonical, audit, iterations, config):
+def _trivial_report(quiver, a, canonical, audit, iterations):
+    # distinct simples have hom 0, so on a loop-free quiver their generic
+    # ext is exactly -<e_i, e_j>, the number of arrows i -> j
     order = _topo_order_by_ext(
-        Oracle(quiver, config), [quiver.unit_vector(v) for v in quiver.vertices]
+        lambda x, y: -euler_form(quiver, x, y), [quiver.unit_vector(v) for v in quiver.vertices]
     )
     roots, coeffs = [], []
     for r in order:
@@ -692,7 +706,7 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
     ]
     if not exceptional:
         audit.append("step 0 no exceptional canonical summand")
-        return _trivial_report(quiver, a, canonical, audit, 0, config)
+        return _trivial_report(quiver, a, canonical, audit, 0)
     eps, k_eps = min(exceptional, key=lambda rm: sum(rm[0]))
 
     # step 1: the exceptional canonical summand first, the remainder expressed
@@ -721,5 +735,5 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
             quiver, a, "unknown", (), (), canonical, tuple(audit), 2, None
         )
     if found is None:
-        return _trivial_report(quiver, a, canonical, audit, 2, config)
+        return _trivial_report(quiver, a, canonical, audit, 2)
     return sequence_report(list(found[0]), list(found[1]), 2)

@@ -23,13 +23,9 @@ from .linalg import (
     PrimeField,
     block_diag,
     clear_denominators,
-    hstack,
-    inverse,
-    kernel_basis,
     kernel_rows,
     rank_rows,
     reduce_row,
-    rref,
 )
 from .quiver import Quiver
 from .textfmt import (
@@ -127,20 +123,12 @@ class Morphism:
         object.__setattr__(f, "blocks", blocks)
         return f
 
-    def block(self, vertex):
-        return self.blocks[self.source.quiver.index(vertex)]
-
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks)
 
     def __add__(self, other):
         return Morphism(
             self.source, self.target, tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        )
-
-    def __sub__(self, other):
-        return Morphism(
-            self.source, self.target, tuple(a - b for a, b in zip(self.blocks, other.blocks))
         )
 
     def scale(self, c):
@@ -268,7 +256,7 @@ def ext_dim(x: Representation, y: Representation) -> int:
     return cod - rank_rows(rows, dom, x.field)
 
 
-# -- direct sums and splitting -----------------------------------------
+# -- direct sums -------------------------------------------------------
 
 
 def direct_sum(x: Representation, y: Representation, name="") -> Representation:
@@ -276,58 +264,6 @@ def direct_sum(x: Representation, y: Representation, name="") -> Representation:
     dims = tuple(a + b for a, b in zip(x.dims, y.dims))
     maps = tuple(block_diag([xa, ya], x.field) for xa, ya in zip(x.maps, y.maps))
     return Representation(x.quiver, x.field, dims, maps, name)
-
-
-def _column_space_basis(m: Matrix):
-    _, pivots = rref(m)
-    return [Matrix.column(m.col(c), m.field) for c in pivots]
-
-
-def split_by_idempotent(x: Representation, e: Morphism):
-    """Split X along an idempotent endomorphism into (image part, kernel part).
-
-    Returns (X_im, X_ker, base_change) where base_change is the per-vertex
-    invertible matrix whose leading columns span im(e_q).
-    """
-    if e.source != x or e.target != x:
-        raise RepError("idempotent must be an endomorphism of X")
-    q = x.quiver
-    field = x.field
-    bases = []
-    im_dims = []
-    for v in range(q.n):
-        ev = e.blocks[v]
-        if ev * ev != ev:
-            raise RepError(f"not an idempotent: e o e differs from e at vertex {q.vertices[v]}")
-        im = _column_space_basis(ev)
-        cols = im + kernel_basis(ev)
-        if cols:
-            p = hstack(cols)
-        else:
-            p = Matrix.zeros(x.dims[v], 0, field)
-        bases.append(p)
-        im_dims.append(len(im))
-    im_dims = tuple(im_dims)
-    ker_dims = tuple(x.dims[v] - im_dims[v] for v in range(q.n))
-    maps_im, maps_ker = [], []
-    for arrow in q.arrows:
-        s, t = q.index(arrow.source), q.index(arrow.target)
-        pt_inv = inverse(bases[t]) if x.dims[t] else Matrix.zeros(0, 0, field)
-        conj = pt_inv * x.map_for(arrow.name) * bases[s]
-        a, b = im_dims[t], im_dims[s]
-        top = Matrix.from_rows([conj.row(r)[:b] for r in range(a)], field, cols=b)
-        bot = Matrix.from_rows(
-            [conj.row(r)[b:] for r in range(a, conj.rows)], field, cols=conj.cols - b
-        )
-        off1 = Matrix.from_rows([conj.row(r)[b:] for r in range(a)], field, cols=conj.cols - b)
-        off2 = Matrix.from_rows([conj.row(r)[:b] for r in range(a, conj.rows)], field, cols=b)
-        if not (off1.is_zero() and off2.is_zero()):
-            raise RepError("conjugated maps are not block diagonal; not a splitting idempotent")
-        maps_im.append(top)
-        maps_ker.append(bot)
-    x_im = Representation(q, field, im_dims, tuple(maps_im))
-    x_ker = Representation(q, field, ker_dims, tuple(maps_ker))
-    return x_im, x_ker, bases
 
 
 # -- endomorphism algebras ---------------------------------------------
@@ -479,26 +415,28 @@ class Verdict:
     witness: Morphism | None = None
 
 
-def _minimal_polynomial_coords(end: EndAlgebra, g):
-    """Monic minimal polynomial of g in End(X), low degree first, and the powers of g
-    below its degree.
+def _minimal_polynomial_coords(end: EndAlgebra, one, g):
+    """Monic minimal polynomial of g in the corner algebra one End(X) one, low degree
+    first, and the powers of g below its degree, power 0 being `one`.
 
-    End(X) is unital and acts faithfully on X, so this is the minimal
-    polynomial of g's action matrix.  One incremental elimination finds it:
-    power k of g, cleared of denominators by M (1 over F_p), becomes the
-    sparse row [M power_k | M at column n + k], which `linalg.reduce_row`
-    reduces against the pivot rows of the lower powers.  Every row then
-    carries in its columns from n on the combination of powers it stands
-    for.  The first power whose first n columns reduce to zero gives the
-    dependency: its row then leads from column n on, where no pivot row
-    leads.
+    `one` is an idempotent of End(X) and g = one g one.  The corner algebra
+    is End(one X): unital with unit `one`, acting faithfully on one X, so
+    this is the minimal polynomial of g's action there (of g's action
+    matrix on X when `one` is the identity).  One incremental elimination
+    finds it: power k of g, cleared of denominators by M (1 over F_p),
+    becomes the sparse row [M power_k | M at column n + k], which
+    `linalg.reduce_row` reduces against the pivot rows of the lower powers.
+    Every row then carries in its columns from n on the combination of
+    powers it stands for.  The first power whose first n columns reduce to
+    zero gives the dependency: its row then leads from column n on, where no
+    pivot row leads.
     """
     n = end.dim
     field = end.rep.field
     p = field.characteristic
     powers = []
     table = {}
-    power = list(end.identity_coords)
+    power = list(one)
     while True:
         k = len(powers)
         den, (ints,) = clear_denominators([power])
@@ -511,11 +449,12 @@ def _minimal_polynomial_coords(end: EndAlgebra, g):
         power = end.mul(power, g)
 
 
-def _splitting_coords(end: EndAlgebra, g, powers, factors):
+def _splitting_coords(end: EndAlgebra, one, g, powers, factors):
     """Coordinates of u(g)a(g), where minpoly = a*b with a the first factor's power,
     a and b coprime and ua + vb = 1.
 
-    None unless it is a nontrivial idempotent, checked in End(X) coordinates.
+    None unless it is an idempotent other than 0 and `one`, checked in End(X)
+    coordinates.
     """
     from . import poly
 
@@ -534,24 +473,24 @@ def _splitting_coords(end: EndAlgebra, g, powers, factors):
         if c:
             e = [x + c * y for x, y in zip(e, power)]
     e = [field.coerce(x) for x in e]
-    if not any(e) or e == list(end.identity_coords) or end.mul(e, e) != e:
+    if not any(e) or e == list(one) or end.mul(e, e) != e:
         return None
     return e
 
 
-def _spectral_split(end: EndAlgebra, g):
-    """The irreducible factors of g's minimal polynomial, as `poly.factor_list` gives
-    them, and the coordinates of the nontrivial idempotent they give (None when they
-    give none).
+def _spectral_split(end: EndAlgebra, one, g):
+    """The irreducible factors of the minimal polynomial of g in one End(X) one, as
+    `poly.factor_list` gives them, and the coordinates of the idempotent other than
+    0 and `one` they give (None when they give none).
 
     `poly` is imported here, on first use, so that commands which factor
     nothing do not pay for loading it at start-up.
     """
     from . import poly
 
-    coeffs, powers = _minimal_polynomial_coords(end, g)
+    coeffs, powers = _minimal_polynomial_coords(end, one, g)
     factors = poly.factor_list(coeffs, end.rep.field.characteristic)
-    e = _splitting_coords(end, g, powers, factors) if len(factors) >= 2 else None
+    e = _splitting_coords(end, one, g, powers, factors) if len(factors) >= 2 else None
     return factors, e
 
 
@@ -592,7 +531,7 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
     if semisimple_dim == 1:
         return Verdict("indecomposable")
     for g in _candidates(end.dim, seed):
-        factors, e = _spectral_split(end, g)
+        factors, e = _spectral_split(end, end.identity_coords, g)
         if e is not None:
             return Verdict("decomposable", witness=end.element(e))
         if len(factors) == 1 and len(factors[0][0]) - 1 == semisimple_dim:

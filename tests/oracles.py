@@ -13,7 +13,8 @@ from quiverglue.decompose import (
     OracleUnstableError,
 )
 from quiverglue.linalg import (
-    FieldMismatchError, Matrix, QQ, block_diag, hstack, inverse, kron, rank, solve,
+    FieldMismatchError, Matrix, QQ, block_diag, hstack, inverse, kernel_basis, kron, rank, rref,
+    solve,
 )
 from quiverglue.quiver import (
     QuiverError,
@@ -40,7 +41,6 @@ from quiverglue.reps import (
     end_algebra,
     hom_space,
     identity_morphism,
-    split_by_idempotent,
     zero_morphism,
 )
 
@@ -601,8 +601,61 @@ def reference_splitting_idempotent(x, basis, rng):
     return None
 
 
+def _column_space_basis(m: Matrix):
+    _, pivots = rref(m)
+    return [Matrix.column(m.col(c), m.field) for c in pivots]
+
+
+def split_by_idempotent(x: Representation, e: Morphism):
+    """Split X along an idempotent endomorphism into (image part, kernel part).
+
+    Returns (X_im, X_ker, base_change) where base_change is the per-vertex
+    invertible matrix whose leading columns span im(e_q).
+    """
+    if e.source != x or e.target != x:
+        raise RepError("idempotent must be an endomorphism of X")
+    q = x.quiver
+    field = x.field
+    bases = []
+    im_dims = []
+    for v in range(q.n):
+        ev = e.blocks[v]
+        if ev * ev != ev:
+            raise RepError(f"not an idempotent: e o e differs from e at vertex {q.vertices[v]}")
+        im = _column_space_basis(ev)
+        cols = im + kernel_basis(ev)
+        if cols:
+            p = hstack(cols)
+        else:
+            p = Matrix.zeros(x.dims[v], 0, field)
+        bases.append(p)
+        im_dims.append(len(im))
+    im_dims = tuple(im_dims)
+    ker_dims = tuple(x.dims[v] - im_dims[v] for v in range(q.n))
+    maps_im, maps_ker = [], []
+    for arrow in q.arrows:
+        s, t = q.index(arrow.source), q.index(arrow.target)
+        pt_inv = inverse(bases[t]) if x.dims[t] else Matrix.zeros(0, 0, field)
+        conj = pt_inv * x.map_for(arrow.name) * bases[s]
+        a, b = im_dims[t], im_dims[s]
+        top = Matrix.from_rows([conj.row(r)[:b] for r in range(a)], field, cols=b)
+        bot = Matrix.from_rows(
+            [conj.row(r)[b:] for r in range(a, conj.rows)], field, cols=conj.cols - b
+        )
+        off1 = Matrix.from_rows([conj.row(r)[b:] for r in range(a)], field, cols=conj.cols - b)
+        off2 = Matrix.from_rows([conj.row(r)[:b] for r in range(a, conj.rows)], field, cols=b)
+        if not (off1.is_zero() and off2.is_zero()):
+            raise RepError("conjugated maps are not block diagonal; not a splitting idempotent")
+        maps_im.append(top)
+        maps_ker.append(bot)
+    x_im = Representation(q, field, im_dims, tuple(maps_im))
+    x_ker = Representation(q, field, ker_dims, tuple(maps_ker))
+    return x_im, x_ker, bases
+
+
 def reference_generic_summands(x, seed=0):
-    """generic_summands on raw blocks: one draw mod p per Hom basis element and attempt."""
+    """generic_summands on raw blocks: one draw mod p per Hom basis element and attempt,
+    splitting the module itself along each idempotent and rebuilding Hom for each part."""
     rng = random.Random(seed)
     out = []
     stack = [x]

@@ -23,7 +23,7 @@ from quiverglue.decompose import (
 from quiverglue.fixtures import load_quiver
 from quiverglue.linalg import DEFAULT_PRIME
 from quiverglue.quiver import classify_root
-from quiverglue.reps import ext_dim, hom_dim, random_rep
+from quiverglue.reps import end_algebra, ext_dim, hom_dim, random_rep
 
 
 CONFIG = OracleConfig()
@@ -349,7 +349,7 @@ def test_nonneg_combination_matches_enumeration():
         assert _nonneg_combination(vec, accepted) == expected, (vec, accepted)
 
 
-# -- generic_summands in End(X) coordinates against the raw-block F_p reference
+# -- generic_summands in one End(X) against the module-splitting F_p reference
 
 SUMMAND_CASES = (
     ("K3", (2, 2)),
@@ -362,17 +362,21 @@ SUMMAND_CASES = (
     ("S5", (4, 1, 1, 1, 1, 2)),
     ("S5", (5, 2, 1, 1, 1, 3)),
 )
+# further seeds the reference may take to split a module it failed to split
+REFERENCE_RESEEDS = 8
 
 
 def _summands_or_unstable(split, x, seed):
     try:
-        return split(x, seed=seed)
+        return sorted(split(x, seed=seed))
     except OracleUnstableError:
         return "unstable"
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME])
 def test_generic_summands_match_raw_block_reference(p):
+    # Krull-Schmidt fixes the multiset of summands of a given module, not the
+    # order in which the splits find them, so sorted lists are compared
     split = 0
     for name, dims in SUMMAND_CASES:
         q = load_quiver(name)
@@ -380,6 +384,30 @@ def test_generic_summands_match_raw_block_reference(p):
             x = random_rep(q, dims, p, seed)
             got = _summands_or_unstable(generic_summands, x, seed)
             expected = _summands_or_unstable(reference_generic_summands, x, seed)
+            if expected == "unstable":
+                if got == "unstable":
+                    continue
+                # the reference's draws at this seed split nothing; later ones do
+                for other in range(seed + 1, seed + 1 + REFERENCE_RESEEDS):
+                    expected = _summands_or_unstable(reference_generic_summands, x, other)
+                    if expected != "unstable":
+                        break
             assert got == expected, (name, dims, seed)
-            split += got != "unstable" and len(got) > 1
+            split += len(got) > 1
     assert split >= 10  # the splitting path itself ran, not only Schurian modules
+
+
+def test_generic_summands_build_one_end_algebra(monkeypatch):
+    # the 30-dimensional module behind sub5-candecomp splits into five
+    # summands, all inside End(X) of the module itself
+    built = []
+
+    def counted(x):
+        built.append(x.dims)
+        return end_algebra(x)
+
+    monkeypatch.setattr(decompose, "end_algebra", counted)
+    x = random_rep(load_quiver("S5"), (10, 3, 3, 3, 3, 8), DEFAULT_PRIME, 0)
+    parts = generic_summands(x)
+    assert len(parts) > 1
+    assert built == [x.dims]

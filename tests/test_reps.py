@@ -13,17 +13,19 @@ from oracles import (
     reference_end_algebra,
     reference_hom_space,
     reference_indecomposable,
+    split_by_idempotent,
 )
 from quiverglue import reps
 from quiverglue.decompose import Oracle, OracleConfig
 from quiverglue.fixtures import load_quiver, load_rep
-from quiverglue.linalg import Matrix, PrimeField, QQ, block_diag
+from quiverglue.linalg import Matrix, PrimeField, QQ, block_diag, inverse
 from quiverglue.quiver import ParseError, euler_form
 from quiverglue.reps import (
     Morphism,
     RepError,
     Representation,
     _minimal_polynomial_coords,
+    _spectral_split,
     compose,
     d_rows,
     direct_sum,
@@ -38,7 +40,6 @@ from quiverglue.reps import (
     parse_morphism,
     parse_rep,
     random_rep,
-    split_by_idempotent,
 )
 
 
@@ -400,7 +401,7 @@ def test_q_minimal_polynomial_from_coordinates_matches_action_matrix():
             list(end.identity_coords),
         )
         for g in draws:
-            coeffs, powers = _minimal_polynomial_coords(end, g)
+            coeffs, powers = _minimal_polynomial_coords(end, end.identity_coords, g)
             assert coeffs == minimal_polynomial_of_matrix(block_diag(end.element(g).blocks, QQ))
             assert len(powers) == len(coeffs) - 1 and powers[0] == list(end.identity_coords)
             assert all(b == end.mul(a, g) for a, b in zip(powers, powers[1:]))
@@ -419,8 +420,54 @@ def test_fp_minimal_polynomial_from_coordinates_matches_action_matrix(p):
             x = random_rep(q, dims, p, seed)
             end = end_algebra(x)
             for g in ([rng.randrange(p) for _ in range(end.dim)], list(end.identity_coords)):
-                coeffs, _ = _minimal_polynomial_coords(end, g)
+                coeffs, _ = _minimal_polynomial_coords(end, end.identity_coords, g)
                 action = block_diag(end.element(g).blocks, field)
                 assert coeffs == minimal_polynomial_of_matrix(action)
                 checked += len(coeffs) > 2
     assert checked  # some minimal polynomial above degree one was compared
+
+
+def _first_split(end, rng, p):
+    for _ in range(16):
+        _, e = _spectral_split(end, end.identity_coords, [rng.randrange(p) for _ in range(end.dim)])
+        if e is not None:
+            return e
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_fp_corner_minimal_polynomial_matches_action_on_the_summand(p):
+    # g = e r e in one End(X) acts on eX; with unit e its minimal polynomial
+    # is that of g's block on the image of e, in a basis that splits X along e
+    field = PrimeField(p)
+    rng = random.Random(p)
+    cases = [
+        (load_quiver("K3"), (4, 1)),
+        (load_quiver("S4"), (4, 1, 1, 1, 1)),
+        (load_quiver("S5"), (5, 2, 1, 1, 1, 3)),
+    ]
+    checked = 0
+    for q, dims in cases:
+        for seed in range(3):
+            x = random_rep(q, dims, p, seed)
+            end = end_algebra(x)
+            f = _first_split(end, rng, p)
+            if f is None:
+                continue
+            for e in (f, [field.sub(a, b) for a, b in zip(end.identity_coords, f)]):
+                x_im, _, bases = split_by_idempotent(x, end.element(e))
+                g = end.mul(e, end.mul([rng.randrange(p) for _ in range(end.dim)], e))
+                coeffs, powers = _minimal_polynomial_coords(end, e, g)
+                assert powers[0] == e
+                blocks = []
+                for base, gv, d in zip(bases, end.element(g).blocks, x_im.dims):
+                    if d:
+                        conj = inverse(base) * gv * base
+                        rows = [conj.row(r)[:d] for r in range(d)]
+                        blocks.append(Matrix.from_rows(rows, field, cols=d))
+                assert coeffs == minimal_polynomial_of_matrix(block_diag(blocks, field))
+                _, split = _spectral_split(end, e, g)
+                if split is not None:
+                    assert end.mul(e, split) == split == end.mul(split, e)
+                checked += len(coeffs) > 2
+    assert checked  # some corner larger than the scalars was compared

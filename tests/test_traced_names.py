@@ -26,6 +26,7 @@ GONE = {
     "linalg.IncrementalRank.add",
     "linalg.IncrementalRank.contains",
     "reps.d_matrix",
+    "reps.split_by_idempotent",
 }
 # the names behind the Hom, End(X) and elimination spans
 TRACED = (
