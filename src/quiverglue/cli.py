@@ -1,8 +1,9 @@
 """Command-line front end: file loading, per-command dispatch, reproduction driver.
 
-Exit codes: 0 success, 1 input error, 2 verification failure or an
+Exit codes: 0 success, 1 input error, 2 verification failure, an
 undecided result (an exceptional-sequence search that ran out of budget, or
-sampling over F_p that found no answer where a larger prime may find one).
+sampling over F_p that found no answer where a larger prime may find one),
+or a state the exact canonical decomposition rules out (a program defect).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 from . import fixtures
 from .decompose import (
     DecomposeError,
+    MergeDefectError,
     OracleConfig,
     SamplingError,
     canonical_decomposition,
@@ -126,6 +128,7 @@ def _config(args):
 
 
 def _oracle_header(args, out):
+    _config(args)  # a non-prime --prime is an input error before any work, sampled or not
     out.append(f"samples: {args.samples}")
     out.append(f"prime: {args.prime}")
     out.append(f"seed: {args.seed}")
@@ -666,7 +669,7 @@ def main(argv=None):
     except VerificationFailure as exc:
         print("\n".join(out + list(exc.lines)))
         return 2
-    except SamplingError as exc:
+    except (SamplingError, MergeDefectError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -2,19 +2,27 @@
 root-decomposition algorithm into reduced exceptional sequences.
 
 Generic quantities (hom, ext, Schur-ness) are Monte-Carlo estimates from
-seeded samples over a large prime field.  The canonical decomposition is
-computed as the summand type of a sampled generic representation X: the
-identity of End(X) is split recursively into orthogonal idempotents, each
-by the spectral idempotent of a random element of its corner algebra, by
-the same routine `reps.indecomposable` uses over Q, and the summands are
-read off the primitive ones.  All of it runs in the coordinates of the one
-End(X); the module itself is never split.  The result is then
-re-verified against the defining properties (sum identity, pairwise
-vanishing generic Ext, generically Schurian summands, and ext(r, r) = 0
-for a summand r of multiplicity at least 2), with the sample count
-escalated on failure.  The defining properties determine the
-canonical decomposition uniquely (Kac), so the verified output is
-independent of how the splitting proceeded.
+seeded samples over a large prime field.
+
+The canonical decomposition has two paths, picked by the quiver.  On a
+quiver without an oriented cycle it depends only on the Euler form
+(Kac; Schofield, "General representations of quivers", 1992), and it is
+computed exactly, with no sampling, by merging Kronecker pairs in a
+sequence of Schur roots (Derksen-Weyman, "On the canonical decomposition
+of quiver representations", 2002).  A quiver with an oriented cycle is
+outside that theory; there the decomposition is the summand type of a
+sampled generic representation X: the identity of End(X) is split
+recursively into orthogonal idempotents, each by the spectral idempotent of
+a random element of its corner algebra, by the same routine
+`reps.indecomposable` uses over Q, and the summands are read off the
+primitive ones.  All of it runs in the coordinates of the one End(X); the
+module itself is never split.  The sampled result is then re-verified
+against the defining properties (sum identity, pairwise vanishing generic
+Ext, generically Schurian summands, and ext(r, r) = 0 for a summand r of
+multiplicity at least 2), with the sample count escalated on failure.  The
+defining properties determine the canonical decomposition uniquely (Kac),
+so the verified output is independent of how the splitting proceeded, and
+on an acyclic quiver it is the reference the exact path is tested against.
 
 A sampled Hom is an upper bound on the generic one, so a sampled Schurian
 verdict and a sampled ext of 0 are certificates, and so is a verified
@@ -29,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .linalg import DEFAULT_PRIME, Matrix, QQ, rank, rank_rows, solve
+from .linalg import DEFAULT_PRIME, Matrix, PrimeField, QQ, rank, rank_rows, solve
 from .quiver import (
     Quiver,
     classify_root,
@@ -63,6 +71,10 @@ class OracleUnstableError(SamplingError):
         super().__init__(f"oracle unstable over F_{prime}, increase samples; try a larger prime")
 
 
+class MergeDefectError(DecomposeError):
+    """The exact canonical decomposition reached a state its theory rules out."""
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     samples: int = 5
@@ -75,6 +87,7 @@ class OracleConfig:
             raise DecomposeError(f"samples must be at least 1, got {self.samples}")
         if self.bound is not None and self.bound < 1:
             raise DecomposeError(f"bound must be at least 1, got {self.bound}")
+        PrimeField(self.prime)  # a non-prime modulus raises ModulusError before any work
 
     def escalate(self):
         return replace(self, samples=self.samples * 2)
@@ -216,14 +229,8 @@ def _verify_canonical(oracle: Oracle, a, summands) -> bool:
     return True
 
 
-def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConfig()):
-    if not quiver.is_loop_free():
-        raise DecomposeError("canonical decomposition requires a loop-free quiver")
-    a = quiver.check_dimvector(a)
-    if any(v < 0 for v in a):
-        raise DecomposeError("expected a non-negative dimension vector")
-    if all(v == 0 for v in a):
-        return CanonicalDecomposition(quiver, a, ())
+def _sampled_canonical_decomposition(quiver: Quiver, a, config: OracleConfig):
+    """The verified summand type of sampled modules of dimension a, a nonzero."""
     cfg = config
     for escalation in range(MAX_ESCALATIONS + 1):
         oracle = Oracle(quiver, cfg)
@@ -235,9 +242,157 @@ def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConf
                 continue
             summands = _group_summands(parts)
             if _verify_canonical(oracle, a, summands):
-                return CanonicalDecomposition(quiver, a, summands)
+                return summands
         cfg = cfg.escalate()
     raise OracleUnstableError(cfg.prime)
+
+
+def _sink_first_order(quiver: Quiver):
+    """Vertex indices with every arrow's target before its source, by DFS post-order.
+
+    None when the quiver has an oriented cycle.
+    """
+    targets = [[] for _ in range(quiver.n)]
+    for s, t in quiver.arrow_indices:
+        targets[s].append(t)
+    state = [0] * quiver.n  # 0 unseen, 1 on the DFS path, 2 placed
+    order = []
+    for root in range(quiver.n):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [(root, iter(targets[root]))]
+        while path:
+            v, todo = path[-1]
+            t = next(todo, None)
+            if t is None:
+                path.pop()
+                state[v] = 2
+                order.append(v)
+            elif state[t] == 1:
+                return None
+            elif state[t] == 0:
+                state[t] = 1
+                path.append((t, iter(targets[t])))
+    return order
+
+
+def _kronecker_summands(r, a, b):
+    """Canonical decomposition of (a, b) on the r-arrow Kronecker quiver, a at the source.
+
+    (root, multiplicity) pairs with roots as (source, sink) pairs, in the
+    order the merge inserts them.  Off the imaginary cone a^2 + b^2 - rab <= 0,
+    (a, b) lies in the cone of two consecutive real Schur roots (c_{n-1}, c_n),
+    (c_n, c_{n+1}) or their transposes, c_0 = 0, c_1 = 1, c_{k+1} = r c_k - c_{k-1}.
+    """
+    if b == 0:
+        return [((1, 0), a)]
+    if a == 0:
+        return [((0, 1), b)]
+    if r == 1:
+        out = [((1, 0), a - b), ((1, 1), b)] if a > b else [((1, 1), a), ((0, 1), b - a)]
+    elif a * a + b * b - r * a * b <= 0:
+        out = [((1, 1), a)] if r == 2 else [((a, b), 1)]
+    else:
+        c = [0, 1, r]
+        n = 1
+        while True:
+            if b > a:
+                x, y = b * c[n] - a * c[n + 1], a * c[n] - b * c[n - 1]
+                out = [((c[n], c[n + 1]), y), ((c[n - 1], c[n]), x)]
+            else:
+                x, y = a * c[n] - b * c[n + 1], b * c[n] - a * c[n - 1]
+                out = [((c[n], c[n - 1]), x), ((c[n + 1], c[n]), y)]
+            if x >= 0 and y >= 0:
+                break
+            n += 1
+            c.append(r * c[-1] - c[-2])
+    return [(root, m) for root, m in out if m > 0]
+
+
+def _merged_summands(quiver: Quiver, a, order):
+    """The canonical decomposition of a, from the Euler form alone (Derksen-Weyman).
+
+    Keeps a sequence of (Schur root, multiplicity) entries, starting from the
+    simples in `order`.  While some i < j has <b_j, b_i> < 0 (the closest
+    such pair, then the leftmost), the entries strictly between them move
+    out of the way, to the left when orthogonal to b_i and to the right
+    when b_j is orthogonal to them, and the pair becomes the canonical
+    decomposition of (m_j, m_i) on the Kronecker quiver with -<b_j, b_i>
+    arrows, its root (x, y) read as x b_j + y b_i.  A new root g of
+    multiplicity m > 1 is kept as m g when <g, g> < 0 and as m entries of
+    multiplicity 1 when <g, g> = 0.
+    """
+    n = quiver.n
+
+    def form(x, y):
+        return euler_form_unchecked(quiver, x, y)
+
+    seq = [(tuple(int(i == v) for i in range(n)), a[v]) for v in order if a[v] > 0]
+    while True:
+        pair = next(
+            (
+                (i, i + d)
+                for d in range(1, len(seq))
+                for i in range(len(seq) - d)
+                if form(seq[i + d][0], seq[i][0]) < 0
+            ),
+            None,
+        )
+        if pair is None:
+            break
+        i, j = pair
+        (bi, mi), (bj, mj) = seq[i], seq[j]
+        left, right = [], []
+        for entry in seq[i + 1 : j]:
+            if form(entry[0], bi) == 0:
+                left.append(entry)
+            elif form(bj, entry[0]) == 0:
+                right.append(entry)
+            else:
+                raise MergeDefectError(
+                    f"no merge order for {format_dimvector(bi)} x{mi} and "
+                    f"{format_dimvector(bj)} x{mj} past {format_dimvector(entry[0])}; "
+                    "this is a program defect"
+                )
+        merged = []
+        for (x, y), m in _kronecker_summands(-form(bj, bi), mj, mi):
+            g = tuple(x * u + y * w for u, w in zip(bj, bi))
+            norm = form(g, g)
+            if m > 1 and norm < 0:
+                merged.append((vec_scale(m, g), 1))
+            elif m > 1 and norm == 0:
+                merged.extend([(g, 1)] * m)
+            else:
+                merged.append((g, m))
+        seq[i : j + 1] = left + merged + right
+    return _group_summands([root for root, m in seq for _ in range(m)])
+
+
+def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConfig()):
+    """The canonical decomposition of a, as (Schur root, multiplicity) pairs.
+
+    On a quiver without an oriented cycle it is computed exactly from the
+    Euler form (`_merged_summands`), and `config` is not read.  On a quiver
+    with an oriented cycle it is the verified summand type of sampled modules
+    over F_p, with `config` giving the prime, seed and sample count; `config`
+    is accepted on every quiver so that callers need not know which path
+    runs.  The summands are ordered by decreasing total dimension, then by
+    vector.
+    """
+    if not quiver.is_loop_free():
+        raise DecomposeError("canonical decomposition requires a loop-free quiver")
+    a = quiver.check_dimvector(a)
+    if any(v < 0 for v in a):
+        raise DecomposeError("expected a non-negative dimension vector")
+    if all(v == 0 for v in a):
+        return CanonicalDecomposition(quiver, a, ())
+    order = _sink_first_order(quiver)
+    if order is None:
+        summands = _sampled_canonical_decomposition(quiver, a, config)
+    else:
+        summands = _merged_summands(quiver, a, order)
+    return CanonicalDecomposition(quiver, a, summands)
 
 
 # -- perpendicular-category simples --------------------------------------

@@ -215,6 +215,27 @@ def test_non_prime_modulus_exits_one(capsys, prime):
     assert err.startswith("error:") and "not a prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["candecomp", "-q", "K3", "(0,0)"],
+        ["candecomp", "-q", "S5", "(10,3,3,3,3,8)"],
+        ["excdecomp", "-q", "S4", "(3,2,2,1,1)"],
+        ["perpsimples", "-q", "K2", "(1,0)", "(0,1)"],
+        ["check-seq", "-q", "S4", "(1,0,1,0,0)", "(1,0,1,0,0)x1"],
+        ["reproduce", "sub5-candecomp"],
+        ["reproduce", "k2-jordan"],
+    ],
+    ids=["zero", "acyclic", "excdecomp", "no-perp", "check-seq", "sub5", "no-sampling"],
+)
+def test_non_prime_modulus_exits_one_before_any_work(capsys, argv):
+    # the exact canonical decomposition builds no prime field, nor do the zero
+    # vector, a complete sequence or k2-jordan; the header check rejects it
+    assert main(argv + ["--prime", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: modulus 4 is not a prime\n"
+
+
 def test_excdecomp_budget_exhausted_is_unknown(capsys, monkeypatch):
     import quiverglue.decompose
 
@@ -247,12 +268,8 @@ def test_bound_below_one_exits_one(capsys, bound):
             ["reproduce", "sub8-realroot", "--prime", "2"],
             "failed to sample an exceptional representation at (2,1,1,1,0,0,2,2,0) over F_2",
         ),
-        (
-            ["candecomp", "-q", "S4", "(1,1,2,1,1)", "--prime", "2", "--samples", "1"],
-            "oracle unstable over F_2, increase samples",
-        ),
     ],
-    ids=["excdecomp", "sub8-realroot", "candecomp"],
+    ids=["excdecomp", "sub8-realroot"],
 )
 def test_sampling_failure_over_a_small_prime_exits_two(capsys, argv, message):
     # an undecided result, not an input error: a larger prime decides both
@@ -260,6 +277,81 @@ def test_sampling_failure_over_a_small_prime_exits_two(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}; try a larger prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # sampling over F_2 with one sample found no module that split into
+        # verified summands (exit 2); the Euler form decides it at any prime
+        (
+            ["candecomp", "-q", "S4", "(1,1,2,1,1)", "--prime", "2", "--samples", "1"],
+            ["samples: 1", "prime: 2", "seed: 0", "summand (1,1,1,1,1) x1", "summand (0,0,1,0,0) x1"],
+        ),
+        # sampling failed here even over F_(2^31-1): (1,1) is isotropic on K2
+        (
+            ["candecomp", "-q", "K2", "(10,10)"],
+            ["samples: 5", "prime: 2147483647", "seed: 0", "summand (1,1) x10"],
+        ),
+    ],
+    ids=["s4-over-f2", "k2-isotropic"],
+)
+def test_candecomp_on_an_acyclic_quiver_needs_no_sampling(capsys, argv, lines):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n".join(lines) + "\n"
+    assert captured.err == ""
+
+
+CYCLE_QUIVERS = {
+    "c2.quiver": "quiver C2\nvertex a\nvertex b\narrow x a b\narrow y b a\n",
+    "c3.quiver": "quiver C3\nvertex a\nvertex b\nvertex c\narrow x a b\narrow y b c\narrow z c a\n",
+}
+
+
+@pytest.mark.parametrize(
+    "quiver,vector,summands",
+    [
+        ("c2.quiver", "(2,1)", ["summand (1,1) x1", "summand (1,0) x1"]),
+        ("c2.quiver", "(2,2)", ["summand (1,1) x2"]),
+        ("c3.quiver", "(2,1,1)", ["summand (1,1,1) x1", "summand (1,0,0) x1"]),
+    ],
+)
+def test_candecomp_on_an_oriented_cycle_keeps_the_sampled_transcript(
+    capsys, tmp_path, quiver, vector, summands
+):
+    # the Euler-form theory does not cover oriented cycles; these stay sampled
+    path = tmp_path / quiver
+    path.write_text(CYCLE_QUIVERS[quiver], encoding="utf-8")
+    assert main(["candecomp", "-q", str(path), vector]) == 0
+    captured = capsys.readouterr()
+    header = ["samples: 5", "prime: 2147483647", "seed: 0"]
+    assert captured.out == "\n".join(header + summands) + "\n"
+    assert captured.err == ""
+
+
+def test_a_merge_defect_exits_two_without_a_traceback(capsys, monkeypatch, tmp_path):
+    # a form under which the closest pair (a, c) with <e_c, e_a> < 0 has b
+    # between them with <e_b, e_a> = <e_c, e_b> = 1: neither side takes b
+    import quiverglue.decompose
+
+    form = {(1, 0): 1, (2, 1): 1, (2, 0): -1}
+
+    def fake(q, x, y):
+        return sum(
+            x[i] * y[j] * form.get((i, j), int(i == j)) for i in range(3) for j in range(3)
+        )
+
+    monkeypatch.setattr(quiverglue.decompose, "euler_form_unchecked", fake)
+    path = tmp_path / "t.quiver"
+    path.write_text("quiver T\nvertex a\nvertex b\nvertex c\n", encoding="utf-8")
+    assert main(["candecomp", "-q", str(path), "(1,1,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no merge order for (1,0,0) x1 and (0,0,1) x1 past (0,1,0); "
+        "this is a program defect\n"
+    )
 
 
 def test_perpsimples_more_roots_than_vertices_exits_one(capsys):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from quiverglue.decompose import (
     OracleUnstableError,
     _candidate_roots,
     _nonneg_combination,
+    _sampled_canonical_decomposition,
     _verify_canonical,
     canonical_decomposition,
     exceptional_sequence_decomposition,
@@ -22,7 +25,14 @@ from quiverglue.decompose import (
 )
 from quiverglue.fixtures import load_quiver
 from quiverglue.linalg import DEFAULT_PRIME
-from quiverglue.quiver import classify_root
+from quiverglue.quiver import (
+    Arrow,
+    Quiver,
+    classify_root,
+    euler_form,
+    format_dimvector,
+    parse_dimvector,
+)
 from quiverglue.reps import end_algebra, ext_dim, hom_dim, random_rep
 
 
@@ -411,3 +421,172 @@ def test_generic_summands_build_one_end_algebra(monkeypatch):
     parts = generic_summands(x)
     assert len(parts) > 1
     assert built == [x.dims]
+
+
+# -- the exact canonical decomposition against the sampled path ----------
+#
+# On an acyclic quiver a verified sampled decomposition is a certificate (a
+# sampled Schurian verdict and a sampled ext of 0 are upper-bound proofs),
+# so the sampled path at p = 2^31 - 1 is the reference for the exact one.
+# A vector the sampled path cannot decide is skipped and counted.
+
+TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "candecomp_table.json"
+
+
+def _compare_with_sampled(q, vectors):
+    """Asserts exact == sampled on every decided vector; returns the undecided count."""
+    undecided = 0
+    for a in vectors:
+        exact = canonical_decomposition(q, a).summands
+        try:
+            sampled = _sampled_canonical_decomposition(q, a, CONFIG)
+        except OracleUnstableError:
+            undecided += 1
+            continue
+        assert exact == sampled, (q.name, q.vertices, q.arrow_indices, a)
+    assert undecided * 20 <= len(vectors), (q.name, undecided, len(vectors))
+    return undecided
+
+
+def _quiver(name, vertices, arrows):
+    return Quiver(name, tuple(vertices), tuple(Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(arrows)))
+
+
+def _orientations(name, vertices, edges):
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield _quiver(name, vertices, [(t, s) if f else (s, t) for (s, t), f in zip(edges, flips)])
+
+
+def _nonzero_box(n, top):
+    return [a for a in itertools.product(range(top + 1), repeat=n) if any(a)]
+
+
+def random_acyclic_quiver(rng, n, most_parallel):
+    """Arrows only from later to earlier vertices of a hidden order, then labels shuffled."""
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    arrows = [
+        (names[j], names[i])
+        for i in range(n)
+        for j in range(i + 1, n)
+        for _ in range(rng.choice((0, 0, 1, 1, 2, most_parallel)))
+    ]
+    vertices = list(names)
+    rng.shuffle(vertices)
+    return _quiver("R", vertices, arrows)
+
+
+def test_exact_canonical_matches_the_table_and_the_sampled_path():
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    assert sum(len(rows) for rows in table.values()) == 266
+    for name, rows in table.items():
+        q = load_quiver(name)
+        vectors = [parse_dimvector(v) for v in rows]
+        for v, expected in zip(vectors, rows.values()):
+            got = canonical_decomposition(q, v).summands
+            assert [[format_dimvector(r), m] for r, m in got] == expected, (name, v)
+        _compare_with_sampled(q, vectors)
+
+
+def _s_box(q, center, arm):
+    """Subspace-quiver vectors: centre 1 to `center`, arms non-decreasing up to `arm`.
+
+    The arms of a subspace quiver are interchangeable, and with centre 0 a
+    vector is a sum of simples.
+    """
+    arms = itertools.combinations_with_replacement(range(arm + 1), q.n - 1)
+    return [(c, *rest) for rest in arms for c in range(1, center + 1)]
+
+
+@pytest.mark.parametrize(
+    "name,vectors",
+    [
+        ("K3", lambda q: _nonzero_box(2, 5)),
+        ("S5", lambda q: _s_box(q, 5, 2)),
+        ("S8", lambda q: _s_box(q, 3, 2)),
+        ("EX39", lambda q: random.Random(39).sample(_nonzero_box(9, 2), 60)),
+    ],
+    ids=["K3", "S5", "S8", "EX39"],
+)
+def test_exact_canonical_matches_sampled_on_fixture_boxes(name, vectors):
+    # S4 {0..2}^5 and K3 {0..4}^2 are the table's boxes
+    q = load_quiver(name)
+    _compare_with_sampled(q, vectors(q))
+
+
+@pytest.mark.parametrize(
+    "name,vertices,edges,top",
+    [
+        ("A3", "abc", [("a", "b"), ("b", "c")], 3),
+        ("D4", "abcd", [("b", "a"), ("c", "a"), ("d", "a")], 2),
+    ],
+)
+def test_exact_canonical_matches_sampled_on_every_orientation(name, vertices, edges, top):
+    for q in _orientations(name, vertices, edges):
+        _compare_with_sampled(q, _nonzero_box(q.n, top))
+
+
+def test_exact_canonical_matches_sampled_on_random_acyclic_quivers():
+    rng = random.Random(18)
+    for _ in range(30):
+        q = random_acyclic_quiver(rng, rng.randint(2, 5), 3)
+        vectors = {tuple(rng.randint(0, 4) for _ in range(q.n)) for _ in range(6)}
+        _compare_with_sampled(q, sorted(a for a in vectors if any(a)))
+
+
+def test_an_isotropic_multiple_from_a_merge_splits_into_copies():
+    # on a => b -> c the merge of (a, b) gives (1,1,0) x2, isotropic; kept as
+    # one entry (2,2,0) it would end in (1,2,1) + (1,1,1), not the Schur root
+    q = _quiver("W", "abc", [("a", "b"), ("a", "b"), ("b", "c")])
+    assert canonical_decomposition(q, (2, 3, 2)).summands == (((2, 3, 2), 1),)
+    _compare_with_sampled(q, [(2, 3, 2), (2, 2, 1), (2, 2, 2)])
+
+
+def test_exact_canonical_on_large_random_vectors():
+    # too large for the sampled path: the sum identity, roots only, and Kac's
+    # bound on multiplicities (a summand of multiplicity > 1 has <r, r> >= 0)
+    rng = random.Random(30)
+    for _ in range(400):
+        q = random_acyclic_quiver(rng, rng.randint(2, 7), 3)
+        a = tuple(rng.randint(0, 30) for _ in range(q.n))
+        if not any(a):
+            continue
+        total = [0] * q.n
+        for r, m in canonical_decomposition(q, a).summands:
+            assert classify_root(q, r).is_root(), (q.arrow_indices, a, r)
+            assert m == 1 or euler_form(q, r, r) >= 0, (q.arrow_indices, a, r)
+            total = [t + m * x for t, x in zip(total, r)]
+        assert tuple(total) == a
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["candecomp", "-q", "S5", "(10,3,3,3,3,8)"], ["reproduce", "sub5-candecomp"]],
+    ids=["candecomp", "reproduce"],
+)
+def test_exact_canonical_builds_no_end_algebra_and_eliminates_nothing(
+    capsys, monkeypatch, tmp_path, argv
+):
+    from quiverglue import cli, gluing, linalg, reps
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for modules, name in (((reps, decompose), "end_algebra"), ((reps,), "hom_space"), ((linalg, gluing), "echelon")):
+        wrapped = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
+    assert cli.main(argv) == 0
+    assert calls == []
+    # the wrappers are on the sampled path, which an oriented cycle still takes
+    path = tmp_path / "c2.quiver"
+    path.write_text("quiver C2\nvertex a\nvertex b\narrow x a b\narrow y b a\n", encoding="utf-8")
+    assert cli.main(["candecomp", "-q", str(path), "(2,2)"]) == 0
+    assert {"end_algebra", "hom_space", "echelon"} <= set(calls)
+    capsys.readouterr()
