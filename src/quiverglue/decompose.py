@@ -1,8 +1,9 @@
 """Canonical decomposition, perpendicular-category simples, and the
 root-decomposition algorithm into reduced exceptional sequences.
 
-Generic quantities (hom, ext, Schur-ness) are Monte-Carlo estimates from
-seeded samples over a large prime field.
+Generic hom and ext are Monte-Carlo estimates from seeded samples over a
+large prime field.  Schur-ness is read off the canonical decomposition: by
+Kac, a vector is a Schur root iff its canonical decomposition is itself x1.
 
 The canonical decomposition has two paths, picked by the quiver.  On a
 quiver without an oriented cycle it depends only on the Euler form
@@ -18,18 +19,16 @@ a random element of its corner algebra, by the same routine
 primitive ones.  All of it runs in the coordinates of the one End(X); the
 module itself is never split.  The sampled result is then re-verified
 against the defining properties (sum identity, pairwise vanishing generic
-Ext, generically Schurian summands, and ext(r, r) = 0 for a summand r of
-multiplicity at least 2), with the sample count escalated on failure.  The
-defining properties determine the canonical decomposition uniquely (Kac),
-so the verified output is independent of how the splitting proceeded, and
-on an acyclic quiver it is the reference the exact path is tested against.
+Ext, and ext(r, r) = 0 for a summand r of multiplicity at least 2), with
+the sample count escalated on failure; each summand eX has End(eX) = k, so
+it needs no Schur test.  The defining properties determine the canonical
+decomposition uniquely (Kac), so the verified output is independent of how
+the splitting proceeded, and on an acyclic quiver it is the reference the
+exact path is tested against.
 
-A sampled Hom is an upper bound on the generic one, so a sampled Schurian
-verdict and a sampled ext of 0 are certificates, and so is a verified
-canonical decomposition.  A vector is a Schur root iff its canonical
-decomposition is itself x1; the root-decomposition algorithm reads its
-non-Schur pre-check off the canonical decomposition and samples End(X) of
-the vector itself only when that decomposition is the vector x1.
+A sampled Hom is an upper bound on the generic one, so a sampled ext of 0
+and a sampled module with End = k are certificates, and so is a verified
+canonical decomposition.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class OracleConfig:
 
 
 class Oracle:
-    """Caching front end for generic hom/ext/Schur queries on one quiver."""
+    """Cached hom/ext (sampled) and Schur (canonical decomposition) queries on one quiver."""
 
     def __init__(self, quiver: Quiver, config: OracleConfig):
         self.quiver = quiver
@@ -107,23 +106,17 @@ class Oracle:
             self.quiver, a, self.config.prime, _derive_seed(self.config.seed, index)
         )
 
-    def _least_hom(self, draw, floor):
-        """The least hom_dim(x, y) over the pairs draw(k), k < samples; stops early at floor."""
-        best = None
-        for k in range(self.config.samples):
-            h = hom_dim(*draw(k))
-            best = h if best is None else min(best, h)
-            if best == floor:
-                break
-        return best
-
     def hom(self, a, b) -> int:
         key = (tuple(a), tuple(b))
         if key not in self._hom:
-            self._hom[key] = self._least_hom(
-                lambda k: (self.sample(a, 2 * k + 1), self.sample(b, 2 * k + 2)),
-                max(0, euler_form(self.quiver, a, b)),
-            )
+            floor = max(0, euler_form(self.quiver, a, b))
+            best = None
+            for k in range(self.config.samples):
+                h = hom_dim(self.sample(a, 2 * k + 1), self.sample(b, 2 * k + 2))
+                best = h if best is None else min(best, h)
+                if best == floor:
+                    break
+            self._hom[key] = best
         return self._hom[key]
 
     def ext(self, a, b) -> int:
@@ -132,7 +125,11 @@ class Oracle:
     def schurian(self, a) -> bool:
         key = tuple(a)
         if key not in self._schur:
-            self._schur[key] = self._least_hom(lambda k: [self.sample(a, 3 * k + 7)] * 2, 1) == 1
+            try:
+                summands = canonical_decomposition(self.quiver, key, self.config).summands
+            except OracleUnstableError:  # unverified over this field: not certified Schur
+                summands = None
+            self._schur[key] = summands == ((key, 1),)
         return self._schur[key]
 
     def exceptional_root(self, a) -> bool:
@@ -210,6 +207,7 @@ def _group_summands(vectors):
 
 
 def _verify_canonical(oracle: Oracle, a, summands) -> bool:
+    """Sum identity and vanishing sampled ext; each summand eX has End(eX) = k, so is Schurian."""
     q = oracle.quiver
     total = [0] * q.n
     for root, mult in summands:
@@ -217,9 +215,6 @@ def _verify_canonical(oracle: Oracle, a, summands) -> bool:
             total[i] += mult * v
     if tuple(total) != tuple(a):
         return False
-    for r, _ in summands:
-        if not oracle.schurian(r):
-            return False
     # Kac: ext = 0 between distinct summands, and ext(r, r) = 0 for a
     # repeated one (a real or isotropic Schur root)
     for i, (ri, mult) in enumerate(summands):
@@ -834,7 +829,7 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
     # a is a Schur root iff its canonical decomposition is a x1 (Kac)
     canonical = canonical_decomposition(quiver, a, config)
     oracle = Oracle(quiver, config)
-    if canonical.summands == ((a, 1),) and oracle.schurian(a):
+    if canonical.summands == ((a, 1),):
         raise DecomposeError(
             f"{format_dimvector(a)} is a Schur root; the algorithm handles non-Schur roots"
         )
@@ -856,8 +851,9 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
             verification,
         )
 
+    # canonical summands are Schur roots, so the real ones are exceptional
     exceptional = [
-        (root, mult) for root, mult in canonical.summands if oracle.exceptional_root(root)
+        (root, mult) for root, mult in canonical.summands if euler_form(quiver, root, root) == 1
     ]
     if not exceptional:
         audit.append("step 0 no exceptional canonical summand")

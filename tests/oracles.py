@@ -39,6 +39,7 @@ from quiverglue.reps import (
     bundle_space_dim,
     compose,
     end_algebra,
+    hom_dim,
     hom_space,
     identity_morphism,
     zero_morphism,
@@ -356,6 +357,25 @@ def classify_root_by_reflection(q, a):
         current = reflect(q, vertex, current)
         if any(x < 0 for x in current):
             return RootClass("not_root", tuple(word), current)
+
+
+def sampled_schurian(oracle, a):
+    """Schur test by sampling: the least dim End(X) over `oracle.config.samples`
+    sampled modules X of dimension a is 1.
+
+    One module with End(X) = k bounds the generic End by 1, so True is a
+    certificate; over a small field every sample may miss the generic
+    module, so False is not.  `Oracle.schurian` reads the canonical
+    decomposition instead; this is its differential reference.
+    """
+    best = None
+    for k in range(oracle.config.samples):
+        x = oracle.sample(a, 3 * k + 7)
+        h = hom_dim(x, x)
+        best = h if best is None else min(best, h)
+        if best == 1:
+            break
+    return best == 1
 
 
 def reference_candidate_roots(quiver, a):

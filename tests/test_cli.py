@@ -330,6 +330,82 @@ def test_candecomp_on_an_oriented_cycle_keeps_the_sampled_transcript(
     assert captured.err == ""
 
 
+BOUND_EXHAUSTED = "error: bound exhausted over F_2147483647; try a larger prime\n"
+
+
+@pytest.mark.parametrize(
+    "quiver,argv,code,lines,err",
+    [
+        # an isotropic Schur root, read off the sampled canonical decomposition
+        ("c3.quiver", ["excdecomp", "(1,1,1)"], 1, None,
+         "error: (1,1,1) is a Schur root; the algorithm handles non-Schur roots\n"),
+        ("c2.quiver", ["excdecomp", "(2,2)"], 1, None, "error: generic ext pattern has an oriented cycle\n"),
+        ("c3.quiver", ["excdecomp", "(1,2,2)"], 2, None, BOUND_EXHAUSTED),
+        ("c3.quiver", ["perpsimples", "(0,1,1)", "(1,0,0)"], 0, ["side: right", "simple (0,0,1)"], ""),
+        ("c3.quiver", ["perpsimples", "(1,0,0)"], 1, None, "error: generic ext pattern has an oriented cycle\n"),
+        ("c2.quiver", ["perpsimples", "(1,0)"], 2, None, BOUND_EXHAUSTED),
+        (
+            "c3.quiver",
+            ["check-seq", "(1,1,0)", "(0,1,0)x1", "(1,0,0)x1"],
+            0,
+            [
+                "check sum-identity: pass",
+                "check exceptional 1: pass (0,1,0)",
+                "check exceptional 2: pass (1,0,0)",
+                "check generic-reduced 1 2: pass hom=0 ext=0 backhom=0",
+                "check representatives: pass",
+                "check root-correspondence: pass real",
+                "verification: pass",
+            ],
+            "",
+        ),
+        (
+            "c2.quiver",
+            ["check-seq", "(2,1)", "(1,0)x1", "(1,1)x1"],
+            2,
+            [
+                "check sum-identity: pass",
+                "check exceptional 1: pass (1,0)",
+                "check exceptional 2: fail (1,1)",
+                "check generic-reduced 1 2: pass hom=0 ext=0 backhom=0",
+                "check representatives: fail failed to sample an exceptional representation at (1,1)"
+                " over F_2147483647; try a larger prime",
+                "verification: fail",
+                "sequence verification failed",
+            ],
+            "",
+        ),
+    ],
+    ids=[
+        "excdecomp-schur", "excdecomp-ext-cycle", "excdecomp-bound", "perpsimples",
+        "perpsimples-ext-cycle", "perpsimples-bound", "check-seq-pass", "check-seq-fail",
+    ],
+)
+def test_oriented_cycle_commands_keep_their_sampled_transcripts(
+    capsys, tmp_path, quiver, argv, code, lines, err
+):
+    # the Schur tests on an oriented cycle read the sampled canonical
+    # decomposition; these transcripts were recorded while they sampled End(X)
+    path = tmp_path / quiver
+    path.write_text(CYCLE_QUIVERS[quiver], encoding="utf-8")
+    assert main([argv[0], "-q", str(path), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    header = ["samples: 5", "prime: 2147483647", "seed: 0"]
+    assert captured.out == ("" if lines is None else "\n".join(header + lines) + "\n")
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("vector,prime", [("(1,1,1,1,1)", "2"), ("(2,1,1,1,2)", "3")])
+def test_excdecomp_on_a_schur_root_exits_one_over_a_small_prime(capsys, vector, prime):
+    # the Schur test is the exact canonical decomposition at every prime; the
+    # sampled End(X) over F_2 and F_3 missed these Schur roots and went on to
+    # print "result trivial"
+    assert main(["excdecomp", "-q", "S4", vector, "--prime", prime]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {vector} is a Schur root; the algorithm handles non-Schur roots\n"
+
+
 def test_a_merge_defect_exits_two_without_a_traceback(capsys, monkeypatch, tmp_path):
     # a form under which the closest pair (a, c) with <e_c, e_a> < 0 has b
     # between them with <e_b, e_a> = <e_c, e_b> = 1: neither side takes b

@@ -13,7 +13,10 @@ recorded before F_p elimination moved to sparse rows; the S5 `excdecomp`
 at --prime 3 was recorded again when a sampling failure moved from exit 1
 to exit 2 and its message came to name the prime, and the two S5 entries
 at --prime 2 when a repeated canonical summand came to need ext(r, r) = 0
-(they had printed (3,1,1,1,1,2) x2, whose <r, r> is -1).  The file commands on
+(they had printed (3,1,1,1,1,2) x2, whose <r, r> is -1); the S5 `excdecomp`
+at --prime 2 was recorded a third time when its step 0 came to keep every
+real canonical summand, as larger primes do, and its `perp_simples` search
+then runs out over F_2 as the --prime 3 one does.  The file commands on
 the three-member sequence (S_q0, Malpha, Mbeta), `glue-mor`, `qm --bases`
 and `loopglue` with `-x` or `--bases` were recorded before the loop functor
 became the one-member case of the gluing functor.  indec_field_end.json

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_candidate_roots, reference_generic_summands
+from oracles import reference_candidate_roots, reference_generic_summands, sampled_schurian
 from quiverglue import decompose
 from quiverglue.decompose import (
     DecomposeError,
@@ -151,8 +151,10 @@ def test_excdecomp_rejects_schur_root():
         exceptional_sequence_decomposition(q, (1, 1), CONFIG)
 
 
-# the Schur-root error is read off the canonical decomposition; it must still
-# be raised exactly when the sampled End(X) of the vector is the scalars
+# the Schur-root error is read off the exact canonical decomposition, so at
+# every prime it must be raised exactly when the sampled End(X) of the vector
+# over F_(2^31 - 1) is the scalars; a sampled End(X) = k over F_p certifies a
+# Schur root too, so it must never meet a vector without the error
 SCHUR_BOXES = [("K3", 3), ("S4", 1)]
 
 
@@ -161,6 +163,7 @@ SCHUR_BOXES = [("K3", 3), ("S4", 1)]
 def test_excdecomp_schur_error_iff_sampled_schurian(name, top, p):
     q = load_quiver(name)
     config = OracleConfig(prime=p)
+    reference, at_p = Oracle(q, CONFIG), Oracle(q, config)
     for a in itertools.product(range(top + 1), repeat=q.n):
         if not any(a) or not classify_root(q, a).is_root():
             continue
@@ -169,7 +172,8 @@ def test_excdecomp_schur_error_iff_sampled_schurian(name, top, p):
             schur_error = False
         except DecomposeError as exc:
             schur_error = "is a Schur root" in str(exc)
-        assert schur_error == Oracle(q, config).schurian(a), a
+        assert schur_error == sampled_schurian(reference, a), a
+        assert schur_error or not sampled_schurian(at_p, a), a
 
 
 def test_excdecomp_on_the_isotropic_root_samples_no_end_of_it(monkeypatch):
@@ -187,6 +191,106 @@ def test_excdecomp_on_the_isotropic_root_samples_no_end_of_it(monkeypatch):
     assert report.result == "trivial"
     assert pairs  # the wrapper is on the oracle's path
     assert (a, a) not in pairs
+
+
+def test_schurian_on_an_acyclic_quiver_samples_nothing(monkeypatch):
+    # Oracle.schurian reads the exact canonical decomposition, at any prime
+    drawn = []
+
+    def counted(x, y):
+        drawn.append((x.dims, y.dims))
+        return hom_dim(x, y)
+
+    monkeypatch.setattr(decompose, "hom_dim", counted)
+    cases = [
+        ("K3", (2, 2), True),
+        ("K3", (4, 1), False),
+        ("S4", (1, 1, 1, 1, 1), True),
+        ("S4", (3, 2, 2, 1, 1), False),
+        ("S5", (6, 2, 2, 2, 2, 4), True),
+        ("S5", (10, 3, 3, 3, 3, 8), False),
+    ]
+    for name, a, expected in cases:
+        for p in (2, DEFAULT_PRIME):
+            oracle = Oracle(load_quiver(name), OracleConfig(prime=p))
+            assert oracle.schurian(a) is expected, (name, a, p)
+    assert drawn == []
+
+
+def test_excdecomp_step_0_makes_no_schur_query(monkeypatch):
+    # every canonical summand is a Schur root already, so step 0 keeps the
+    # real ones without asking the oracle; the first queries come in step 1
+    queries, pairs, at_step_1 = [], [], []
+    schurian, perp = Oracle.schurian, decompose.perp_simples
+
+    def counted_schurian(self, a):
+        queries.append(a)
+        return schurian(self, a)
+
+    def counted_hom(x, y):
+        pairs.append((x.dims, y.dims))
+        return hom_dim(x, y)
+
+    def step_1(*args, **kwargs):
+        at_step_1.append((len(queries), len(pairs)))
+        return perp(*args, **kwargs)
+
+    monkeypatch.setattr(Oracle, "schurian", counted_schurian)
+    monkeypatch.setattr(decompose, "hom_dim", counted_hom)
+    monkeypatch.setattr(decompose, "perp_simples", step_1)
+    report = exceptional_sequence_decomposition(load_quiver("S5"), (10, 3, 3, 3, 3, 8), CONFIG)
+    assert report.result == "trivial"
+    assert at_step_1 == [(0, 0)]
+    assert queries and pairs  # the wrappers are on the later steps' path
+
+
+def test_schurian_is_false_where_the_sampled_decomposition_is_unverified(monkeypatch):
+    # on an oriented cycle an unverified decomposition certifies nothing: the
+    # candidate is skipped, as a sampled End(X) above k skipped it
+    def unstable(x, seed=0):
+        raise OracleUnstableError(x.field.p)
+
+    monkeypatch.setattr(decompose, "generic_summands", unstable)
+    q = Quiver("C2", ("a", "b"), (Arrow("x", "a", "b"), Arrow("y", "b", "a")))
+    with pytest.raises(OracleUnstableError):
+        canonical_decomposition(q, (1, 1), CONFIG)
+    assert Oracle(q, CONFIG).schurian((1, 1)) is False
+
+
+# -- the sampled End(X) Schur test as a differential reference -----------
+
+# every nonzero vector of each box (a non-root is never Schurian) and a few
+# non-Schur roots outside it
+SCHUR_REFERENCE_BOXES = [
+    ("K3", 4, []),
+    ("S4", 2, [(3, 2, 2, 1, 1), (4, 2, 2, 1, 1)]),
+    ("S5", 1, [(10, 3, 3, 3, 3, 8), (4, 1, 1, 1, 1, 2)]),
+]
+
+
+def _schur_reference_vectors(q, top, extra):
+    return [a for a in itertools.product(range(top + 1), repeat=q.n) if any(a)] + extra
+
+
+@pytest.mark.parametrize("name,top,extra", SCHUR_REFERENCE_BOXES, ids=["K3", "S4", "S5"])
+def test_schurian_matches_the_sampled_reference(name, top, extra):
+    q = load_quiver(name)
+    oracle = Oracle(q, CONFIG)
+    for a in _schur_reference_vectors(q, top, extra):
+        assert oracle.schurian(a) == sampled_schurian(oracle, a), a
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name,top,extra", SCHUR_REFERENCE_BOXES, ids=["K3", "S4", "S5"])
+def test_a_sampled_schurian_verdict_implies_the_exact_one(name, top, extra, p):
+    # one sampled module with End = k bounds the generic End by 1, so a
+    # sampled True is a certificate; over a small field the samples may only
+    # miss a Schur root (20 of the 29 in the S4 box over F_2), never invent one
+    q = load_quiver(name)
+    oracle = Oracle(q, OracleConfig(prime=p))
+    for a in _schur_reference_vectors(q, top, extra):
+        if sampled_schurian(oracle, a):
+            assert oracle.schurian(a), a
 
 
 @pytest.mark.parametrize(
@@ -425,8 +529,9 @@ def test_generic_summands_build_one_end_algebra(monkeypatch):
 
 # -- the exact canonical decomposition against the sampled path ----------
 #
-# On an acyclic quiver a verified sampled decomposition is a certificate (a
-# sampled Schurian verdict and a sampled ext of 0 are upper-bound proofs),
+# On an acyclic quiver a verified sampled decomposition is a certificate (each
+# summand is a sampled module with End = k, and a sampled ext of 0 is an
+# upper-bound proof),
 # so the sampled path at p = 2^31 - 1 is the reference for the exact one.
 # A vector the sampled path cannot decide is skipped and counted.
 
