@@ -17,6 +17,7 @@ from . import fixtures
 from .decompose import (
     DecomposeError,
     MergeDefectError,
+    Oracle,
     OracleConfig,
     SamplingError,
     canonical_decomposition,
@@ -121,17 +122,18 @@ def _load_rep(spec, quiver=None):
     )
 
 
-def _config(args):
-    return OracleConfig(
+def _oracle_header(args, out):
+    """The config of --samples/--prime/--seed/--bound, printed as the header.
+
+    A non-prime --prime is an input error before any work, sampled or not.
+    """
+    config = OracleConfig(
         samples=args.samples, prime=args.prime, seed=args.seed, bound=args.bound
     )
-
-
-def _oracle_header(args, out):
-    _config(args)  # a non-prime --prime is an input error before any work, sampled or not
     out.append(f"samples: {args.samples}")
     out.append(f"prime: {args.prime}")
     out.append(f"seed: {args.seed}")
+    return config
 
 
 def _vec(quiver, text):
@@ -253,16 +255,14 @@ def cmd_schur(args, out):
 def cmd_candecomp(args, out):
     q = _load_quiver(args.quiver)
     a = _vec(q, args.a)
-    _oracle_header(args, out)
-    decomp = canonical_decomposition(q, a, _config(args))
+    decomp = canonical_decomposition(q, a, _oracle_header(args, out))
     out.extend(decomp.lines())
 
 
 def cmd_excdecomp(args, out):
     q = _load_quiver(args.quiver)
     a = _vec(q, args.a)
-    _oracle_header(args, out)
-    report = exceptional_sequence_decomposition(q, a, _config(args))
+    report = exceptional_sequence_decomposition(Oracle(q, _oracle_header(args, out)), a)
     out.extend(report.lines())
     if report.result == "unknown":
         raise VerificationFailure(["no certificate: the step-2 search ran out of budget"])
@@ -273,8 +273,7 @@ def cmd_excdecomp(args, out):
 def cmd_perpsimples(args, out):
     q = _load_quiver(args.quiver)
     roots = [_vec(q, r) for r in args.roots]
-    _oracle_header(args, out)
-    simples = perp_simples(q, roots, side=args.side, config=_config(args))
+    simples = perp_simples(Oracle(q, _oracle_header(args, out)), roots, side=args.side)
     out.append(f"side: {args.side}")
     for s in simples:
         out.append(f"simple {format_dimvector(s)}")
@@ -315,8 +314,7 @@ def cmd_check_seq(args, out):
         coeffs.append(integer(mult))
         if coeffs[-1] is None:
             raise InputError(f"non-integer coefficient in {term!r}")
-    _oracle_header(args, out)
-    report = verify_reduced_sequence(q, roots, coeffs, target, _config(args))
+    report = verify_reduced_sequence(Oracle(q, _oracle_header(args, out)), roots, coeffs, target)
     out.extend(report.lines())
     if not report.ok:
         raise VerificationFailure(["sequence verification failed"])
@@ -350,7 +348,7 @@ def _expect(out, label, computed, expected):
         )
 
 
-def _repro_k2_jordan(args, out):
+def _repro_k2_jordan(config, out):
     x0 = fixtures.load_rep("X0")
     x1 = fixtures.load_rep("X1")
     _expect(out, "X(0) verdict", indecomposable(x0).tag, "indecomposable")
@@ -370,7 +368,7 @@ def _k2_indec(g, dims, a_rows, b_rows):
     return Representation(g.qm, field, dims, maps, name="X")
 
 
-def _repro_sub4_glue(args, out):
+def _repro_sub4_glue(config, out):
     malpha = fixtures.load_rep("Malpha")
     mbeta = fixtures.load_rep("Mbeta")
     g = build_gluing([malpha, mbeta])
@@ -410,9 +408,8 @@ SUB8_ARROWS = {
 }
 
 
-def _repro_sub8_realroot(args, out):
+def _repro_sub8_realroot(config, out):
     q = fixtures.load_quiver("S8")
-    config = _config(args)
     reps = [
         sample_exceptional_rep(q, beta, config, salt=i)
         for i, beta in enumerate(SUB8_ROOTS)
@@ -436,28 +433,27 @@ SUB5_SUMMANDS = (
 SUB4_SUMMANDS = (((1, 1, 1, 0, 0), 1), ((2, 1, 1, 1, 1), 1))
 
 
-def _repro_sub5_candecomp(args, out):
+def _repro_sub5_candecomp(config, out):
     q = fixtures.load_quiver("S5")
-    decomp = canonical_decomposition(q, (10, 3, 3, 3, 3, 8), _config(args))
+    decomp = canonical_decomposition(q, (10, 3, 3, 3, 3, 8), config)
     out.extend(decomp.lines())
     _expect(out, "summand multiset", tuple(sorted(decomp.summands)), SUB5_SUMMANDS)
 
 
-def _repro_sub4_excseq(args, out):
-    q4 = fixtures.load_quiver("S4")
-    q5 = fixtures.load_quiver("S5")
-    config = _config(args)
+def _repro_sub4_excseq(config, out):
+    s4 = Oracle(fixtures.load_quiver("S4"), config)
+    s5 = Oracle(fixtures.load_quiver("S5"), config)
     target = (3, 2, 2, 1, 1)
-    decomp = canonical_decomposition(q4, target, config)
+    decomp = s4.canonical(target)
     _expect(out, "canonical summands", tuple(sorted(decomp.summands)), SUB4_SUMMANDS)
-    report = exceptional_sequence_decomposition(q4, target, config)
+    report = exceptional_sequence_decomposition(s4, target)
     out.extend(report.lines())
     _expect(out, "result", report.result, "sequence")
     _expect(out, "verification", report.verification.ok, True)
     ref_roots = [(1, 0, 1, 0, 0), (1, 0, 0, 1, 1), (0, 1, 0, 0, 0)]
-    ref = verify_reduced_sequence(q4, ref_roots, [2, 1, 2], target, config)
+    ref = verify_reduced_sequence(s4, ref_roots, [2, 1, 2], target)
     _expect(out, "reference sequence verification", ref.ok, True)
-    report5 = exceptional_sequence_decomposition(q5, (10, 3, 3, 3, 3, 8), config)
+    report5 = exceptional_sequence_decomposition(s5, (10, 3, 3, 3, 3, 8))
     _expect(out, "isotropic result", report5.result, "trivial")
 
 
@@ -470,7 +466,7 @@ M_PRIME_MATRICES = {
 M_PRIME_IDEMPOTENT = ([[0, 1], [0, 1]], [[0, 0, 1], [0, 0, 1], [0, 0, 1]])
 
 
-def _repro_loop_counterexample(args, out):
+def _repro_loop_counterexample(config, out):
     m = fixtures.load_rep("M")
     _expect(out, "dim End(M)", hom_dim(m, m), 1)
     _expect(out, "dim Ext(M,M)", ext_dim(m, m), 6)
@@ -515,8 +511,7 @@ def cmd_reproduce(args, out):
             f"unknown reproduce id {args.id!r}; known: {', '.join(sorted(REPRODUCE))}"
         )
     out.append(f"reproduce: {args.id}")
-    _oracle_header(args, out)
-    REPRODUCE[args.id](args, out)
+    REPRODUCE[args.id](_oracle_header(args, out), out)
     out.append("status: ok")
 
 

@@ -29,6 +29,12 @@ exact path is tested against.
 A sampled Hom is an upper bound on the generic one, so a sampled ext of 0
 and a sampled module with End = k are certificates, and so is a verified
 canonical decomposition.
+
+One `Oracle` serves a whole command.  Each of its answers (a sampled hom, a
+canonical decomposition) is a function of (quiver, config, vector), so
+`exceptional_sequence_decomposition`, `perp_simples`, the step-2 search and
+`verify_reduced_sequence` take the caller's Oracle, build none of their own,
+and no answer is computed twice.
 """
 
 from __future__ import annotations
@@ -93,13 +99,13 @@ class OracleConfig:
 
 
 class Oracle:
-    """Cached hom/ext (sampled) and Schur (canonical decomposition) queries on one quiver."""
+    """Cached hom/ext (sampled) and canonical-decomposition queries on one quiver."""
 
     def __init__(self, quiver: Quiver, config: OracleConfig):
         self.quiver = quiver
         self.config = config
         self._hom = {}
-        self._schur = {}
+        self._canonical = {}  # vector -> CanonicalDecomposition, None where it did not verify
 
     def sample(self, a, index) -> Representation:
         return random_rep(
@@ -122,15 +128,35 @@ class Oracle:
     def ext(self, a, b) -> int:
         return self.hom(a, b) - euler_form(self.quiver, a, b)
 
-    def schurian(self, a) -> bool:
+    def canonical(self, a) -> CanonicalDecomposition:
+        """`canonical_decomposition` of a under this oracle's config, computed once.
+
+        One that fails to verify is attempted once: every call for it raises
+        OracleUnstableError.
+        """
         key = tuple(a)
-        if key not in self._schur:
+        if key not in self._canonical:
             try:
-                summands = canonical_decomposition(self.quiver, key, self.config).summands
-            except OracleUnstableError:  # unverified over this field: not certified Schur
-                summands = None
-            self._schur[key] = summands == ((key, 1),)
-        return self._schur[key]
+                self._canonical[key] = canonical_decomposition(self.quiver, key, self.config)
+            except OracleUnstableError:
+                self._canonical[key] = None
+        if self._canonical[key] is None:
+            raise OracleUnstableError(self.config.prime)
+        return self._canonical[key]
+
+    def schurian(self, a) -> bool:
+        try:
+            return self.canonical(a).is_schur()
+        except OracleUnstableError:  # unverified over this field: not certified Schur
+            return False
+
+    def known_non_schur(self, a) -> bool:
+        """True when the cache already rules a out as a Schur root; computes nothing."""
+        key = tuple(a)
+        if key not in self._canonical:
+            return False
+        decomp = self._canonical[key]
+        return decomp is None or not decomp.is_schur()
 
     def exceptional_root(self, a) -> bool:
         return euler_form(self.quiver, a, a) == 1 and self.schurian(a)
@@ -194,6 +220,10 @@ class CanonicalDecomposition:
 
     def lines(self):
         return [f"summand {format_dimvector(r)} x{m}" for r, m in self.summands]
+
+    def is_schur(self) -> bool:
+        # a is a Schur root iff its canonical decomposition is a x1 (Kac)
+        return self.summands == ((self.vector, 1),)
 
 
 MAX_ESCALATIONS = 4
@@ -403,41 +433,42 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def _nonneg_combination(vec, accepted):
-    """True when vec is a non-negative integer combination of accepted vectors."""
-    if not accepted:
-        return False
-    n = len(vec)
+def _nonneg_combination(vec, vectors):
+    """Non-negative integer coefficients of vec in the given vectors, or None.
+
+    With independent vectors they are the one solution over Q; with
+    dependent ones, the first found by `_nonneg_search`.
+    """
     cols = Matrix.from_rows(
-        [[accepted[j][i] for j in range(len(accepted))] for i in range(n)],
-        QQ,
-        cols=len(accepted),
+        [[v[i] for v in vectors] for i in range(len(vec))], QQ, cols=len(vectors)
     )
-    x = solve(cols, [QQ.coerce(v) for v in vec])
+    x = solve(cols, list(vec))
     if x is None:
-        return False
+        return None
     if all(c.denominator == 1 and c >= 0 for c in x):
-        return True
-    if rank(cols) == len(accepted):
+        return [int(c) for c in x]
+    if rank(cols) == len(vectors):
         # independent vectors: x is the only solution
-        return False
-    return _nonneg_search(tuple(vec), accepted)
+        return None
+    return _nonneg_search(tuple(vec), vectors)
 
 
-def _nonneg_search(vec, accepted):
+def _nonneg_search(vec, vectors):
     """Exhaustive search over non-negative integer coefficients, vectors all non-negative.
 
     The coefficient of a vector a is at most min vec[i] // a[i] over its support.
     """
     if not any(vec):
-        return True
-    if not accepted:
-        return False
-    head, rest = accepted[0], accepted[1:]
+        return [0] * len(vectors)
+    if not vectors:
+        return None
+    head, rest = vectors[0], vectors[1:]
     top = min((v // a for v, a in zip(vec, head) if a), default=0)
-    return any(
-        _nonneg_search(tuple(v - k * a for v, a in zip(vec, head)), rest) for k in range(top + 1)
-    )
+    for k in range(top + 1):
+        found = _nonneg_search(tuple(v - k * a for v, a in zip(vec, head)), rest)
+        if found is not None:
+            return [k] + found
+    return None
 
 
 def _topo_order_by_ext(ext, roots):
@@ -457,7 +488,7 @@ def _topo_order_by_ext(ext, roots):
     return [roots[i] for i in ordered]
 
 
-def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = OracleConfig()):
+def perp_simples(oracle: Oracle, roots, side="right"):
     """Simple objects of the perpendicular category of an exceptional sequence.
 
     Searches non-negative vectors by increasing total dimension: accepts
@@ -467,8 +498,8 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
     """
     if side not in ("right", "left"):
         raise DecomposeError("side must be 'right' or 'left'")
+    quiver = oracle.quiver
     roots = [quiver.check_dimvector(r) for r in roots]
-    oracle = Oracle(quiver, config)
     needed = quiver.n - len(roots)
     if needed < 0:
         raise DecomposeError(
@@ -488,7 +519,7 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
             )
     if needed == 0:
         return []
-    bound = config.bound
+    bound = oracle.config.bound
     if bound is None:
         bound = max(sum(r) for r in roots) + quiver.n if roots else quiver.n
     accepted = []
@@ -502,7 +533,7 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
             else:
                 if any(euler_form(quiver, cand, r) != 0 for r in roots):
                     continue
-            if _nonneg_combination(cand, accepted):
+            if _nonneg_combination(cand, accepted) is not None:
                 continue
             if not classify_root(quiver, cand).is_root():
                 continue
@@ -522,7 +553,7 @@ def perp_simples(quiver: Quiver, roots, side="right", config: OracleConfig = Ora
             accepted.append(cand)
             if len(accepted) == needed:
                 return _topo_order_by_ext(oracle.ext, accepted)
-    raise SamplingError(f"bound exhausted over F_{config.prime}; try a larger prime")
+    raise SamplingError(f"bound exhausted over F_{oracle.config.prime}; try a larger prime")
 
 
 # -- reduced exceptional sequences ---------------------------------------
@@ -557,7 +588,18 @@ class VerificationReport:
         return out
 
 
-def verify_reduced_sequence(quiver: Quiver, roots, coeffs, target, config: OracleConfig = OracleConfig()):
+def _generic_reduced_checks(oracle, roots):
+    """A (label, passed, detail) check per pair i < j: generic hom, ext and backhom vanish."""
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            h_f = oracle.hom(roots[i], roots[j])
+            e_f = oracle.ext(roots[i], roots[j])
+            h_b = oracle.hom(roots[j], roots[i])
+            ok = h_f == 0 and e_f == 0 and h_b == 0
+            yield (f"generic-reduced {i + 1} {j + 1}", ok, f" hom={h_f} ext={e_f} backhom={h_b}")
+
+
+def verify_reduced_sequence(oracle: Oracle, roots, coeffs, target):
     """Full verifier for a claimed reduced exceptional sequence decomposition.
 
     Checks the sum identity, exceptionality of every root, the reduced
@@ -567,13 +609,13 @@ def verify_reduced_sequence(quiver: Quiver, roots, coeffs, target, config: Oracl
     """
     from .gluing import build_gluing
 
+    quiver = oracle.quiver
     roots = [quiver.check_dimvector(r) for r in roots]
     for r in roots:
         if any(v < 0 for v in r):
             raise DecomposeError(f"{format_dimvector(r)} has a negative entry; it is not a root")
     coeffs = [int(c) for c in coeffs]
     target = quiver.check_dimvector(target)
-    oracle = Oracle(quiver, config)
     checks = []
 
     total = [0] * quiver.n
@@ -587,24 +629,12 @@ def verify_reduced_sequence(quiver: Quiver, roots, coeffs, target, config: Oracl
         ok = oracle.exceptional_root(r)
         checks.append((f"exceptional {idx}", ok, f" {format_dimvector(r)}"))
 
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            h_f = oracle.hom(roots[i], roots[j])
-            e_f = oracle.ext(roots[i], roots[j])
-            h_b = oracle.hom(roots[j], roots[i])
-            ok = h_f == 0 and e_f == 0 and h_b == 0
-            checks.append(
-                (
-                    f"generic-reduced {i + 1} {j + 1}",
-                    ok,
-                    f" hom={h_f} ext={e_f} backhom={h_b}",
-                )
-            )
+    checks.extend(_generic_reduced_checks(oracle, roots))
 
     reps = None
     try:
         reps = [
-            sample_exceptional_rep(quiver, r, config, salt=i) for i, r in enumerate(roots)
+            sample_exceptional_rep(quiver, r, oracle.config, salt=i) for i, r in enumerate(roots)
         ]
     except DecomposeError as exc:
         checks.append(("representatives", False, f" {exc}"))
@@ -681,34 +711,6 @@ def _trivial_report(quiver, a, canonical, audit, iterations):
     )
 
 
-def _express(quiver, gamma, simples):
-    """Coefficients of gamma in the given vectors; None unless non-negative integers."""
-    if all(v == 0 for v in gamma):
-        return [0] * len(simples)
-    cols = Matrix.from_rows(
-        [[QQ.coerce(s[i]) for s in simples] for i in range(quiver.n)],
-        QQ,
-        cols=len(simples),
-    )
-    x = solve(cols, [QQ.coerce(v) for v in gamma])
-    if x is None or any(c.denominator != 1 or c < 0 for c in x):
-        return None
-    return [int(c) for c in x]
-
-
-def _is_reduced_candidate(oracle, roots):
-    """Generic reduced-sequence conditions on an ordered list of roots."""
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if (
-                oracle.hom(roots[i], roots[j]) != 0
-                or oracle.ext(roots[i], roots[j]) != 0
-                or oracle.hom(roots[j], roots[i]) != 0
-            ):
-                return False
-    return True
-
-
 def _candidate_roots(quiver, a):
     """Exceptional-root candidates fitting under a componentwise.
 
@@ -739,13 +741,13 @@ def _candidate_roots(quiver, a):
     return out
 
 
-def _search_reduced_sequence(quiver, oracle, a):
+def _search_reduced_sequence(oracle: Oracle, a):
     """Bounded exhaustive search for a non-trivial reduced exceptional sequence.
 
     Explores ordered decompositions a = sum c_i r_i (c_i >= 1) over real root
     candidates with Euler-form pruning first, generic Hom vanishing second and
-    Schur certification of completed solutions last; negative Schur results
-    prune the remaining search.
+    Schur certification of completed solutions last; a candidate the oracle
+    already knows to be no Schur root is skipped.
 
     A root r' placed after the roots p already in the sequence must satisfy
     <p, r'> = 0 and <r', p> <= 0, so a nonzero remainder rho = sum c' r'
@@ -757,9 +759,8 @@ def _search_reduced_sequence(quiver, oracle, a):
     Returns (roots, coeffs), or None when the search space is exhausted;
     raises DecomposeError when the node budget runs out first.
     """
+    quiver = oracle.quiver
     roots_sorted = _candidate_roots(quiver, a)
-    pair_ok = {}
-    schur = {}
     nodes = [0]
 
     def euler(x, y):
@@ -769,32 +770,24 @@ def _search_reduced_sequence(quiver, oracle, a):
         return not any(rem) or all(euler(p, rem) == 0 and euler(rem, p) <= 0 for p in placed)
 
     def compatible(p, r):
-        key = (p, r)
-        cached = pair_ok.get(key)
-        if cached is not None:
-            return cached
-        ok = euler(p, r) == 0 and euler(r, p) <= 0
-        if ok:
-            ok = oracle.hom(p, r) == 0 and oracle.hom(r, p) == 0
-        pair_ok[key] = ok
-        return ok
+        return (
+            euler(p, r) == 0
+            and euler(r, p) <= 0
+            and oracle.hom(p, r) == 0
+            and oracle.hom(r, p) == 0
+        )
 
     def rec(remainder, start, seq, coeffs):
         nodes[0] += 1
         if nodes[0] > MAX_SEARCH_NODES:
             raise DecomposeError("search budget exhausted")
         if all(x == 0 for x in remainder):
-            if not any(sum(r) > 1 for r in seq):
+            if not any(sum(r) > 1 for r in seq) or not all(oracle.schurian(r) for r in seq):
                 return None
-            for r in seq:
-                if r not in schur:
-                    schur[r] = oracle.schurian(r)
-                if not schur[r]:
-                    return None
             return (tuple(seq), tuple(coeffs))
         for idx in range(start, len(roots_sorted)):
             r = roots_sorted[idx]
-            if schur.get(r) is False:
+            if oracle.known_non_schur(r):
                 continue
             if any(x > y for x, y in zip(r, remainder)):
                 continue
@@ -817,28 +810,24 @@ def _search_reduced_sequence(quiver, oracle, a):
         return rec(a, 0, [], [])
     finally:
         # rec reaches itself through its closure; break that cycle so the
-        # memo tables and the oracle are freed now, not at the next gc pass
+        # oracle is freed now, not at the next gc pass
         del rec
 
 
-def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConfig(), verify=True):
+def exceptional_sequence_decomposition(oracle: Oracle, a):
+    quiver = oracle.quiver
     a = quiver.check_dimvector(a)
     cls = classify_root(quiver, a)
     if not cls.is_root():
         raise DecomposeError(f"{format_dimvector(a)} is not a root")
-    # a is a Schur root iff its canonical decomposition is a x1 (Kac)
-    canonical = canonical_decomposition(quiver, a, config)
-    oracle = Oracle(quiver, config)
-    if canonical.summands == ((a, 1),):
+    canonical = oracle.canonical(a)
+    if canonical.is_schur():
         raise DecomposeError(
             f"{format_dimvector(a)} is a Schur root; the algorithm handles non-Schur roots"
         )
     audit = []
 
     def sequence_report(roots, coeffs, iterations):
-        verification = (
-            verify_reduced_sequence(quiver, roots, coeffs, a, config) if verify else None
-        )
         return DecompositionReport(
             quiver,
             a,
@@ -848,7 +837,7 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
             canonical,
             tuple(audit),
             iterations,
-            verification,
+            verify_reduced_sequence(oracle, roots, coeffs, a),
         )
 
     # canonical summands are Schur roots, so the real ones are exceptional
@@ -863,22 +852,24 @@ def exceptional_sequence_decomposition(quiver: Quiver, a, config: OracleConfig =
     # step 1: the exceptional canonical summand first, the remainder expressed
     # over the simple objects of its right perpendicular category
     beta = vec_sub(a, vec_scale(k_eps, eps))
-    simples = perp_simples(quiver, [eps], side="right", config=config)
+    simples = perp_simples(oracle, [eps], side="right")
     audit.append("step 1 perp " + " ".join(format_dimvector(s) for s in simples))
-    coeffs_beta = _express(quiver, beta, simples)
+    coeffs_beta = _nonneg_combination(beta, simples)
     if coeffs_beta is not None:
         candidate = [(eps, k_eps)] + [
             (s, c) for s, c in zip(simples, coeffs_beta) if c > 0
         ]
         roots = [rc[0] for rc in candidate]
-        if any(sum(r) > 1 for r in roots) and _is_reduced_candidate(oracle, roots):
+        if any(sum(r) > 1 for r in roots) and all(
+            passed for _, passed, _ in _generic_reduced_checks(oracle, roots)
+        ):
             return sequence_report(roots, [rc[1] for rc in candidate], 1)
 
     # step 2: the perpendicular decomposition is not reduced; search the
     # bounded space of alternative decompositions into exceptional roots
     audit.append("step 2 search")
     try:
-        found = _search_reduced_sequence(quiver, oracle, a)
+        found = _search_reduced_sequence(oracle, a)
     except DecomposeError:
         # an unfinished search certifies neither a sequence nor its absence
         audit.append("step 2 budget exhausted")

@@ -87,13 +87,13 @@ def test_canonical_decomposition_sum_identity():
 
 def test_perp_simples_sink_simple():
     q = load_quiver("S5")
-    simples = perp_simples(q, [q.unit_vector("q0")], side="right", config=CONFIG)
+    simples = perp_simples(Oracle(q, CONFIG), [q.unit_vector("q0")], side="right")
     assert set(simples) == {q.unit_vector(f"q{i}") for i in range(1, 6)}
 
 
 def test_perp_simples_full_sequence_empty():
     q = load_quiver("K2")
-    assert perp_simples(q, [(1, 0), (0, 1)], side="right", config=CONFIG) == []
+    assert perp_simples(Oracle(q, CONFIG), [(1, 0), (0, 1)], side="right") == []
 
 
 def test_perp_simples_left_side_postconditions():
@@ -102,9 +102,9 @@ def test_perp_simples_left_side_postconditions():
 
     q = load_quiver("S4")
     eps = (1, 0, 1, 0, 0)
-    simples = perp_simples(q, [eps], side="left", config=CONFIG)
-    assert len(simples) == 4
     oracle = Oracle(q, CONFIG)
+    simples = perp_simples(oracle, [eps], side="left")
+    assert len(simples) == 4
     for s in simples:
         assert euler_form(q, s, s) == 1
         assert euler_form(q, s, eps) == 0
@@ -142,13 +142,13 @@ def test_sample_exceptional_rep():
 def test_excdecomp_rejects_non_root():
     q = load_quiver("K2")
     with pytest.raises(DecomposeError):
-        exceptional_sequence_decomposition(q, (1, 3), CONFIG)
+        exceptional_sequence_decomposition(Oracle(q, CONFIG), (1, 3))
 
 
 def test_excdecomp_rejects_schur_root():
     q = load_quiver("K2")
     with pytest.raises(DecomposeError):
-        exceptional_sequence_decomposition(q, (1, 1), CONFIG)
+        exceptional_sequence_decomposition(Oracle(q, CONFIG), (1, 1))
 
 
 # the Schur-root error is read off the exact canonical decomposition, so at
@@ -168,7 +168,7 @@ def test_excdecomp_schur_error_iff_sampled_schurian(name, top, p):
         if not any(a) or not classify_root(q, a).is_root():
             continue
         try:
-            exceptional_sequence_decomposition(q, a, config, verify=False)
+            exceptional_sequence_decomposition(at_p, a)
             schur_error = False
         except DecomposeError as exc:
             schur_error = "is a Schur root" in str(exc)
@@ -187,7 +187,7 @@ def test_excdecomp_on_the_isotropic_root_samples_no_end_of_it(monkeypatch):
         return hom_dim(x, y)
 
     monkeypatch.setattr(decompose, "hom_dim", counted)
-    report = exceptional_sequence_decomposition(load_quiver("S5"), a, CONFIG)
+    report = exceptional_sequence_decomposition(Oracle(load_quiver("S5"), CONFIG), a)
     assert report.result == "trivial"
     assert pairs  # the wrapper is on the oracle's path
     assert (a, a) not in pairs
@@ -238,7 +238,7 @@ def test_excdecomp_step_0_makes_no_schur_query(monkeypatch):
     monkeypatch.setattr(Oracle, "schurian", counted_schurian)
     monkeypatch.setattr(decompose, "hom_dim", counted_hom)
     monkeypatch.setattr(decompose, "perp_simples", step_1)
-    report = exceptional_sequence_decomposition(load_quiver("S5"), (10, 3, 3, 3, 3, 8), CONFIG)
+    report = exceptional_sequence_decomposition(Oracle(load_quiver("S5"), CONFIG), (10, 3, 3, 3, 3, 8))
     assert report.result == "trivial"
     assert at_step_1 == [(0, 0)]
     assert queries and pairs  # the wrappers are on the later steps' path
@@ -310,7 +310,7 @@ def test_candidate_roots_match_product_enumeration(name, vectors):
 
 def test_excdecomp_sub4_nontrivial_and_verified():
     q = load_quiver("S4")
-    report = exceptional_sequence_decomposition(q, (3, 2, 2, 1, 1), CONFIG)
+    report = exceptional_sequence_decomposition(Oracle(q, CONFIG), (3, 2, 2, 1, 1))
     assert report.result == "sequence"
     assert report.verification is not None and report.verification.ok
     total = [0] * q.n
@@ -324,14 +324,14 @@ def test_excdecomp_sub4_nontrivial_and_verified():
 def test_reference_sequence_verifies():
     q = load_quiver("S4")
     roots = [(1, 0, 1, 0, 0), (1, 0, 0, 1, 1), (0, 1, 0, 0, 0)]
-    report = verify_reduced_sequence(q, roots, [2, 1, 2], (3, 2, 2, 1, 1), CONFIG)
+    report = verify_reduced_sequence(Oracle(q, CONFIG), roots, [2, 1, 2], (3, 2, 2, 1, 1))
     assert report.ok
 
 
 def test_verifier_rejects_wrong_sum():
     q = load_quiver("S4")
     roots = [(1, 0, 1, 0, 0), (1, 0, 0, 1, 1)]
-    report = verify_reduced_sequence(q, roots, [1, 1], (3, 2, 2, 1, 1), CONFIG)
+    report = verify_reduced_sequence(Oracle(q, CONFIG), roots, [1, 1], (3, 2, 2, 1, 1))
     assert not report.ok
 
 
@@ -339,15 +339,13 @@ def test_verifier_rejects_non_reduced_pair():
     # e_q0 and e_q1 on S4 admit homs between the pair's generic representatives
     q = load_quiver("S4")
     roots = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0)]
-    report = verify_reduced_sequence(
-        q, roots, [1, 1], (2, 2, 1, 1, 0), CONFIG
-    )
+    report = verify_reduced_sequence(Oracle(q, CONFIG), roots, [1, 1], (2, 2, 1, 1, 0))
     assert not report.ok
 
 
 def test_trivial_report_lines_shape():
     q = load_quiver("S5")
-    report = exceptional_sequence_decomposition(q, (10, 3, 3, 3, 3, 8), CONFIG)
+    report = exceptional_sequence_decomposition(Oracle(q, CONFIG), (10, 3, 3, 3, 3, 8))
     assert report.result == "trivial"
     lines = report.lines()
     assert any(line.startswith("summand") for line in lines)
@@ -374,7 +372,7 @@ def test_search_reduced_sequence_frees_its_oracle():
     gc.disable()
     try:
         oracle = Oracle(q, CONFIG)
-        found = _search_reduced_sequence(q, oracle, (3, 2, 2, 1, 1))
+        found = _search_reduced_sequence(oracle, (3, 2, 2, 1, 1))
         assert found is not None
         ref = weakref.ref(oracle)
         del oracle
@@ -403,7 +401,7 @@ def test_pruned_search_matches_reference(name, top):
             continue
         ref_oracle, oracle = Oracle(q, CONFIG), Oracle(q, CONFIG)
         expected = reference_search_reduced_sequence(q, ref_oracle, a)
-        assert _search_reduced_sequence(q, oracle, a) == expected, a
+        assert _search_reduced_sequence(oracle, a) == expected, a
         assert set(oracle._hom) <= set(ref_oracle._hom), a
         assert classify_root(q, a) == classify_root_by_reflection(q, a), a
 
@@ -415,7 +413,7 @@ def test_pruned_search_on_the_isotropic_root_makes_few_hom_queries():
 
     q = load_quiver("S5")
     oracle = Oracle(q, CONFIG)
-    assert _search_reduced_sequence(q, oracle, (10, 3, 3, 3, 3, 8)) is None
+    assert _search_reduced_sequence(oracle, (10, 3, 3, 3, 3, 8)) is None
     assert len(oracle._hom) <= 100
 
 
@@ -423,7 +421,7 @@ def test_perp_simples_rejects_more_roots_than_vertices():
     q = load_quiver("S4")
     roots = [q.unit_vector(v) for v in q.vertices] + [(1, 1, 0, 0, 0)]
     with pytest.raises(DecomposeError):
-        perp_simples(q, roots, side="right", config=CONFIG)
+        perp_simples(Oracle(q, CONFIG), roots, side="right")
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -442,11 +440,11 @@ def test_oracle_config_rejects_bound_below_one(bound):
 
 def test_nonneg_combination_with_dependent_accepted_vectors():
     # (1,1) = (1,0) + (0,1): the single solution solve returns is not the only one
-    assert _nonneg_combination((0, 1), [(1, 1), (1, 0), (0, 1)])
-    assert _nonneg_combination((3, 1), [(1, 1), (1, 0), (0, 1)])
-    assert _nonneg_combination((2, 2), [(1, 1), (2, 2)])
-    assert not _nonneg_combination((1, 2), [(1, 1), (2, 2)])
-    assert not _nonneg_combination((1, 0), [(1, 1), (0, 1)])
+    assert _nonneg_combination((0, 1), [(1, 1), (1, 0), (0, 1)]) == [0, 0, 1]
+    assert _nonneg_combination((3, 1), [(1, 1), (1, 0), (0, 1)]) == [1, 2, 0]
+    assert _nonneg_combination((2, 2), [(1, 1), (2, 2)]) == [2, 0]
+    assert _nonneg_combination((1, 2), [(1, 1), (2, 2)]) is None
+    assert _nonneg_combination((1, 0), [(1, 1), (0, 1)]) is None
 
 
 def test_nonneg_combination_matches_enumeration():
@@ -460,7 +458,12 @@ def test_nonneg_combination_matches_enumeration():
             tuple(sum(k * a[i] for k, a in zip(ks, accepted)) for i in range(n)) == vec
             for ks in itertools.product(range(5), repeat=len(accepted))
         )
-        assert _nonneg_combination(vec, accepted) == expected, (vec, accepted)
+        found = _nonneg_combination(vec, accepted)
+        assert (found is not None) == expected, (vec, accepted)
+        if found is not None:
+            assert all(isinstance(k, int) and k >= 0 for k in found), (vec, accepted, found)
+            combination = tuple(sum(k * a[i] for k, a in zip(found, accepted)) for i in range(n))
+            assert combination == vec, (vec, accepted, found)
 
 
 # -- generic_summands in one End(X) against the module-splitting F_p reference
