@@ -563,6 +563,12 @@ SAMPLE_RETRIES = 24
 
 def sample_exceptional_rep(quiver: Quiver, a, config: OracleConfig, salt=0) -> Representation:
     """A representation of dimension a verified exceptional (Schurian, Ext=0)."""
+    # hom - ext = <a, a>, so End = k and Ext = 0 need <a, a> = 1 at every prime
+    norm = euler_form(quiver, a, a)
+    if norm != 1:
+        raise DecomposeError(
+            f"no representation of dimension {format_dimvector(a)} is exceptional: <a,a> = {norm}, not 1"
+        )
     for k in range(SAMPLE_RETRIES):
         x = random_rep(
             quiver, a, config.prime, _derive_seed(config.seed, 911 + salt * 31 + k)

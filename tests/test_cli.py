@@ -368,8 +368,8 @@ BOUND_EXHAUSTED = "error: bound exhausted over F_2147483647; try a larger prime\
                 "check exceptional 1: pass (1,0)",
                 "check exceptional 2: fail (1,1)",
                 "check generic-reduced 1 2: pass hom=0 ext=0 backhom=0",
-                "check representatives: fail failed to sample an exceptional representation at (1,1)"
-                " over F_2147483647; try a larger prime",
+                "check representatives: fail no representation of dimension (1,1) is exceptional:"
+                " <a,a> = 0, not 1",
                 "verification: fail",
                 "sequence verification failed",
             ],

@@ -139,6 +139,23 @@ def test_sample_exceptional_rep():
     assert ext_dim(x, x) == 0
 
 
+@pytest.mark.parametrize("p", [2, DEFAULT_PRIME])
+def test_sample_exceptional_rep_rejects_a_vector_with_form_other_than_one(monkeypatch, p):
+    # hom - ext = <a, a>, so no sample of (1,1) on K2 (<a, a> = 0) or on K3
+    # (<a, a> = -1) is exceptional: nothing is drawn
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return random_rep(*args)
+
+    monkeypatch.setattr(decompose, "random_rep", counted)
+    for name, norm in [("K2", 0), ("K3", -1)]:
+        with pytest.raises(DecomposeError, match=rf"is exceptional: <a,a> = {norm}, not 1"):
+            sample_exceptional_rep(load_quiver(name), (1, 1), OracleConfig(prime=p))
+    assert drawn == []
+
+
 def test_excdecomp_rejects_non_root():
     q = load_quiver("K2")
     with pytest.raises(DecomposeError):
@@ -255,6 +272,66 @@ def test_schurian_is_false_where_the_sampled_decomposition_is_unverified(monkeyp
     with pytest.raises(OracleUnstableError):
         canonical_decomposition(q, (1, 1), CONFIG)
     assert Oracle(q, CONFIG).schurian((1, 1)) is False
+
+
+def test_an_unverified_decomposition_is_attempted_once_per_oracle(monkeypatch, capsys, tmp_path):
+    from quiverglue.cli import main
+
+    tries = []
+
+    def unstable(x, seed=0):
+        tries.append(x.dims)
+        raise OracleUnstableError(x.field.p)
+
+    monkeypatch.setattr(decompose, "generic_summands", unstable)
+    q = Quiver("C2", ("a", "b"), (Arrow("x", "a", "b"), Arrow("y", "b", "a")))
+    oracle = Oracle(q, CONFIG)
+    with pytest.raises(OracleUnstableError, match="oracle unstable over F_2147483647"):
+        oracle.canonical((2, 1))
+    first = len(tries)
+    assert first > 0
+    with pytest.raises(OracleUnstableError, match="oracle unstable over F_2147483647"):
+        oracle.canonical((2, 1))
+    assert oracle.schurian((2, 1)) is False and oracle.known_non_schur((2, 1))
+    with pytest.raises(OracleUnstableError):
+        exceptional_sequence_decomposition(oracle, (2, 1))
+    assert len(tries) == first
+    # excdecomp still reports it as undecided
+    path = tmp_path / "c2.quiver"
+    path.write_text("quiver C2\nvertex a\nvertex b\narrow x a b\narrow y b a\n", encoding="utf-8")
+    assert main(["excdecomp", "-q", str(path), "(2,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: oracle unstable over F_2147483647, increase samples; try a larger prime\n"
+
+
+def test_one_oracle_serves_each_command(monkeypatch, capsys):
+    # excdecomp builds one Oracle and reproduce sub4-excseq one per quiver,
+    # so no Hom between sampled modules is computed for a second Oracle
+    from quiverglue.cli import main
+
+    built, homs = [], []
+    init = Oracle.__init__
+
+    def counted_init(self, quiver, config):
+        built.append(quiver.name)
+        init(self, quiver, config)
+
+    def counted_hom(x, y):
+        homs.append((x.dims, y.dims))
+        return hom_dim(x, y)
+
+    monkeypatch.setattr(Oracle, "__init__", counted_init)
+    monkeypatch.setattr(decompose, "hom_dim", counted_hom)
+    for argv, oracles, ceiling in [
+        (["excdecomp", "-q", "S4", "(3,2,2,1,1)"], ["S4"], 45),
+        (["reproduce", "sub4-excseq"], ["S4", "S5"], 132),
+    ]:
+        built.clear()
+        homs.clear()
+        assert main(argv) == 0
+        assert built == oracles, argv
+        assert len(homs) <= ceiling, argv
+    capsys.readouterr()
 
 
 # -- the sampled End(X) Schur test as a differential reference -----------
