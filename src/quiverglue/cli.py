@@ -1,9 +1,10 @@
 """Command-line front end: file loading, per-command dispatch, reproduction driver.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, an
-undecided result (an exceptional-sequence search that ran out of budget, or
-sampling over F_p that found no answer where a larger prime may find one),
-or a state the exact canonical decomposition rules out (a program defect).
+undecided result (an exceptional-sequence search that ran out of budget, a
+perpendicular-category search that ran out of its --bound, or sampling over
+F_p that found no answer where a larger prime may find one), or a state the
+exact canonical decomposition rules out (a program defect).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 
 from . import fixtures
 from .decompose import (
+    BoundExhaustedError,
     DecomposeError,
     MergeDefectError,
     Oracle,
@@ -664,7 +666,7 @@ def main(argv=None):
     except VerificationFailure as exc:
         print("\n".join(out + list(exc.lines)))
         return 2
-    except (SamplingError, MergeDefectError) as exc:
+    except (SamplingError, BoundExhaustedError, MergeDefectError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

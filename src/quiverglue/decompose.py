@@ -76,6 +76,10 @@ class OracleUnstableError(SamplingError):
         super().__init__(f"oracle unstable over F_{prime}, increase samples; try a larger prime")
 
 
+class BoundExhaustedError(DecomposeError):
+    """The perpendicular-category search ran out of its bound with no sampled check involved."""
+
+
 class MergeDefectError(DecomposeError):
     """The exact canonical decomposition reached a state its theory rules out."""
 
@@ -495,6 +499,9 @@ def perp_simples(oracle: Oracle, roots, side="right"):
     exceptional roots lying in the perpendicular lattice that are not
     non-negative integer combinations of already accepted ones, until
     n - r are found.  Returned in an order with vanishing forward generic ext.
+    Running out of the bound raises SamplingError when a sampled check (hom
+    or Schur) rejected a candidate, which over a larger prime it may accept,
+    and BoundExhaustedError when only the exact filters did.
     """
     if side not in ("right", "left"):
         raise DecomposeError("side must be 'right' or 'left'")
@@ -523,37 +530,31 @@ def perp_simples(oracle: Oracle, roots, side="right"):
     if bound is None:
         bound = max(sum(r) for r in roots) + quiver.n if roots else quiver.n
     accepted = []
+    sampled_rejection = False
     for total in range(1, bound + 1):
         for cand in _compositions(total, quiver.n):
             if euler_form(quiver, cand, cand) != 1:
                 continue
-            if side == "right":
-                if any(euler_form(quiver, r, cand) != 0 for r in roots):
-                    continue
-            else:
-                if any(euler_form(quiver, cand, r) != 0 for r in roots):
-                    continue
-            if _nonneg_combination(cand, accepted) is not None:
-                continue
-            if not classify_root(quiver, cand).is_root():
-                continue
-            if side == "right":
-                if any(oracle.hom(r, cand) != 0 for r in roots):
-                    continue
-            else:
-                if any(oracle.hom(cand, r) != 0 for r in roots):
-                    continue
-            if not oracle.schurian(cand):
-                continue
-            if any(
-                oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0
-                for acc in accepted
+            pairs = [(r, cand) if side == "right" else (cand, r) for r in roots]
+            if (
+                any(euler_form(quiver, x, y) != 0 for x, y in pairs)
+                or _nonneg_combination(cand, accepted) is not None
+                or not classify_root(quiver, cand).is_root()
             ):
+                continue
+            if (
+                any(oracle.hom(x, y) != 0 for x, y in pairs)
+                or not oracle.schurian(cand)
+                or any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted)
+            ):
+                sampled_rejection = True
                 continue
             accepted.append(cand)
             if len(accepted) == needed:
                 return _topo_order_by_ext(oracle.ext, accepted)
-    raise SamplingError(f"bound exhausted over F_{oracle.config.prime}; try a larger prime")
+    if sampled_rejection:
+        raise SamplingError(f"bound exhausted over F_{oracle.config.prime}; try a larger prime")
+    raise BoundExhaustedError(f"perp search bound {bound} exhausted; try a larger --bound")
 
 
 # -- reduced exceptional sequences ---------------------------------------

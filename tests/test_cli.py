@@ -343,7 +343,10 @@ BOUND_EXHAUSTED = "error: bound exhausted over F_2147483647; try a larger prime\
         ("c3.quiver", ["excdecomp", "(1,2,2)"], 2, None, BOUND_EXHAUSTED),
         ("c3.quiver", ["perpsimples", "(0,1,1)", "(1,0,0)"], 0, ["side: right", "simple (0,0,1)"], ""),
         ("c3.quiver", ["perpsimples", "(1,0,0)"], 1, None, "error: generic ext pattern has an oriented cycle\n"),
-        ("c2.quiver", ["perpsimples", "(1,0)"], 2, None, BOUND_EXHAUSTED),
+        # every v with <e_a, v> = 0 has v_a = v_b, so <v, v> = 0: the Euler-form
+        # filters reject every candidate, and no sampled check is reached
+        ("c2.quiver", ["perpsimples", "(1,0)"], 2, None,
+         "error: perp search bound 3 exhausted; try a larger --bound\n"),
         (
             "c3.quiver",
             ["check-seq", "(1,1,0)", "(0,1,0)x1", "(1,0,0)x1"],
@@ -393,6 +396,25 @@ def test_oriented_cycle_commands_keep_their_sampled_transcripts(
     header = ["samples: 5", "prime: 2147483647", "seed: 0"]
     assert captured.out == ("" if lines is None else "\n".join(header + lines) + "\n")
     assert captured.err == err
+
+
+@pytest.mark.parametrize("prime", ["2", "3", "101", "2147483647"])
+def test_perpsimples_suggests_a_larger_bound_where_no_sampled_check_ran(capsys, prime):
+    # up to the default bound 3 no vector right-perpendicular to (1,0) on K3
+    # has <v, v> = 1, so no prime can help; the first simple is (3,1)
+    assert main(["perpsimples", "-q", "K3", "(1,0)", "--prime", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: perp search bound 3 exhausted; try a larger --bound\n"
+    code = main(["perpsimples", "-q", "K3", "(1,0)", "--prime", prime, "--bound", "4"])
+    captured = capsys.readouterr()
+    if prime == "2":
+        # the sampled Hom rejects (3,1) over F_2, so now a larger prime may help
+        assert code == 2
+        assert captured.err == "error: bound exhausted over F_2; try a larger prime\n"
+    else:
+        assert code == 0
+        assert captured.out.splitlines()[-2:] == ["side: right", "simple (3,1)"]
 
 
 @pytest.mark.parametrize("vector,prime", [("(1,1,1,1,1)", "2"), ("(2,1,1,1,2)", "3")])

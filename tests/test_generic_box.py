@@ -6,6 +6,12 @@ the oriented cycles C2 and C3, at --prime 2, 3, 101 and 2^31 - 1 (876 runs).
 Entries are keyed by the quiver's fixture or file name; the cycle quivers are
 written to a temporary directory before the replay.  Re-record with
 `PYTHONPATH=src python tests/test_generic_box.py`.
+
+The 28 entries whose `perp_simples` search ran out of its bound before any
+sampled check (`perpsimples` on K3 (1,0); `perpsimples` on C2 (0,1), (1,0),
+(1,2), (2,1) and `excdecomp` on C2 (1,2), (2,1), at every prime) were
+recorded again when that message came to name the bound and suggest
+`--bound` instead of a larger prime.
 """
 
 import itertools
