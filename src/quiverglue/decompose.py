@@ -443,6 +443,8 @@ def _nonneg_combination(vec, vectors):
     With independent vectors they are the one solution over Q; with
     dependent ones, the first found by `_nonneg_search`.
     """
+    if not vectors:
+        return None if any(vec) else []
     cols = Matrix.from_rows(
         [[v[i] for v in vectors] for i in range(len(vec))], QQ, cols=len(vectors)
     )
@@ -693,29 +695,15 @@ class DecompositionReport:
 MAX_SEARCH_NODES = 500_000
 
 
-def _trivial_report(quiver, a, canonical, audit, iterations):
+def _trivial_sequence(quiver, a):
+    """The simples in an order with vanishing forward ext, and a's coordinates on them."""
     # distinct simples have hom 0, so on a loop-free quiver their generic
     # ext is exactly -<e_i, e_j>, the number of arrows i -> j
     order = _topo_order_by_ext(
         lambda x, y: -euler_form(quiver, x, y), [quiver.unit_vector(v) for v in quiver.vertices]
     )
-    roots, coeffs = [], []
-    for r in order:
-        c = sum(x * y for x, y in zip(r, a))
-        if c > 0:
-            roots.append(r)
-            coeffs.append(c)
-    return DecompositionReport(
-        quiver,
-        a,
-        "trivial",
-        tuple(roots),
-        tuple(coeffs),
-        canonical,
-        tuple(audit),
-        iterations,
-        None,
-    )
+    terms = [(r, sum(x * y for x, y in zip(r, a))) for r in order]
+    return [r for r, c in terms if c > 0], [c for _, c in terms if c > 0]
 
 
 def _candidate_roots(quiver, a):
@@ -834,17 +822,13 @@ def exceptional_sequence_decomposition(oracle: Oracle, a):
         )
     audit = []
 
-    def sequence_report(roots, coeffs, iterations):
+    def report(result, iterations, roots=(), coeffs=()):
+        verification = (
+            verify_reduced_sequence(oracle, roots, coeffs, a) if result == "sequence" else None
+        )
         return DecompositionReport(
-            quiver,
-            a,
-            "sequence",
-            tuple(roots),
-            tuple(coeffs),
-            canonical,
-            tuple(audit),
-            iterations,
-            verify_reduced_sequence(oracle, roots, coeffs, a),
+            quiver, a, result, tuple(roots), tuple(coeffs), canonical, tuple(audit), iterations,
+            verification,
         )
 
     # canonical summands are Schur roots, so the real ones are exceptional
@@ -853,7 +837,7 @@ def exceptional_sequence_decomposition(oracle: Oracle, a):
     ]
     if not exceptional:
         audit.append("step 0 no exceptional canonical summand")
-        return _trivial_report(quiver, a, canonical, audit, 0)
+        return report("trivial", 0, *_trivial_sequence(quiver, a))
     eps, k_eps = min(exceptional, key=lambda rm: sum(rm[0]))
 
     # step 1: the exceptional canonical summand first, the remainder expressed
@@ -870,7 +854,7 @@ def exceptional_sequence_decomposition(oracle: Oracle, a):
         if any(sum(r) > 1 for r in roots) and all(
             passed for _, passed, _ in _generic_reduced_checks(oracle, roots)
         ):
-            return sequence_report(roots, [rc[1] for rc in candidate], 1)
+            return report("sequence", 1, roots, [rc[1] for rc in candidate])
 
     # step 2: the perpendicular decomposition is not reduced; search the
     # bounded space of alternative decompositions into exceptional roots
@@ -880,9 +864,7 @@ def exceptional_sequence_decomposition(oracle: Oracle, a):
     except DecomposeError:
         # an unfinished search certifies neither a sequence nor its absence
         audit.append("step 2 budget exhausted")
-        return DecompositionReport(
-            quiver, a, "unknown", (), (), canonical, tuple(audit), 2, None
-        )
+        return report("unknown", 2)
     if found is None:
-        return _trivial_report(quiver, a, canonical, audit, 2)
-    return sequence_report(list(found[0]), list(found[1]), 2)
+        return report("trivial", 2, *_trivial_sequence(quiver, a))
+    return report("sequence", 2, *found)
