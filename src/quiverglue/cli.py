@@ -125,7 +125,7 @@ def _load_rep(spec, quiver=None):
 
 
 def _oracle_header(args, out):
-    """The config of --samples/--prime/--seed/--bound, printed as the header.
+    """Prints the samples/prime/seed header; returns the config of those and --bound.
 
     A non-prime --prime is an input error before any work, sampled or not.
     """

@@ -440,8 +440,8 @@ def _compositions(total, parts):
 def _nonneg_combination(vec, vectors):
     """Non-negative integer coefficients of vec in the given vectors, or None.
 
-    With independent vectors they are the one solution over Q; with
-    dependent ones, the first found by `_nonneg_search`.
+    The solution over Q that `solve` returns when it has them; otherwise,
+    with dependent vectors, the first that `_nonneg_search` finds.
     """
     if not vectors:
         return None if any(vec) else []
