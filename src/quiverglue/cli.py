@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from functools import lru_cache
 
 from . import fixtures
@@ -125,17 +126,25 @@ def _load_rep(spec, quiver=None):
 
 
 def _oracle_header(args, out):
-    """Prints the samples/prime/seed header; returns the config of those and --bound.
+    """Prints the samples/prime/seed header; returns the config of those and --bound, if taken.
 
     A non-prime --prime is an input error before any work, sampled or not.
     """
     config = OracleConfig(
-        samples=args.samples, prime=args.prime, seed=args.seed, bound=args.bound
+        samples=args.samples, prime=args.prime, seed=args.seed, bound=getattr(args, "bound", None)
     )
     out.append(f"samples: {args.samples}")
     out.append(f"prime: {args.prime}")
     out.append(f"seed: {args.seed}")
     return config
+
+
+def _same_field(*inputs):
+    """An input error naming the first (name, field) input and the first over another field."""
+    (name0, f0), *rest = inputs
+    for name, f in rest:
+        if f != f0:
+            raise InputError(f"field mismatch: {name0} is over {f0.name}, {name} is over {f.name}")
 
 
 def _vec(quiver, text):
@@ -167,11 +176,10 @@ def cmd_homext(args, out):
     q = _load_quiver(args.quiver)
     x = _load_rep(args.x, q)
     y = _load_rep(args.y, q)
-    h, e = hom_dim(x, y), ext_dim(x, y)
-    out.append(f"hom: {h}")
-    out.append(f"ext: {e}")
-    out.append(f"euler: {euler_form(x.quiver, x.dims, y.dims)}")
-    if h - e != euler_form(x.quiver, x.dims, y.dims):
+    _same_field((args.x, x.field), (args.y, y.field))
+    h, e, chi = hom_dim(x, y), ext_dim(x, y), euler_form(x.quiver, x.dims, y.dims)
+    out.extend([f"hom: {h}", f"ext: {e}", f"euler: {chi}"])
+    if h - e != chi:
         raise VerificationFailure(["euler identity failed on this pair"])
 
 
@@ -179,6 +187,7 @@ def cmd_extbasis(args, out):
     q = _load_quiver(args.quiver)
     x = _load_rep(args.x, q)
     y = _load_rep(args.y, q)
+    _same_field((args.x, x.field), (args.y, y.field))
     basis = tree_shaped_ext_basis(x, y)
     out.append(f"ext: {len(basis)}")
     out.extend(format_bases(basis).splitlines())
@@ -192,7 +201,15 @@ def _load_bases(spec):
 def _gluing_from_args(args):
     q = _load_quiver(args.quiver)
     reps = [_load_rep(spec, q) for spec in args.reps]
+    _same_field(*((spec, m.field) for spec, m in zip(args.reps, reps)))
     return build_gluing(reps, bases=_load_bases(args.bases))
+
+
+def _load_qm_rep(g, member, spec):
+    """A representation of Q(M) read from spec, over the field of M's first member, named member."""
+    x = parse_rep(_read_text(spec), g.qm)
+    _same_field((member, g.field), (spec, x.field))
+    return x
 
 
 def cmd_qm(args, out):
@@ -202,16 +219,19 @@ def cmd_qm(args, out):
 
 def cmd_glue(args, out):
     g = _gluing_from_args(args)
-    x = parse_rep(_read_text(args.x), g.qm)
-    fx = apply_F(g, x)
+    fx = apply_F(g, _load_qm_rep(g, args.reps[0], args.x))
     out.extend(format_rep(fx, name=args.name).splitlines())
 
 
 def cmd_glue_mor(args, out):
     g = _gluing_from_args(args)
-    x = parse_rep(_read_text(args.x), g.qm)
-    y = parse_rep(_read_text(args.y), g.qm)
-    f = parse_morphism(_read_text(args.mor), x, y)
+    x = _load_qm_rep(g, args.reps[0], args.x)
+    y = _load_qm_rep(g, args.reps[0], args.y)
+    try:
+        f = parse_morphism(_read_text(args.mor), x, y)
+    except FieldMismatchError as exc:  # x and y share a field, so the morphism's differs
+        _same_field((args.x, x.field), (args.mor, exc.fields[1]))
+        raise
     ff = apply_F_mor(g, f)
     out.extend(format_morphism(ff, name=args.name).splitlines())
 
@@ -230,7 +250,7 @@ def cmd_loopglue(args, out):
         maps = tuple(Matrix.from_rows([[v]], m.field) for v in scalars)
         x = Representation(lg.qm, m.field, (1,), maps, name="X")
     elif args.x:
-        x = parse_rep(_read_text(args.x), lg.qm)
+        x = _load_qm_rep(lg, args.rep, args.x)
     else:
         raise InputError("loopglue needs --scalars or an L(n) representation via -x")
     fx = apply_F(lg, x)
@@ -325,12 +345,13 @@ def cmd_check_seq(args, out):
 def cmd_check_theta(args, out):
     q = _load_quiver(args.quiver)
     reps = [_load_rep(spec, q) for spec in args.reps]
+    _same_field(*((spec, m.field) for spec, m in zip(args.reps, reps)))
     report = check_theorem36(reps)
     out.extend(report.lines())
     failed = not report.ok
     if args.x:
         g = build_gluing(reps)
-        x = parse_rep(_read_text(args.x), g.qm)
+        x = _load_qm_rep(g, args.reps[0], args.x)
         iso = check_theta_iso(g, x)
         out.append(f"theta iso: {'yes' if iso else 'no'}")
         failed = failed or not iso
@@ -360,6 +381,11 @@ def _repro_k2_jordan(config, out):
     _expect(out, "X(0) tree", coefficient_quiver(x0).is_tree(), True)
 
 
+def _arrow_counts(quiver):
+    """The number of arrows s -> t, keyed "s->t", in the order of their first arrows."""
+    return dict(Counter(f"{a.source}->{a.target}" for a in quiver.arrows))
+
+
 def _k2_indec(g, dims, a_rows, b_rows):
     field = g.field
     da, db = dims
@@ -374,10 +400,7 @@ def _repro_sub4_glue(config, out):
     malpha = fixtures.load_rep("Malpha")
     mbeta = fixtures.load_rep("Mbeta")
     g = build_gluing([malpha, mbeta])
-    counts = {f"{a.source}->{a.target}": 0 for a in g.qm.arrows}
-    for a in g.qm.arrows:
-        counts[f"{a.source}->{a.target}"] += 1
-    _expect(out, "Q(M) arrows", counts, {"m1->m2": 1, "m2->m1": 1})
+    _expect(out, "Q(M) arrows", _arrow_counts(g.qm), {"m1->m2": 1, "m2->m1": 1})
     cases = [
         ((1, 2), [[1], [0]], [[0, 1]], (3, 1, 1, 2, 2)),
         ((2, 1), [[0, 1]], [[1], [0]], (3, 2, 2, 1, 1)),
@@ -416,12 +439,7 @@ def _repro_sub8_realroot(config, out):
         sample_exceptional_rep(q, beta, config, salt=i)
         for i, beta in enumerate(SUB8_ROOTS)
     ]
-    g = build_gluing(reps)
-    counts = {}
-    for a in g.qm.arrows:
-        key = f"{a.source}->{a.target}"
-        counts[key] = counts.get(key, 0) + 1
-    _expect(out, "Q(M) arrows", counts, SUB8_ARROWS)
+    _expect(out, "Q(M) arrows", _arrow_counts(build_gluing(reps).qm), SUB8_ARROWS)
 
 
 SUB5_SUMMANDS = (
@@ -537,11 +555,15 @@ def _positive_int(text):
 
 @lru_cache(maxsize=None)
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=_positive_int, default=5, help="Monte-Carlo samples")
-    common.add_argument("--prime", type=_int, default=DEFAULT_PRIME, help="sampling prime")
-    common.add_argument("--seed", type=_int, default=0, help="sampling seed")
-    common.add_argument("--bound", type=_positive_int, default=None, help="perp search bound")
+    # each command takes only the options it reads: any other is an unrecognized argument
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--samples", type=_positive_int, default=5, help="Monte-Carlo samples")
+    sampling.add_argument("--prime", type=_int, default=DEFAULT_PRIME, help="sampling prime")
+    sampling.add_argument("--seed", type=_int, default=0, help="sampling seed")
+    perp = argparse.ArgumentParser(add_help=False, parents=[sampling])
+    perp.add_argument("--bound", type=_positive_int, default=None, help="perp search bound")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_int, default=0, help="witness search seed")
 
     parser = argparse.ArgumentParser(
         prog="quiverglue",
@@ -549,8 +571,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, func, options=None, **kwargs):
+        p = sub.add_parser(name, parents=[options] if options else [], **kwargs)
         p.set_defaults(func=func)
         return p
 
@@ -602,7 +624,7 @@ def _build_parser():
     p.add_argument("--name", default="FX")
     p.add_argument("rep")
 
-    p = add("indec", cmd_indec, help="indecomposability verdict")
+    p = add("indec", cmd_indec, seed, help="indecomposability verdict")
     p.add_argument("-q", "--quiver")
     p.add_argument("rep")
 
@@ -610,15 +632,15 @@ def _build_parser():
     p.add_argument("-q", "--quiver")
     p.add_argument("rep")
 
-    p = add("candecomp", cmd_candecomp, help="canonical decomposition of a vector")
+    p = add("candecomp", cmd_candecomp, sampling, help="canonical decomposition of a vector")
     p.add_argument("-q", "--quiver", required=True)
     p.add_argument("a")
 
-    p = add("excdecomp", cmd_excdecomp, help="reduced exceptional sequence decomposition")
+    p = add("excdecomp", cmd_excdecomp, perp, help="reduced exceptional sequence decomposition")
     p.add_argument("-q", "--quiver", required=True)
     p.add_argument("a")
 
-    p = add("perpsimples", cmd_perpsimples, help="simples of a perpendicular category")
+    p = add("perpsimples", cmd_perpsimples, perp, help="simples of a perpendicular category")
     p.add_argument("-q", "--quiver", required=True)
     p.add_argument("--side", choices=("left", "right"), default="right")
     p.add_argument("roots", nargs="+")
@@ -633,7 +655,9 @@ def _build_parser():
     p.add_argument("--name", default="X")
     p.add_argument("fragment")
 
-    p = add("check-seq", cmd_check_seq, help="verify a claimed reduced exceptional sequence")
+    p = add(
+        "check-seq", cmd_check_seq, sampling, help="verify a claimed reduced exceptional sequence"
+    )
     p.add_argument("-q", "--quiver", required=True)
     p.add_argument("target")
     p.add_argument("terms", nargs="+", help="terms '<vector>x<coefficient>'")
@@ -643,7 +667,7 @@ def _build_parser():
     p.add_argument("-x", help="representation of Q(M) for the Theta isomorphism check")
     p.add_argument("reps", nargs="+")
 
-    p = add("reproduce", cmd_reproduce, help="run a scripted worked example")
+    p = add("reproduce", cmd_reproduce, perp, help="run a scripted worked example")
     p.add_argument("id")
 
     return parser

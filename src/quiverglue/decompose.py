@@ -57,7 +57,6 @@ from .reps import (
     _derive_seed,
     _spectral_split,
     end_algebra,
-    ext_dim,
     hom_dim,
     random_rep,
 )
@@ -276,36 +275,6 @@ def _sampled_canonical_decomposition(quiver: Quiver, a, config: OracleConfig):
     raise OracleUnstableError(cfg.prime)
 
 
-def _sink_first_order(quiver: Quiver):
-    """Vertex indices with every arrow's target before its source, by DFS post-order.
-
-    None when the quiver has an oriented cycle.
-    """
-    targets = [[] for _ in range(quiver.n)]
-    for s, t in quiver.arrow_indices:
-        targets[s].append(t)
-    state = [0] * quiver.n  # 0 unseen, 1 on the DFS path, 2 placed
-    order = []
-    for root in range(quiver.n):
-        if state[root]:
-            continue
-        state[root] = 1
-        path = [(root, iter(targets[root]))]
-        while path:
-            v, todo = path[-1]
-            t = next(todo, None)
-            if t is None:
-                path.pop()
-                state[v] = 2
-                order.append(v)
-            elif state[t] == 1:
-                return None
-            elif state[t] == 0:
-                state[t] = 1
-                path.append((t, iter(targets[t])))
-    return order
-
-
 def _kronecker_summands(r, a, b):
     """Canonical decomposition of (a, b) on the r-arrow Kronecker quiver, a at the source.
 
@@ -339,25 +308,25 @@ def _kronecker_summands(r, a, b):
     return [(root, m) for root, m in out if m > 0]
 
 
-def _merged_summands(quiver: Quiver, a, order):
-    """The canonical decomposition of a, from the Euler form alone (Derksen-Weyman).
+def _merged_summands(quiver: Quiver, simples, coeffs):
+    """The canonical decomposition of sum c_i s_i, from the Euler form alone (Derksen-Weyman).
 
     Keeps a sequence of (Schur root, multiplicity) entries, starting from the
-    simples in `order`.  While some i < j has <b_j, b_i> < 0 (the closest
-    such pair, then the leftmost), the entries strictly between them move
-    out of the way, to the left when orthogonal to b_i and to the right
-    when b_j is orthogonal to them, and the pair becomes the canonical
-    decomposition of (m_j, m_i) on the Kronecker quiver with -<b_j, b_i>
-    arrows, its root (x, y) read as x b_j + y b_i.  A new root g of
-    multiplicity m > 1 is kept as m g when <g, g> < 0 and as m entries of
-    multiplicity 1 when <g, g> = 0.
+    simples s_i in an order with every arrow's target before its source, each
+    with its coefficient c_i; every such order gives the same result.  While
+    some i < j has <b_j, b_i> < 0 (the closest such pair, then the leftmost),
+    the entries strictly between them move out of the way, to the left when
+    orthogonal to b_i and to the right when b_j is orthogonal to them, and
+    the pair becomes the canonical decomposition of (m_j, m_i) on the
+    Kronecker quiver with -<b_j, b_i> arrows, its root (x, y) read as
+    x b_j + y b_i.  A new root g of multiplicity m > 1 is kept as m g when
+    <g, g> < 0 and as m entries of multiplicity 1 when <g, g> = 0.
     """
-    n = quiver.n
 
     def form(x, y):
         return euler_form_unchecked(quiver, x, y)
 
-    seq = [(tuple(int(i == v) for i in range(n)), a[v]) for v in order if a[v] > 0]
+    seq = list(zip(simples, coeffs))
     while True:
         pair = next(
             (
@@ -416,11 +385,12 @@ def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConf
         raise DecomposeError("expected a non-negative dimension vector")
     if all(v == 0 for v in a):
         return CanonicalDecomposition(quiver, a, ())
-    order = _sink_first_order(quiver)
-    if order is None:
+    try:
+        start = _trivial_sequence(quiver, a)
+    except DecomposeError:  # an oriented cycle
         summands = _sampled_canonical_decomposition(quiver, a, config)
     else:
-        summands = _merged_summands(quiver, a, order)
+        summands = _merged_summands(quiver, *start)
     return CanonicalDecomposition(quiver, a, summands)
 
 
@@ -566,7 +536,8 @@ SAMPLE_RETRIES = 24
 
 def sample_exceptional_rep(quiver: Quiver, a, config: OracleConfig, salt=0) -> Representation:
     """A representation of dimension a verified exceptional (Schurian, Ext=0)."""
-    # hom - ext = <a, a>, so End = k and Ext = 0 need <a, a> = 1 at every prime
+    # hom - ext = <a, a>, so End = k and Ext = 0 need <a, a> = 1 at every prime,
+    # and given <a, a> = 1, End = k alone gives Ext = 0
     norm = euler_form(quiver, a, a)
     if norm != 1:
         raise DecomposeError(
@@ -576,7 +547,7 @@ def sample_exceptional_rep(quiver: Quiver, a, config: OracleConfig, salt=0) -> R
         x = random_rep(
             quiver, a, config.prime, _derive_seed(config.seed, 911 + salt * 31 + k)
         )
-        if hom_dim(x, x) == 1 and ext_dim(x, x) == 0:
+        if hom_dim(x, x) == 1:
             return x
     raise SamplingError(
         f"failed to sample an exceptional representation at {format_dimvector(a)}"
@@ -651,9 +622,10 @@ def verify_reduced_sequence(oracle: Oracle, roots, coeffs, target):
         ok_rep = True
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
+                # hom - ext = <r_i, r_j>, so with hom 0 the ext is 0 iff the form is
                 if (
                     hom_dim(reps[i], reps[j]) != 0
-                    or ext_dim(reps[i], reps[j]) != 0
+                    or euler_form(quiver, roots[i], roots[j]) != 0
                     or hom_dim(reps[j], reps[i]) != 0
                 ):
                     ok_rep = False
@@ -696,7 +668,8 @@ MAX_SEARCH_NODES = 500_000
 
 
 def _trivial_sequence(quiver, a):
-    """The simples in an order with vanishing forward ext, and a's coordinates on them."""
+    """The simples in an order with vanishing forward ext, and a's coordinates on them;
+    an oriented cycle raises DecomposeError."""
     # distinct simples have hom 0, so on a loop-free quiver their generic
     # ext is exactly -<e_i, e_j>, the number of arrows i -> j
     order = _topo_order_by_ext(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, block_diag, echelon, kron
+from .linalg import FieldMismatchError, Matrix, block_diag, echelon, kron
 from .quiver import Arrow, Quiver, format_quiver
 from .reps import (
     Morphism,
@@ -201,7 +201,7 @@ def apply_F(g: GluingData, x: Representation) -> Representation:
     if x.quiver != g.qm:
         raise RepError("representation does not live on the glued quiver Q(M)")
     if x.field != g.field:
-        raise RepError("field mismatch")
+        raise FieldMismatchError(g.field, x.field)
     q = g.quiver
     field = g.field
     add = field.add

@@ -42,6 +42,7 @@ class FieldMismatchError(ValueError):
 
     def __init__(self, first, second):
         super().__init__(f"field mismatch: {first.name} vs {second.name}")
+        self.fields = (first, second)
 
 
 class ModulusError(ValueError):

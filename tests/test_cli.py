@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from quiverglue.cli import main
+from quiverglue.cli import _build_parser, main
 from quiverglue.fixtures import fixture_text, load_rep
 from quiverglue.treemod import format_fragment, fragment_from_coefficient_quiver
 
@@ -198,11 +200,51 @@ def test_malformed_modulus_in_a_file_exits_one(capsys, tmp_path, modulus):
     assert f"line 1: bad modulus {modulus!r}: not an integer" in captured.err
 
 
+SAMPLING_OPTIONS = {"--samples", "--prime", "--seed", "--bound"}
+# the sampling options each command reads; the other 12 commands read none
+OPTIONS_READ = {
+    "candecomp": {"--samples", "--prime", "--seed"},
+    "check-seq": {"--samples", "--prime", "--seed"},
+    "excdecomp": SAMPLING_OPTIONS,
+    "perpsimples": SAMPLING_OPTIONS,
+    "reproduce": SAMPLING_OPTIONS,
+    "indec": {"--seed"},
+}
+
+
+def test_each_command_takes_only_the_sampling_options_it_reads():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        name: {o for action in p._actions for o in action.option_strings} & SAMPLING_OPTIONS
+        for name, p in sub.choices.items()
+    }
+    assert len(taken) == 18
+    assert taken == {name: OPTIONS_READ.get(name, set()) for name in taken}
+    assert sum(len(options) for options in taken.values()) == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "-q", "K2", "(1,0)", "(0,1)", "--seed", "1"],
+        ["candecomp", "-q", "K3", "(1,1)", "--bound", "3"],
+    ],
+    ids=["euler-seed", "candecomp-bound"],
+)
+def test_an_option_the_command_does_not_read_exits_one(capsys, argv):
+    # every command took all four options, and ignored the ones it does not read
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
 @pytest.mark.parametrize("option", ["--prime", "--seed", "--samples", "--bound"])
 @pytest.mark.parametrize("value", ["1_01", "\u0663"])
 def test_malformed_integer_options_exit_one(capsys, option, value):
-    # int() read "--prime 1_01" as 101 and "--samples" with an Arabic-Indic 3 as 3
-    assert main(["candecomp", "-q", "K3", "(1,1)", option, value]) == 1
+    # int() read "--prime 1_01" as 101 and "--samples" with an Arabic-Indic 3 as 3;
+    # candecomp takes no --bound, so that one runs on perpsimples
+    command, vector = ("perpsimples", "(1,0)") if option == "--bound" else ("candecomp", "(1,1)")
+    assert main([command, "-q", "K3", vector, option, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option}: invalid int value: {value!r}" in captured.err
@@ -593,26 +635,34 @@ def test_missing_quiver_option_does_not_traceback(capsys, tmp_path, argv, code):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["homext", "-q", "K3", "M", "{dir}/M101.rep"],
-        ["qm", "-q", "K3", "M", "{dir}/M101.rep"],
-        ["check-theta", "-q", "K3", "M", "{dir}/M101.rep"],
-        ["glue-mor", "-q", "S4", "-x", "{dir}/x.rep", "-y", "{dir}/x.rep", "-f", "{dir}/f101.mor",
-         "Malpha", "Mbeta"],
+        (["homext", "-q", "K3", "M", "{dir}/M101.rep"], ("M", "{dir}/M101.rep")),
+        (["qm", "-q", "K3", "M", "{dir}/M101.rep"], ("M", "{dir}/M101.rep")),
+        (["check-theta", "-q", "K3", "M", "{dir}/M101.rep"], ("M", "{dir}/M101.rep")),
+        (["glue-mor", "-q", "S4", "-x", "{dir}/x.rep", "-y", "{dir}/x.rep", "-f", "{dir}/f101.mor",
+          "Malpha", "Mbeta"], ("{dir}/x.rep", "{dir}/f101.mor")),
+        (["glue", "-q", "S4", "-x", "{dir}/x101.rep", "Malpha", "Mbeta"],
+         ("Malpha", "{dir}/x101.rep")),
+        (["loopglue", "-q", "K3", "-x", "{dir}/l101.rep", "M"], ("M", "{dir}/l101.rep")),
     ],
-    ids=lambda argv: argv[0],
+    ids=["homext", "qm", "check-theta", "glue-mor", "glue", "loopglue"],
 )
-def test_inputs_over_different_fields_exit_one(capsys, tmp_path, argv):
-    # the FieldMismatchError these raise went past cli.main as a traceback
+def test_inputs_over_different_fields_exit_one(capsys, tmp_path, argv, named):
+    # the FieldMismatchError these raise went past cli.main as a traceback, and
+    # then named the two fields but not the inputs that carry them
     (tmp_path / "M101.rep").write_text(fixture_text("m5.rep").replace(" over Q", " over F 101"))
     (tmp_path / "x.rep").write_text(QM_X)
+    (tmp_path / "x101.rep").write_text(QM_X.replace(" over Q", " over F 101"))
+    (tmp_path / "l101.rep").write_text("rep X over F 101\nquiver L6\ndim m 1\n")
     (tmp_path / "f101.mor").write_text(
         "morphism f over F 101\nblock m1 1x1\n1\nblock m2 2x2\n1 0\n0 1\n"
     )
     assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: field mismatch: Q vs F_101\n"
+    first, second = (name.replace("{dir}", str(tmp_path)) for name in named)
+    assert captured.out == ""
+    assert captured.err == f"error: field mismatch: {first} is over Q, {second} is over F_101\n"
 
 
 def test_loopglue_scalars_are_field_entries(capsys):

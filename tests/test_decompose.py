@@ -13,6 +13,7 @@ from quiverglue.decompose import (
     OracleConfig,
     OracleUnstableError,
     _candidate_roots,
+    _merged_summands,
     _nonneg_combination,
     _sampled_canonical_decomposition,
     _verify_canonical,
@@ -23,7 +24,7 @@ from quiverglue.decompose import (
     sample_exceptional_rep,
     verify_reduced_sequence,
 )
-from quiverglue.fixtures import load_quiver
+from quiverglue.fixtures import QUIVER_FILES, load_quiver
 from quiverglue.linalg import DEFAULT_PRIME
 from quiverglue.quiver import (
     Arrow,
@@ -742,6 +743,49 @@ def test_exact_canonical_on_large_random_vectors():
             assert m == 1 or euler_form(q, r, r) >= 0, (q.arrow_indices, a, r)
             total = [t + m * x for t, x in zip(total, r)]
         assert tuple(total) == a
+
+
+def _random_sink_first_simples(rng, q):
+    """The simples with every arrow's target before its source: Kahn's algorithm
+    with random tie-breaks."""
+    into = [[] for _ in range(q.n)]  # into[t]: the source of each arrow into t
+    pending = [0] * q.n  # arrows out of a vertex whose target is not placed yet
+    for s, t in q.arrow_indices:
+        into[t].append(s)
+        pending[s] += 1
+    ready = [v for v in range(q.n) if pending[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        order.append(v)
+        for s in into[v]:
+            pending[s] -= 1
+            if pending[s] == 0:
+                ready.append(s)
+    assert len(order) == q.n
+    return [q.unit_vector(q.vertices[v]) for v in order]
+
+
+def test_merged_summands_do_not_depend_on_the_sink_first_order():
+    # Derksen-Weyman: the merge gives the one canonical decomposition from any
+    # order of the simples with every arrow's target before its source
+    rng = random.Random(21)
+    quivers = [load_quiver(name) for name in sorted(QUIVER_FILES)]
+    quivers += [random_acyclic_quiver(rng, rng.randint(2, 6), 3) for _ in range(40)]
+    orders_seen = 0
+    for q in quivers:
+        orders = {tuple(_random_sink_first_simples(rng, q)) for _ in range(6)}
+        orders_seen += len(orders)
+        for _ in range(8):
+            a = tuple(rng.randint(0, 6) for _ in range(q.n))
+            if not any(a):
+                continue
+            expected = canonical_decomposition(q, a).summands
+            for order in orders:
+                terms = [(s, a[s.index(1)]) for s in order if a[s.index(1)] > 0]
+                got = _merged_summands(q, [s for s, _ in terms], [c for _, c in terms])
+                assert got == expected, (q.arrow_indices, a, order)
+    assert orders_seen > 2 * len(quivers)  # most quivers were tried in several orders
 
 
 @pytest.mark.parametrize(
