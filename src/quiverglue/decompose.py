@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from operator import mul
 
 from .linalg import DEFAULT_PRIME, Matrix, PrimeField, QQ, rank, rank_rows, solve
 from .quiver import (
@@ -667,62 +669,66 @@ class DecompositionReport:
 MAX_SEARCH_NODES = 500_000
 
 
-def _trivial_sequence(quiver, a):
-    """The simples in an order with vanishing forward ext, and a's coordinates on them;
-    an oriented cycle raises DecomposeError."""
+@lru_cache(maxsize=64)
+def _sink_first_simples(quiver):
+    """The simples with vanishing forward ext, once per quiver; a cycle raises DecomposeError."""
     # distinct simples have hom 0, so on a loop-free quiver their generic
     # ext is exactly -<e_i, e_j>, the number of arrows i -> j
-    order = _topo_order_by_ext(
-        lambda x, y: -euler_form(quiver, x, y), [quiver.unit_vector(v) for v in quiver.vertices]
-    )
-    terms = [(r, sum(x * y for x, y in zip(r, a))) for r in order]
+    units = [quiver.unit_vector(v) for v in quiver.vertices]
+    return tuple(_topo_order_by_ext(lambda x, y: -euler_form(quiver, x, y), units))
+
+
+def _trivial_sequence(quiver, a):
+    """`_sink_first_simples` and a's coordinates on them, those with coordinate 0 left out."""
+    terms = [(r, sum(x * y for x, y in zip(r, a))) for r in _sink_first_simples(quiver)]
     return [r for r, c in terms if c > 0], [c for _, c in terms if c > 0]
 
 
 def _candidate_roots(quiver, a):
-    """Exceptional-root candidates fitting under a componentwise.
+    """The real roots below a componentwise, a left out, by decreasing total dimension.
 
-    Walks the box depth-first and carries <v, v> along: fixing coordinate i
-    adds v_i^2 - v_i * (v_j summed over the arrows between i and an earlier
-    vertex j), so no vector's form is computed from scratch.
+    The positive real roots are the Weyl-group orbit of the simples (Kac): a
+    positive real root r other than a simple has a vertex i with
+    (r, e_i) > 0, and s_i(r) = r - (r, e_i) e_i is a smaller positive real
+    root, so reflecting down reaches a simple through vectors below r.  The
+    candidates are therefore found upward from the simples e_i with a_i > 0,
+    by each reflection s_i(v) with (v, e_i) < 0 that stays below a; on a
+    loop-free quiver they are the roots with <v, v> = 1, none classified.
     """
     n = quiver.n
-    earlier = [[] for _ in range(n)]
-    for s, t in quiver.arrow_indices:
-        earlier[max(s, t)].append(min(s, t))
-    cand = [0] * n
-    out = []
-
-    def rec(i, form):
-        if i == n:
-            if form == 1:
-                out.append(tuple(cand))
-            return
-        nbr = sum(cand[j] for j in earlier[i])
-        for v in range(a[i] + 1):
-            cand[i] = v
-            rec(i + 1, form + v * (v - nbr))
-
-    rec(0, 0)
-    out = [c for c in out if c != a and classify_root(quiver, c).is_root()]
-    out.sort(key=lambda v: (-sum(v), v))
-    return out
+    # ends[i]: the other end of each arrow at i
+    ends = [[t if s == i else s for s, t in quiver.arrow_indices if i in (s, t)] for i in range(n)]
+    found = {tuple(int(j == i) for j in range(n)) for i in range(n) if a[i] > 0}
+    stack = list(found)
+    while stack:
+        v = stack.pop()
+        for i in range(n):
+            # s_i(v)_i = v_i - (v, e_i), and (v, e_i) = 2 v_i - sum of v over ends[i]
+            w = v[:i] + (sum(v[j] for j in ends[i]) - v[i],) + v[i + 1 :]
+            if v[i] < w[i] <= a[i] and w not in found:
+                found.add(w)
+                stack.append(w)
+    found.discard(tuple(a))
+    return sorted(found, key=lambda v: (-sum(v), v))
 
 
 def _search_reduced_sequence(oracle: Oracle, a):
     """Bounded exhaustive search for a non-trivial reduced exceptional sequence.
 
-    Explores ordered decompositions a = sum c_i r_i (c_i >= 1) over real root
-    candidates with Euler-form pruning first, generic Hom vanishing second and
-    Schur certification of completed solutions last; a candidate the oracle
-    already knows to be no Schur root is skipped.
+    Explores ordered decompositions a = sum c_i r_i (c_i >= 1) over the
+    `_candidate_roots` with Euler-form pruning first, generic Hom vanishing
+    second and Schur certification of completed solutions last; a candidate
+    the oracle already knows to be no Schur root is skipped.
 
     A root r' placed after the roots p already in the sequence must satisfy
     <p, r'> = 0 and <r', p> <= 0, so a nonzero remainder rho = sum c' r'
     (c' >= 1) of a partial sequence must satisfy <p, rho> = 0 and
     <rho, p> <= 0 for every placed root p.  A child breaking this is skipped
     before any Hom query; its subtree holds no solution, so the first
-    sequence found is the one the unpruned search finds.
+    sequence found is the one the unpruned search finds.  For the root r
+    just placed this forces the coefficient: <r, r> = 1, so
+    <r, rho - c r> = 0 gives c = <r, rho> = r . u, where u_i = rho_i minus
+    rho summed over the targets of the arrows out of i.
 
     Returns (roots, coeffs), or None when the search space is exhausted;
     raises DecomposeError when the node budget runs out first.
@@ -753,25 +759,20 @@ def _search_reduced_sequence(oracle: Oracle, a):
             if not any(sum(r) > 1 for r in seq) or not all(oracle.schurian(r) for r in seq):
                 return None
             return (tuple(seq), tuple(coeffs))
+        u = list(remainder)
+        for s, t in quiver.arrow_indices:
+            u[s] -= remainder[t]
         for idx in range(start, len(roots_sorted)):
             r = roots_sorted[idx]
-            if oracle.known_non_schur(r):
+            c = sum(map(mul, r, u))
+            if c < 1 or oracle.known_non_schur(r):
                 continue
-            if any(x > y for x, y in zip(r, remainder)):
+            rem = tuple(y - c * x for x, y in zip(r, remainder))
+            if min(rem) < 0 or not fits(rem, seq + [r]) or not all(compatible(p, r) for p in seq):
                 continue
-            placed = seq + [r]
-            cmax = min(y // x for x, y in zip(r, remainder) if x > 0)
-            children = []
-            for c in range(cmax, 0, -1):
-                rem = tuple(y - c * x for x, y in zip(r, remainder))
-                if fits(rem, placed):
-                    children.append((c, rem))
-            if not children or not all(compatible(p, r) for p in seq):
-                continue
-            for c, rem in children:
-                found = rec(rem, idx + 1, placed, coeffs + [c])
-                if found is not None:
-                    return found
+            found = rec(rem, idx + 1, seq + [r], coeffs + [c])
+            if found is not None:
+                return found
         return None
 
     try:
@@ -785,8 +786,7 @@ def _search_reduced_sequence(oracle: Oracle, a):
 def exceptional_sequence_decomposition(oracle: Oracle, a):
     quiver = oracle.quiver
     a = quiver.check_dimvector(a)
-    cls = classify_root(quiver, a)
-    if not cls.is_root():
+    if not classify_root(quiver, a).is_root():
         raise DecomposeError(f"{format_dimvector(a)} is not a root")
     canonical = oracle.canonical(a)
     if canonical.is_schur():

@@ -832,7 +832,7 @@ def reference_apply_F(g, x):
     if x.quiver != g.qm:
         raise RepError("representation does not live on the glued quiver Q(M)")
     if x.field != g.field:
-        raise RepError("field mismatch")
+        raise FieldMismatchError(g.field, x.field)
     q = g.quiver
     field = g.field
     r = g.r

@@ -371,19 +371,46 @@ def test_a_sampled_schurian_verdict_implies_the_exact_one(name, top, extra, p):
             assert oracle.schurian(a), a
 
 
+# the oriented cycles of tests/test_cli.py: loop-free, so their real roots are
+# still the Weyl-group orbit of the simples
+CYCLES = {
+    "C2": Quiver("C2", ("a", "b"), (Arrow("x", "a", "b"), Arrow("y", "b", "a"))),
+    "C3": Quiver(
+        "C3", ("a", "b", "c"), (Arrow("x", "a", "b"), Arrow("y", "b", "c"), Arrow("z", "c", "a"))
+    ),
+}
+
+
+def _named_quiver(name):
+    return CYCLES[name] if name in CYCLES else load_quiver(name)
+
+
 @pytest.mark.parametrize(
     "name,vectors",
     [
         ("K3", list(itertools.product(range(6), repeat=2))),
         ("S4", list(itertools.product(range(3), repeat=5)) + [(4, 2, 2, 1, 1)]),
         ("S5", [(10, 3, 3, 3, 3, 8), (6, 2, 2, 2, 2, 4), (4, 1, 2, 1, 1, 3)]),
+        ("C2", list(itertools.product(range(9), repeat=2))),
+        ("C3", list(itertools.product(range(5), repeat=3))),
     ],
 )
 def test_candidate_roots_match_product_enumeration(name, vectors):
-    q = load_quiver(name)
+    q = _named_quiver(name)
     for a in vectors:
         if any(a):
             assert _candidate_roots(q, a) == reference_candidate_roots(q, a), a
+
+
+def test_candidate_roots_match_product_enumeration_on_random_acyclic_quivers():
+    rng = random.Random(22)
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, rng.randint(2, 5), 3)
+        for _ in range(25):
+            a = tuple(rng.randint(0, 4) for _ in range(q.n))
+            if any(a):
+                expected = reference_candidate_roots(q, a)
+                assert _candidate_roots(q, a) == expected, (q.arrow_indices, a)
 
 
 def test_excdecomp_sub4_nontrivial_and_verified():
@@ -462,7 +489,7 @@ def test_search_reduced_sequence_frees_its_oracle():
 
 # the step-2 search against the unpruned reference: every nonzero vector of
 # each box, with a fresh oracle per search so the Hom keys belong to one search
-SEARCH_BOXES = [("K3", 7), ("S4", 2), ("S5", 1)]
+SEARCH_BOXES = [("K3", 7), ("S4", 2), ("S5", 1), ("C2", 6), ("C3", 3)]
 
 
 @pytest.mark.parametrize("name,top", SEARCH_BOXES)
@@ -473,7 +500,7 @@ def test_pruned_search_matches_reference(name, top):
     from quiverglue.decompose import _search_reduced_sequence
     from quiverglue.quiver import classify_root
 
-    q = load_quiver(name)
+    q = _named_quiver(name)
     for a in itertools.product(range(top + 1), repeat=q.n):
         if not any(a):
             continue
@@ -493,6 +520,85 @@ def test_pruned_search_on_the_isotropic_root_makes_few_hom_queries():
     oracle = Oracle(q, CONFIG)
     assert _search_reduced_sequence(oracle, (10, 3, 3, 3, 3, 8)) is None
     assert len(oracle._hom) <= 100
+
+
+def _both_ways(pairs):
+    return {key for x, y in pairs for key in ((x, y), (y, x))}
+
+
+def _s5_search_hom_keys():
+    """The 48 Hom queries of the S5 (10,3,3,3,3,8) search, by the symmetry of the arms."""
+
+    def thin(i, last):
+        return (1, *(int(k == i) for k in range(4)), last)
+
+    def large(i, j):  # arm i is 1, arm j is 0, the other two are 2
+        return (4, *(1 if k == i else 0 if k == j else 2 for k in range(4)), 2)
+
+    pairs = [
+        (thin(i, e), thin(j, e)) for i, j in itertools.combinations(range(4), 2) for e in (0, 1)
+    ]
+    pairs += [(thin(i, 1), large(i, j)) for i, j in itertools.permutations(range(4), 2)]
+    return _both_ways(pairs)
+
+
+# the searches of excdecomp: (3,2,2,1,1) on S4 finds a sequence, (10,3,3,3,3,8)
+# on S5 exhausts its space.  The node counts and Hom queries were recorded from
+# a search that walked the whole box of candidates and tried every coefficient;
+# generating the candidates and forcing the coefficient must not change them
+S4_SEARCH_HOM_KEYS = _both_ways(
+    [
+        ((0, 0, 0, 1, 0), (0, 1, 0, 0, 0)),
+        ((0, 0, 0, 1, 0), (1, 0, 0, 0, 1)),
+        ((0, 0, 0, 1, 0), (1, 0, 1, 0, 0)),
+        ((0, 1, 0, 0, 0), (1, 0, 0, 0, 1)),
+        ((0, 1, 0, 0, 0), (1, 0, 1, 0, 0)),
+        ((1, 0, 0, 0, 1), (1, 0, 0, 1, 0)),
+        ((1, 0, 0, 0, 1), (1, 0, 1, 0, 0)),
+    ]
+)
+SEARCHES = [
+    ("S4", (3, 2, 2, 1, 1), 9, S4_SEARCH_HOM_KEYS),
+    ("S5", (10, 3, 3, 3, 3, 8), 61, _s5_search_hom_keys()),
+]
+
+
+@pytest.mark.parametrize("name,a,nodes,hom_keys", SEARCHES, ids=["S4", "S5"])
+def test_search_uses_its_recorded_nodes_and_hom_queries(monkeypatch, name, a, nodes, hom_keys):
+    from quiverglue.decompose import _search_reduced_sequence
+
+    q = load_quiver(name)
+    monkeypatch.setattr(decompose, "MAX_SEARCH_NODES", nodes)
+    oracle = Oracle(q, CONFIG)
+    found = _search_reduced_sequence(oracle, a)
+    assert (found is None) == (name == "S5")
+    assert set(oracle._hom) == hom_keys
+    monkeypatch.setattr(decompose, "MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(DecomposeError, match="search budget exhausted"):
+        _search_reduced_sequence(Oracle(q, CONFIG), a)
+
+
+def test_search_classifies_no_vector(monkeypatch):
+    import sys
+
+    from quiverglue import quiver as quiver_module
+    from quiverglue.decompose import _search_reduced_sequence
+
+    original, calls = quiver_module.classify_root, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quiverglue":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert decompose.classify_root is counted
+    q = load_quiver("S5")
+    assert _search_reduced_sequence(Oracle(q, CONFIG), (10, 3, 3, 3, 3, 8)) is None
+    assert calls == []
 
 
 def test_perp_simples_rejects_more_roots_than_vertices():

@@ -37,7 +37,7 @@ from quiverglue.gluing import (
     restrict_to_tail,
     tree_shaped_ext_basis,
 )
-from quiverglue.linalg import Matrix, PrimeField, QQ
+from quiverglue.linalg import FieldMismatchError, Matrix, PrimeField, QQ
 from quiverglue.reps import (
     Morphism,
     RepError,
@@ -444,6 +444,16 @@ def test_apply_F_matches_block_grid_reference():
                 g2, x2 = restrict_to_tail(g, x)
                 ref_g2, ref_x2 = reference_restrict_to_tail(g, x)
                 assert (g2, x2) == (ref_g2, ref_x2)
+        # a representation over another field (no sequence is over F_3): both
+        # raise the same error, naming both fields
+        other = random_rep(g.qm, (1,) * g.qm.n, 3, 0)
+        raised = []
+        for fn in (apply_F, reference_apply_F):
+            with pytest.raises(FieldMismatchError) as exc:
+                fn(g, other)
+            raised.append((str(exc.value), exc.value.fields))
+        expected = (f"field mismatch: {g.field.name} vs F_3", (g.field, PrimeField(3)))
+        assert raised[0] == raised[1] == expected
     assert {r for r, _, _ in sizes} == {2, 3, 4}
     assert {(r, f) for r, arrows, f in sizes if r >= 3 and arrows} >= {
         (3, QQ), (3, PrimeField(2)), (3, PrimeField(101)), (4, PrimeField(2)), (4, PrimeField(101))
