@@ -34,7 +34,7 @@ One `Oracle` serves a whole command.  Each of its answers (a sampled hom, a
 canonical decomposition) is a function of (quiver, config, vector), so
 `exceptional_sequence_decomposition`, `perp_simples`, the step-2 search and
 `verify_reduced_sequence` take the caller's Oracle, build none of their own,
-and no answer is computed twice.
+and no answer is computed twice; nor is a sampled module drawn twice.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import mul
+from operator import le, mul
 
 from .linalg import DEFAULT_PRIME, Matrix, PrimeField, QQ, rank, rank_rows, solve
 from .quiver import (
@@ -104,18 +104,28 @@ class OracleConfig:
 
 
 class Oracle:
-    """Cached hom/ext (sampled) and canonical-decomposition queries on one quiver."""
+    """Cached hom/ext (sampled) and canonical-decomposition queries on one quiver.
+
+    A sampled module is a function of (quiver, config, vector, index), so one
+    Oracle draws each of them once and hands the same object to every later
+    query that samples it; the cache goes with the Oracle.
+    """
 
     def __init__(self, quiver: Quiver, config: OracleConfig):
         self.quiver = quiver
         self.config = config
         self._hom = {}
         self._canonical = {}  # vector -> CanonicalDecomposition, None where it did not verify
+        self._samples = {}  # (vector, index) -> the module drawn there
 
     def sample(self, a, index) -> Representation:
-        return random_rep(
-            self.quiver, a, self.config.prime, _derive_seed(self.config.seed, index)
-        )
+        key = (tuple(a), index)
+        x = self._samples.get(key)
+        if x is None:
+            x = self._samples[key] = random_rep(
+                self.quiver, a, self.config.prime, _derive_seed(self.config.seed, index)
+            )
+        return x
 
     def hom(self, a, b) -> int:
         key = (tuple(a), tuple(b))
@@ -667,6 +677,7 @@ class DecompositionReport:
 
 
 MAX_SEARCH_NODES = 500_000
+MAX_CANDIDATE_ROOTS = 100_000
 
 
 @lru_cache(maxsize=64)
@@ -694,6 +705,8 @@ def _candidate_roots(quiver, a):
     candidates are therefore found upward from the simples e_i with a_i > 0,
     by each reflection s_i(v) with (v, e_i) < 0 that stays below a; on a
     loop-free quiver they are the roots with <v, v> = 1, none classified.
+    More than MAX_CANDIDATE_ROOTS of these roots, a included, raise the
+    search's DecomposeError.
     """
     n = quiver.n
     # ends[i]: the other end of each arrow at i
@@ -704,10 +717,14 @@ def _candidate_roots(quiver, a):
         v = stack.pop()
         for i in range(n):
             # s_i(v)_i = v_i - (v, e_i), and (v, e_i) = 2 v_i - sum of v over ends[i]
-            w = v[:i] + (sum(v[j] for j in ends[i]) - v[i],) + v[i + 1 :]
-            if v[i] < w[i] <= a[i] and w not in found:
-                found.add(w)
-                stack.append(w)
+            wi = sum(map(v.__getitem__, ends[i])) - v[i]
+            if v[i] < wi <= a[i]:
+                w = v[:i] + (wi,) + v[i + 1 :]
+                if w not in found:
+                    found.add(w)
+                    stack.append(w)
+                    if len(found) > MAX_CANDIDATE_ROOTS:
+                        raise DecomposeError("search budget exhausted")
     found.discard(tuple(a))
     return sorted(found, key=lambda v: (-sum(v), v))
 
@@ -728,10 +745,13 @@ def _search_reduced_sequence(oracle: Oracle, a):
     sequence found is the one the unpruned search finds.  For the root r
     just placed this forces the coefficient: <r, r> = 1, so
     <r, rho - c r> = 0 gives c = <r, rho> = r . u, where u_i = rho_i minus
-    rho summed over the targets of the arrows out of i.
+    rho summed over the targets of the arrows out of i.  A candidate with
+    some r_i > rho_i is screened out before that dot product: with c >= 1,
+    rho - c r would be negative at i, so it is never a child.
 
     Returns (roots, coeffs), or None when the search space is exhausted;
-    raises DecomposeError when the node budget runs out first.
+    raises DecomposeError when the node budget (MAX_SEARCH_NODES) or the
+    candidate budget (MAX_CANDIDATE_ROOTS) runs out first.
     """
     quiver = oracle.quiver
     roots_sorted = _candidate_roots(quiver, a)
@@ -764,6 +784,8 @@ def _search_reduced_sequence(oracle: Oracle, a):
             u[s] -= remainder[t]
         for idx in range(start, len(roots_sorted)):
             r = roots_sorted[idx]
+            if not all(map(le, r, remainder)):
+                continue
             c = sum(map(mul, r, u))
             if c < 1 or oracle.known_non_schur(r):
                 continue

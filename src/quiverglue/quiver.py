@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .textfmt import ParseError, directives, expect, integer
 
@@ -134,7 +135,7 @@ def euler_form(q: Quiver, a, b) -> int:
 
 def euler_form_unchecked(q: Quiver, a, b) -> int:
     """euler_form on int tuples of length q.n, without validating them."""
-    total = sum(x * y for x, y in zip(a, b))
+    total = sum(map(mul, a, b))
     for s, t in q.arrow_indices:
         total -= a[s] * b[t]
     return total

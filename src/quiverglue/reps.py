@@ -497,13 +497,29 @@ def _spectral_split(end: EndAlgebra, one, g):
 MAX_WITNESS_ATTEMPTS = 32
 
 
-def _candidates(dim, seed):
-    """The unit coordinate vectors, then MAX_WITNESS_ATTEMPTS seeded random ones."""
+def _candidates(end: EndAlgebra, seed):
+    """The unit coordinate vectors, then MAX_WITNESS_ATTEMPTS seeded random ones, then
+    for each basis vector v of X a basis of its annihilator {phi : phi(v) = 0}.
+
+    An annihilator element is not invertible, so unless it is nilpotent its
+    Fitting decomposition splits X, and its minimal polynomial t^k h(t),
+    h(0) != 0, has two coprime factors over any field (the MeatAxe's
+    null-space idea, Holt and Rees 1994).  The annihilator is the exact
+    kernel of phi -> phi(v), so it needs no splitting field.
+    """
+    dim = end.dim
     for k in range(dim):
         yield [int(i == k) for i in range(dim)]
     rng = random.Random(seed)
     for _ in range(MAX_WITNESS_ATTEMPTS):
         yield [rng.randint(-3, 3) for _ in range(dim)]
+    x = end.rep
+    for vertex, d in enumerate(x.dims):
+        entries = [b.blocks[vertex].entries for b in end.basis]
+        for i in range(d):
+            # phi(e_i) at this vertex is column i of phi's block
+            _, rows = clear_denominators([[e[r * d + i] for e in entries] for r in range(d)])
+            yield from kernel_rows(rows, dim, x.field)
 
 
 def indecomposable(x: Representation, seed=0) -> Verdict:
@@ -520,7 +536,10 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
     All of this runs on coordinate vectors with the structure constants of
     `end_algebra`.  Candidates are generated lazily, the basis first, then
     seeded random combinations, and usually the first one or two decide.
-    Only a returned witness becomes a `Morphism`, validated on construction.
+    When none does, as with End(X) = M_2(Q), whose random elements rarely
+    have a minimal polynomial that splits over Q, the annihilators of the
+    basis vectors of X are tried last (`_candidates`).  Only a returned
+    witness becomes a `Morphism`, validated on construction.
     """
     if x.field != QQ:
         return Verdict("unknown")
@@ -530,7 +549,7 @@ def indecomposable(x: Representation, seed=0) -> Verdict:
     semisimple_dim = end.dim - end.radical_dim
     if semisimple_dim == 1:
         return Verdict("indecomposable")
-    for g in _candidates(end.dim, seed):
+    for g in _candidates(end, seed):
         factors, e = _spectral_split(end, end.identity_coords, g)
         if e is not None:
             return Verdict("decomposable", witness=end.element(e))

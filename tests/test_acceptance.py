@@ -8,8 +8,14 @@ import random
 import time
 
 from oracles import all_k2_reps, grid_has_idempotent, k2_root_table
+from quiverglue import decompose
 from quiverglue.cli import main as cli_main
-from quiverglue.decompose import OracleConfig, canonical_decomposition
+from quiverglue.decompose import (
+    Oracle,
+    OracleConfig,
+    _search_reduced_sequence,
+    canonical_decomposition,
+)
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.linalg import DEFAULT_PRIME
 from quiverglue.quiver import classify_root, euler_form
@@ -94,9 +100,32 @@ def test_criterion_5_canonical_decompositions():
     budget4.finish()
 
 
-def test_criterion_6_exceptional_sequence_algorithm():
+# machine-independent gates beside the clock: sub4-excseq draws 73 distinct
+# modules (221 draws before the Oracle kept them), and the S5 (10,3,3,3,3,8)
+# search forces a coefficient for the 2,334 candidates below its remainders
+SUB4_EXCSEQ_DISTINCT_DRAWS = 73
+S5_SEARCH_DOT_PRODUCTS = 2334
+
+
+def test_criterion_6_exceptional_sequence_algorithm(monkeypatch):
     budget = Budget("criterion 6 (exceptional sequence algorithm)", 60)
+    draws, products = [], []
+
+    def counted_draw(*args):
+        draws.append(args)
+        return random_rep(*args)
+
+    def counted_mul(x, y):
+        products.append(1)
+        return x * y
+
+    monkeypatch.setattr(decompose, "random_rep", counted_draw)
     assert run_cli("reproduce", "sub4-excseq") == 0
+    assert 0 < len(draws) <= SUB4_EXCSEQ_DISTINCT_DRAWS
+    monkeypatch.setattr(decompose, "mul", counted_mul)
+    s5 = load_quiver("S5")
+    assert _search_reduced_sequence(Oracle(s5, OracleConfig()), (10, 3, 3, 3, 3, 8)) is None
+    assert 0 < len(products) <= S5_SEARCH_DOT_PRODUCTS * s5.n
     budget.finish()
 
 

@@ -34,7 +34,7 @@ from quiverglue.quiver import (
     format_dimvector,
     parse_dimvector,
 )
-from quiverglue.reps import end_algebra, ext_dim, hom_dim, random_rep
+from quiverglue.reps import _derive_seed, end_algebra, ext_dim, hom_dim, random_rep
 
 
 CONFIG = OracleConfig()
@@ -335,6 +335,34 @@ def test_one_oracle_serves_each_command(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_oracle_sample_draws_each_module_once():
+    q = load_quiver("S4")
+    oracle = Oracle(q, OracleConfig(seed=3))
+    a = (2, 1, 1, 0, 1)
+    x = oracle.sample(a, 7)
+    assert oracle.sample(list(a), 7) is x
+    assert x == random_rep(q, a, DEFAULT_PRIME, _derive_seed(3, 7))
+    assert oracle.sample(a, 8) is not x
+    assert oracle.sample(a, 8) == random_rep(q, a, DEFAULT_PRIME, _derive_seed(3, 8))
+
+
+def test_reproduce_sub4_excseq_draws_each_module_once(monkeypatch, capsys):
+    # before the Oracle kept its samples this command made 221 draws, 73 of
+    # them distinct; sample_exceptional_rep's draws are in the count too
+    from quiverglue.cli import main
+
+    drawn = []
+
+    def counted(quiver, a, prime, seed):
+        drawn.append((quiver.name, tuple(a), prime, seed))
+        return random_rep(quiver, a, prime, seed)
+
+    monkeypatch.setattr(decompose, "random_rep", counted)
+    assert main(["reproduce", "sub4-excseq"]) == 0
+    capsys.readouterr()
+    assert len(drawn) == len(set(drawn)) == 73
+
+
 # -- the sampled End(X) Schur test as a differential reference -----------
 
 # every nonzero vector of each box (a non-root is never Schurian) and a few
@@ -576,6 +604,25 @@ def test_search_uses_its_recorded_nodes_and_hom_queries(monkeypatch, name, a, no
     monkeypatch.setattr(decompose, "MAX_SEARCH_NODES", nodes - 1)
     with pytest.raises(DecomposeError, match="search budget exhausted"):
         _search_reduced_sequence(Oracle(q, CONFIG), a)
+
+
+def test_candidate_budget_ends_the_search(monkeypatch, capsys):
+    # S4 (3,2,2,1,1) reaches 30 real roots below it: its 29 candidates and itself
+    from quiverglue.cli import main
+    from quiverglue.decompose import _search_reduced_sequence
+
+    q, a = load_quiver("S4"), (3, 2, 2, 1, 1)
+    expected = _search_reduced_sequence(Oracle(q, CONFIG), a)
+    monkeypatch.setattr(decompose, "MAX_CANDIDATE_ROOTS", 30)
+    assert len(_candidate_roots(q, a)) == 29
+    assert _search_reduced_sequence(Oracle(q, CONFIG), a) == expected
+    monkeypatch.setattr(decompose, "MAX_CANDIDATE_ROOTS", 29)
+    with pytest.raises(DecomposeError, match="search budget exhausted"):
+        _search_reduced_sequence(Oracle(q, CONFIG), a)
+    monkeypatch.setattr(decompose, "MAX_CANDIDATE_ROOTS", 1000)
+    assert main(["excdecomp", "-q", "S5", "(40,12,12,12,12,32)"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:-1] == ["step 2 search", "step 2 budget exhausted", "result unknown"]
 
 
 def test_search_classifies_no_vector(monkeypatch):

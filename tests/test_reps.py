@@ -135,6 +135,24 @@ def test_indecomposable_swap_pencil_decomposes():
     assert v.tag == "decomposable" and v.witness is not None
 
 
+def test_indecomposable_splits_y_plus_y_where_no_random_element_does():
+    # Y + Y, Y the K2 module of dimension (1,2), in a basis where End = M_2(Q)
+    # holds no basis or seeded random element at witness seeds 0 and 11 whose
+    # minimal polynomial splits over Q: both answered `unknown` until the
+    # annihilators of X's basis vectors were tried
+    x = rep(k2(), (2, 4), ([[2, -1], [3, -2], [0, 1], [1, -1]], [[-3, 2], [-1, 1], [-4, 2], [-2, 2]]))
+    end = end_algebra(x)
+    assert end.dim == 4 and end.radical_dim == 0
+    for seed in (0, 11):
+        before = itertools.islice(reps._candidates(end, seed), end.dim + reps.MAX_WITNESS_ATTEMPTS)
+        assert all(_spectral_split(end, end.identity_coords, g)[1] is None for g in before)
+        v = indecomposable(x, seed=seed)
+        assert v.tag == "decomposable", seed
+        w = v.witness  # a Morphism: it commutes with both arrows
+        assert compose(w, w).blocks == w.blocks
+        assert not w.is_zero() and w.blocks != identity_morphism(x).blocks
+
+
 def test_parse_format_roundtrip_rep():
     for name in ("M", "X0", "Malpha"):
         x = load_rep(name)
