@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 input error, 2 verification failure, an
 undecided result (an exceptional-sequence search that ran out of budget, a
-perpendicular-category search that ran out of its --bound, or sampling over
-F_p that found no answer where a larger prime may find one), or a state the
-exact canonical decomposition rules out (a program defect).
+perpendicular-category search that ran out of its --bound or budget, or
+sampling over F_p that found no answer where a larger prime may find one), or
+a state the exact canonical decomposition rules out (a program defect).
 """
 
 from __future__ import annotations
@@ -434,11 +434,8 @@ SUB8_ARROWS = {
 
 
 def _repro_sub8_realroot(config, out):
-    q = fixtures.load_quiver("S8")
-    reps = [
-        sample_exceptional_rep(q, beta, config, salt=i)
-        for i, beta in enumerate(SUB8_ROOTS)
-    ]
+    oracle = Oracle(fixtures.load_quiver("S8"), config)
+    reps = [sample_exceptional_rep(oracle, beta, salt=i) for i, beta in enumerate(SUB8_ROOTS)]
     _expect(out, "Q(M) arrows", _arrow_counts(build_gluing(reps).qm), SUB8_ARROWS)
 
 

@@ -33,8 +33,8 @@ canonical decomposition.
 One `Oracle` serves a whole command.  Each of its answers (a sampled hom, a
 canonical decomposition) is a function of (quiver, config, vector), so
 `exceptional_sequence_decomposition`, `perp_simples`, the step-2 search and
-`verify_reduced_sequence` take the caller's Oracle, build none of their own,
-and no answer is computed twice; nor is a sampled module drawn twice.
+`verify_reduced_sequence` (and its `sample_exceptional_rep`) take the caller's
+Oracle, and no answer is computed twice; nor is a sampled module drawn twice.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class OracleUnstableError(SamplingError):
 
 
 class BoundExhaustedError(DecomposeError):
-    """The perpendicular-category search ran out of its bound with no sampled check involved."""
+    """A search ran out of its bound or budget undecided, with no sampled check to blame."""
 
 
 class MergeDefectError(DecomposeError):
@@ -270,19 +270,25 @@ def _verify_canonical(oracle: Oracle, a, summands) -> bool:
 
 
 def _sampled_canonical_decomposition(quiver: Quiver, a, config: OracleConfig):
-    """The verified summand type of sampled modules of dimension a, a nonzero."""
+    """The verified summand type of sampled modules of dimension a, a nonzero.
+
+    Draw k and its seed do not depend on the sample count, so each is split
+    once; an escalation verifies the splits again with more samples.
+    """
     cfg = config
+    splits = []  # per draw k: its grouped summands, None where it did not split
     for escalation in range(MAX_ESCALATIONS + 1):
         oracle = Oracle(quiver, cfg)
         for k in range(cfg.samples):
-            x = oracle.sample(a, 101 + 5 * k)
-            try:
-                parts = generic_summands(x, seed=_derive_seed(cfg.seed, 37 + k))
-            except OracleUnstableError:
-                continue
-            summands = _group_summands(parts)
-            if _verify_canonical(oracle, a, summands):
-                return summands
+            if k == len(splits):
+                x, seed = oracle.sample(a, 101 + 5 * k), _derive_seed(cfg.seed, 37 + k)
+                try:
+                    summands = _group_summands(generic_summands(x, seed=seed))
+                except OracleUnstableError:
+                    summands = None
+                splits.append(summands)
+            if splits[k] is not None and _verify_canonical(oracle, a, splits[k]):
+                return splits[k]
         cfg = cfg.escalate()
     raise OracleUnstableError(cfg.prime)
 
@@ -409,16 +415,6 @@ def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConf
 # -- perpendicular-category simples --------------------------------------
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _nonneg_combination(vec, vectors):
     """Non-negative integer coefficients of vec in the given vectors, or None.
 
@@ -479,17 +475,23 @@ def _topo_order_by_ext(ext, roots):
 def perp_simples(oracle: Oracle, roots, side="right"):
     """Simple objects of the perpendicular category of an exceptional sequence.
 
-    Searches non-negative vectors by increasing total dimension: accepts
-    exceptional roots lying in the perpendicular lattice that are not
-    non-negative integer combinations of already accepted ones, until
-    n - r are found.  Returned in an order with vanishing forward generic ext.
+    The candidates are the positive real roots of total at most the bound,
+    in (total, vector) order: `_real_roots` under (bound, ..., bound) up to
+    the first larger total, as such a root and every root it reflects down
+    through lie in that box.  Accepts those in the perpendicular lattice
+    that are not non-negative integer combinations of accepted ones, until
+    n - r are found; returned in an order with vanishing forward generic ext.
     Running out of the bound raises SamplingError when a sampled check (hom
     or Schur) rejected a candidate, which over a larger prime it may accept,
-    and BoundExhaustedError when only the exact filters did.
+    and BoundExhaustedError when only the exact filters did, or when the
+    walk passes MAX_CANDIDATE_ROOTS.  A quiver with a loop has no reflection
+    at its loop vertex, and is rejected first.
     """
     if side not in ("right", "left"):
         raise DecomposeError("side must be 'right' or 'left'")
     quiver = oracle.quiver
+    if not quiver.is_loop_free():
+        raise DecomposeError("perpendicular simples require a loop-free quiver")
     roots = [quiver.check_dimvector(r) for r in roots]
     needed = quiver.n - len(roots)
     if needed < 0:
@@ -515,27 +517,25 @@ def perp_simples(oracle: Oracle, roots, side="right"):
         bound = max(sum(r) for r in roots) + quiver.n if roots else quiver.n
     accepted = []
     sampled_rejection = False
-    for total in range(1, bound + 1):
-        for cand in _compositions(total, quiver.n):
-            if euler_form(quiver, cand, cand) != 1:
-                continue
-            pairs = [(r, cand) if side == "right" else (cand, r) for r in roots]
-            if (
-                any(euler_form(quiver, x, y) != 0 for x, y in pairs)
-                or _nonneg_combination(cand, accepted) is not None
-                or not classify_root(quiver, cand).is_root()
-            ):
-                continue
-            if (
-                any(oracle.hom(x, y) != 0 for x, y in pairs)
-                or not oracle.schurian(cand)
-                or any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted)
-            ):
-                sampled_rejection = True
-                continue
-            accepted.append(cand)
-            if len(accepted) == needed:
-                return _topo_order_by_ext(oracle.ext, accepted)
+    for cand in _real_roots(quiver, (bound,) * quiver.n):
+        if sum(cand) > bound:
+            break
+        pairs = [(r, cand) if side == "right" else (cand, r) for r in roots]
+        if (
+            any(euler_form(quiver, x, y) != 0 for x, y in pairs)
+            or _nonneg_combination(cand, accepted) is not None
+        ):
+            continue
+        if (
+            any(oracle.hom(x, y) != 0 for x, y in pairs)
+            or not oracle.schurian(cand)
+            or any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted)
+        ):
+            sampled_rejection = True
+            continue
+        accepted.append(cand)
+        if len(accepted) == needed:
+            return _topo_order_by_ext(oracle.ext, accepted)
     if sampled_rejection:
         raise SamplingError(f"bound exhausted over F_{oracle.config.prime}; try a larger prime")
     raise BoundExhaustedError(f"perp search bound {bound} exhausted; try a larger --bound")
@@ -546,24 +546,22 @@ def perp_simples(oracle: Oracle, roots, side="right"):
 SAMPLE_RETRIES = 24
 
 
-def sample_exceptional_rep(quiver: Quiver, a, config: OracleConfig, salt=0) -> Representation:
-    """A representation of dimension a verified exceptional (Schurian, Ext=0)."""
+def sample_exceptional_rep(oracle: Oracle, a, salt=0) -> Representation:
+    """A representation of dimension a verified exceptional (Schurian, Ext=0), drawn by oracle."""
     # hom - ext = <a, a>, so End = k and Ext = 0 need <a, a> = 1 at every prime,
     # and given <a, a> = 1, End = k alone gives Ext = 0
-    norm = euler_form(quiver, a, a)
+    norm = euler_form(oracle.quiver, a, a)
     if norm != 1:
         raise DecomposeError(
             f"no representation of dimension {format_dimvector(a)} is exceptional: <a,a> = {norm}, not 1"
         )
     for k in range(SAMPLE_RETRIES):
-        x = random_rep(
-            quiver, a, config.prime, _derive_seed(config.seed, 911 + salt * 31 + k)
-        )
+        x = oracle.sample(a, 911 + salt * 31 + k)
         if hom_dim(x, x) == 1:
             return x
     raise SamplingError(
         f"failed to sample an exceptional representation at {format_dimvector(a)}"
-        f" over F_{config.prime}; try a larger prime"
+        f" over F_{oracle.config.prime}; try a larger prime"
     )
 
 
@@ -623,24 +621,19 @@ def verify_reduced_sequence(oracle: Oracle, roots, coeffs, target):
 
     checks.extend(_generic_reduced_checks(oracle, roots))
 
-    reps = None
     try:
-        reps = [
-            sample_exceptional_rep(quiver, r, oracle.config, salt=i) for i, r in enumerate(roots)
-        ]
+        reps = [sample_exceptional_rep(oracle, r, salt=i) for i, r in enumerate(roots)]
     except DecomposeError as exc:
         checks.append(("representatives", False, f" {exc}"))
-    if reps is not None:
-        ok_rep = True
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                # hom - ext = <r_i, r_j>, so with hom 0 the ext is 0 iff the form is
-                if (
-                    hom_dim(reps[i], reps[j]) != 0
-                    or euler_form(quiver, roots[i], roots[j]) != 0
-                    or hom_dim(reps[j], reps[i]) != 0
-                ):
-                    ok_rep = False
+    else:
+        # hom - ext = <r_i, r_j>, so with hom 0 the ext is 0 iff the form is
+        ok_rep = all(
+            hom_dim(reps[i], reps[j]) == 0
+            and euler_form(quiver, roots[i], roots[j]) == 0
+            and hom_dim(reps[j], reps[i]) == 0
+            for i in range(len(reps))
+            for j in range(i + 1, len(reps))
+        )
         checks.append(("representatives", ok_rep, ""))
         try:
             glue = build_gluing(reps, name="QE")
@@ -695,38 +688,47 @@ def _trivial_sequence(quiver, a):
     return [r for r, c in terms if c > 0], [c for _, c in terms if c > 0]
 
 
-def _candidate_roots(quiver, a):
-    """The real roots below a componentwise, a left out, by decreasing total dimension.
+def _real_roots(quiver, box):
+    """The positive real roots below box componentwise, lazily, in (total dimension, vector) order.
 
-    The positive real roots are the Weyl-group orbit of the simples (Kac): a
-    positive real root r other than a simple has a vertex i with
-    (r, e_i) > 0, and s_i(r) = r - (r, e_i) e_i is a smaller positive real
-    root, so reflecting down reaches a simple through vectors below r.  The
-    candidates are therefore found upward from the simples e_i with a_i > 0,
-    by each reflection s_i(v) with (v, e_i) < 0 that stays below a; on a
-    loop-free quiver they are the roots with <v, v> = 1, none classified.
-    More than MAX_CANDIDATE_ROOTS of these roots, a included, raise the
-    search's DecomposeError.
+    They are the Weyl-group orbit of the simples (Kac): a positive real root
+    r other than a simple has a vertex i with (r, e_i) > 0, and
+    s_i(r) = r - (r, e_i) e_i is a smaller positive real root below r.  So
+    the walk rises from the simples e_i with box_i > 0 by each reflection
+    s_i(v) with (v, e_i) < 0 that stays below box, none classified.  That
+    raises the total, so the roots of total t are all found once those below
+    t are reflected: one bucket per total, sorted, yielded, then reflected.
+    Past MAX_CANDIDATE_ROOTS roots found it raises BoundExhaustedError.
     """
     n = quiver.n
     # ends[i]: the other end of each arrow at i
     ends = [[t if s == i else s for s, t in quiver.arrow_indices if i in (s, t)] for i in range(n)]
-    found = {tuple(int(j == i) for j in range(n)) for i in range(n) if a[i] > 0}
-    stack = list(found)
-    while stack:
-        v = stack.pop()
-        for i in range(n):
-            # s_i(v)_i = v_i - (v, e_i), and (v, e_i) = 2 v_i - sum of v over ends[i]
-            wi = sum(map(v.__getitem__, ends[i])) - v[i]
-            if v[i] < wi <= a[i]:
-                w = v[:i] + (wi,) + v[i + 1 :]
-                if w not in found:
-                    found.add(w)
-                    stack.append(w)
-                    if len(found) > MAX_CANDIDATE_ROOTS:
-                        raise DecomposeError("search budget exhausted")
-    found.discard(tuple(a))
-    return sorted(found, key=lambda v: (-sum(v), v))
+    levels = {1: {tuple(int(j == i) for j in range(n)) for i in range(n) if box[i] > 0}}
+    found, total = len(levels[1]), 0
+    while levels:
+        total += 1
+        level = sorted(levels.pop(total, ()))
+        yield from level
+        for v in level:
+            for i in range(n):
+                # s_i(v)_i = v_i - (v, e_i), and (v, e_i) = 2 v_i - sum of v over ends[i]
+                wi = sum(map(v.__getitem__, ends[i])) - v[i]
+                if v[i] < wi <= box[i]:
+                    w = v[:i] + (wi,) + v[i + 1 :]
+                    bucket = levels.setdefault(total + wi - v[i], set())
+                    if w not in bucket:
+                        bucket.add(w)
+                        found += 1
+        if found > MAX_CANDIDATE_ROOTS:
+            raise BoundExhaustedError(f"search budget exhausted: over {MAX_CANDIDATE_ROOTS} roots")
+
+
+def _candidate_roots(quiver, a):
+    """The step-2 candidates: `_real_roots` below a, a left out, by (-total, vector).
+
+    Every root below a, a included, counts against MAX_CANDIDATE_ROOTS.
+    """
+    return sorted((v for v in _real_roots(quiver, a) if v != a), key=lambda v: (-sum(v), v))
 
 
 def _search_reduced_sequence(oracle: Oracle, a):

@@ -393,6 +393,28 @@ def reference_candidate_roots(quiver, a):
     return out
 
 
+def _compositions(total, parts):
+    """All tuples of `parts` non-negative ints summing to `total`, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def reference_perp_candidates(quiver, bound):
+    """The vectors `perp_simples` examined before its real-root walk, in its order:
+    every composition of total 1 to `bound` with <v, v> = 1 that classifies as a root."""
+    return [
+        cand
+        for total in range(1, bound + 1)
+        for cand in _compositions(total, quiver.n)
+        if euler_form(quiver, cand, cand) == 1
+        and classify_root_by_reflection(quiver, cand).is_root()
+    ]
+
+
 def reference_search_reduced_sequence(quiver, oracle, a):
     """The unpruned step-2 search: every child is visited that passes the pair checks."""
     roots_sorted = reference_candidate_roots(quiver, a)

@@ -459,6 +459,27 @@ def test_perpsimples_suggests_a_larger_bound_where_no_sampled_check_ran(capsys, 
         assert captured.out.splitlines()[-2:] == ["side: right", "simple (3,1)"]
 
 
+@pytest.mark.parametrize(
+    "body,root",
+    [
+        # <(1,0), (1,0)> = 1, and no bound could find its perpendicular simple:
+        # this once exited 2 with "try a larger --bound"
+        ("vertex a\nvertex b\narrow x a b\narrow l b b\n", "(1,0)"),
+        # this once reached classify_root at (1,1,0), which rejects a quiver with a loop
+        ("vertex a\nvertex b\nvertex c\narrow x a b\narrow y b c\narrow l c c\n", "(1,0,0)"),
+    ],
+    ids=["bound", "classify"],
+)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_perpsimples_on_a_quiver_with_a_loop_exits_one(capsys, tmp_path, body, root, side):
+    path = tmp_path / "loop.quiver"
+    path.write_text("quiver L\n" + body + "allows_loops\n", encoding="utf-8")
+    assert main(["perpsimples", "-q", str(path), "--side", side, root, "--bound", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: perpendicular simples require a loop-free quiver\n"
+
+
 @pytest.mark.parametrize("vector,prime", [("(1,1,1,1,1)", "2"), ("(2,1,1,1,2)", "3")])
 def test_excdecomp_on_a_schur_root_exits_one_over_a_small_prime(capsys, vector, prime):
     # the Schur test is the exact canonical decomposition at every prime; the

@@ -5,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_candidate_roots, reference_generic_summands, sampled_schurian
+from oracles import (
+    reference_candidate_roots,
+    reference_generic_summands,
+    reference_perp_candidates,
+    sampled_schurian,
+)
 from quiverglue import decompose
 from quiverglue.decompose import (
+    BoundExhaustedError,
     DecomposeError,
     Oracle,
     OracleConfig,
@@ -15,6 +21,7 @@ from quiverglue.decompose import (
     _candidate_roots,
     _merged_summands,
     _nonneg_combination,
+    _real_roots,
     _sampled_canonical_decomposition,
     _verify_canonical,
     canonical_decomposition,
@@ -135,7 +142,7 @@ def test_verify_canonical_rejects_a_repeated_summand_with_ext(p, samples):
 
 def test_sample_exceptional_rep():
     q = load_quiver("S4")
-    x = sample_exceptional_rep(q, (1, 0, 1, 0, 0), CONFIG)
+    x = sample_exceptional_rep(Oracle(q, CONFIG), (1, 0, 1, 0, 0))
     assert hom_dim(x, x) == 1
     assert ext_dim(x, x) == 0
 
@@ -153,7 +160,7 @@ def test_sample_exceptional_rep_rejects_a_vector_with_form_other_than_one(monkey
     monkeypatch.setattr(decompose, "random_rep", counted)
     for name, norm in [("K2", 0), ("K3", -1)]:
         with pytest.raises(DecomposeError, match=rf"is exceptional: <a,a> = {norm}, not 1"):
-            sample_exceptional_rep(load_quiver(name), (1, 1), OracleConfig(prime=p))
+            sample_exceptional_rep(Oracle(load_quiver(name), OracleConfig(prime=p)), (1, 1))
     assert drawn == []
 
 
@@ -348,7 +355,8 @@ def test_oracle_sample_draws_each_module_once():
 
 def test_reproduce_sub4_excseq_draws_each_module_once(monkeypatch, capsys):
     # before the Oracle kept its samples this command made 221 draws, 73 of
-    # them distinct; sample_exceptional_rep's draws are in the count too
+    # them distinct; sample_exceptional_rep draws through the same Oracle,
+    # and its draws are in the count too
     from quiverglue.cli import main
 
     drawn = []
@@ -439,6 +447,29 @@ def test_candidate_roots_match_product_enumeration_on_random_acyclic_quivers():
             if any(a):
                 expected = reference_candidate_roots(q, a)
                 assert _candidate_roots(q, a) == expected, (q.arrow_indices, a)
+
+
+def _walk_up_to(q, bound):
+    """The real-root walk under (bound, ..., bound), up to total dimension bound."""
+    return list(itertools.takewhile(lambda v: sum(v) <= bound, _real_roots(q, (bound,) * q.n)))
+
+
+def _assert_walk_matches_composition_filter(q, top):
+    expected = reference_perp_candidates(q, top)
+    for bound in range(1, top + 1):
+        assert _walk_up_to(q, bound) == [v for v in expected if sum(v) <= bound], (q, bound)
+
+
+@pytest.mark.parametrize("name", sorted(QUIVER_FILES) + sorted(CYCLES))
+def test_real_roots_walk_in_the_order_of_the_composition_filter(name):
+    _assert_walk_matches_composition_filter(_named_quiver(name), 9)
+
+
+def test_real_roots_walk_in_the_order_of_the_composition_filter_on_random_acyclic_quivers():
+    rng = random.Random(24)
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, rng.randint(2, 5), 3)
+        _assert_walk_matches_composition_filter(q, 9)
 
 
 def test_excdecomp_sub4_nontrivial_and_verified():
@@ -625,11 +656,11 @@ def test_candidate_budget_ends_the_search(monkeypatch, capsys):
     assert out[-4:-1] == ["step 2 search", "step 2 budget exhausted", "result unknown"]
 
 
-def test_search_classifies_no_vector(monkeypatch):
+def _count_classify_root(monkeypatch):
+    """Wrap classify_root wherever quiverglue holds it; returns the list of its calls."""
     import sys
 
     from quiverglue import quiver as quiver_module
-    from quiverglue.decompose import _search_reduced_sequence
 
     original, calls = quiver_module.classify_root, []
 
@@ -643,9 +674,40 @@ def test_search_classifies_no_vector(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     assert decompose.classify_root is counted
+    return calls
+
+
+def test_search_classifies_no_vector(monkeypatch):
+    from quiverglue.decompose import _search_reduced_sequence
+
+    calls = _count_classify_root(monkeypatch)
     q = load_quiver("S5")
     assert _search_reduced_sequence(Oracle(q, CONFIG), (10, 3, 3, 3, 3, 8)) is None
     assert calls == []
+
+
+def test_perp_simples_classifies_no_vector(monkeypatch):
+    calls = _count_classify_root(monkeypatch)
+    s5, s4 = load_quiver("S5"), load_quiver("S4")
+    assert len(perp_simples(Oracle(s5, CONFIG), [s5.unit_vector("q0")], side="right")) == 5
+    assert len(perp_simples(Oracle(s4, CONFIG), [(1, 0, 1, 0, 0)], side="left")) == 4
+    assert calls == []
+
+
+def test_perp_walk_past_its_budget_is_undecided(monkeypatch, capsys):
+    # on K3 the right perpendicular simple of (1,0) is (3,1), the fourth
+    # real root the walk finds; with a budget of 3 the search is undecided
+    from quiverglue.cli import main
+
+    argv = ["perpsimples", "-q", "K3", "(1,0)", "--bound", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("simple (3,1)\n")
+    monkeypatch.setattr(decompose, "MAX_CANDIDATE_ROOTS", 3)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: search budget exhausted: over 3 roots\n"
+    q = load_quiver("K3")
+    with pytest.raises(BoundExhaustedError, match="search budget exhausted"):
+        perp_simples(Oracle(q, OracleConfig(bound=4)), [(1, 0)])
 
 
 def test_perp_simples_rejects_more_roots_than_vertices():
@@ -759,6 +821,24 @@ def test_generic_summands_build_one_end_algebra(monkeypatch):
     parts = generic_summands(x)
     assert len(parts) > 1
     assert built == [x.dims]
+
+
+def test_sampled_canonical_splits_each_draw_once(monkeypatch):
+    # draw k and its splitting seed do not depend on the escalation, so each
+    # (module, seed) pair is split once however often the verification
+    # escalates; splitting again on every escalation made 112 calls here,
+    # 25 of them repeats
+    calls = []
+
+    def counted(x, seed=0):
+        calls.append((x, seed))
+        return generic_summands(x, seed=seed)
+
+    monkeypatch.setattr(decompose, "generic_summands", counted)
+    for p in (2, 3, 101):
+        for a in itertools.product(range(4), repeat=2):
+            canonical_decomposition(CYCLES["C2"], a, OracleConfig(prime=p))
+    assert len(calls) == len(set(calls)) == 87
 
 
 # -- the exact canonical decomposition against the sampled path ----------

@@ -51,11 +51,11 @@ def quiver_spec(name, directory):
     return str(path)
 
 
-def run_box(name, n, top, prime, directory, readouterr):
-    """The box's runs through cli.main; readouterr() returns and clears (stdout, stderr)."""
+def run_argvs(name, argvs, directory, readouterr):
+    """Each argv on the quiver via cli.main; readouterr() returns and clears (stdout, stderr)."""
     spec = quiver_spec(name, directory)
     seen = []
-    for argv in box_argvs(n, top, prime):
+    for argv in argvs:
         code = cli.main([argv[0], "-q", spec, *argv[1:]])
         out, err = readouterr()
         seen.append({"quiver": name, "argv": argv, "code": code, "stdout": out, "stderr": err})
@@ -67,7 +67,7 @@ def run_box(name, n, top, prime, directory, readouterr):
 def test_generic_box_matches_golden(capsys, tmp_path, name, n, top, prime):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     expected = [g for g in golden if g["quiver"] == name and g["argv"][3] == prime]
-    assert run_box(name, n, top, prime, tmp_path, capsys.readouterr) == expected
+    assert run_argvs(name, box_argvs(n, top, prime), tmp_path, capsys.readouterr) == expected
 
 
 def test_generic_box_golden_covers_the_box():
@@ -78,7 +78,8 @@ def test_generic_box_golden_covers_the_box():
     ]
 
 
-if __name__ == "__main__":
+def record(golden, runs):
+    """Writes to `golden` the outcome of each (quiver, argvs) pair of `runs`."""
     import contextlib
     import io
     import tempfile
@@ -95,8 +96,11 @@ if __name__ == "__main__":
     recorded = []
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            for name, n, top in BOXES:
-                for prime in PRIMES:
-                    recorded += run_box(name, n, top, prime, Path(tmp), readouterr)
-    GOLDEN.write_text(json.dumps(recorded, indent=0) + "\n", encoding="utf-8")
-    print(f"{len(recorded)} runs written to {GOLDEN}", file=sys.stderr)
+            for name, argvs in runs:
+                recorded += run_argvs(name, argvs, Path(tmp), readouterr)
+    golden.write_text(json.dumps(recorded, indent=0) + "\n", encoding="utf-8")
+    print(f"{len(recorded)} runs written to {golden}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record(GOLDEN, [(name, box_argvs(n, top, prime)) for name, n, top in BOXES for prime in PRIMES])

@@ -16,7 +16,7 @@ from oracles import (
     reference_tree_shaped_ext_basis,
 )
 from quiverglue.cli import SUB8_ROOTS
-from quiverglue.decompose import OracleConfig, sample_exceptional_rep
+from quiverglue.decompose import Oracle, OracleConfig, sample_exceptional_rep
 from quiverglue.fixtures import load_quiver, load_rep
 from quiverglue.gluing import (
     ExtBasisElement,
@@ -418,8 +418,8 @@ def _sequences():
         yield [random_rep(k3, d, p, k) for k, d in enumerate(((1, 1), (1, 0), (0, 1)))]
         s8 = load_quiver("S8")
         # over F_2, seeds 0-2 draw no exceptional module of dimension (2,1,1,1,0,0,2,2,0)
-        config = OracleConfig(prime=p, seed=3 if p == 2 else 0)
-        yield [sample_exceptional_rep(s8, beta, config, salt=i) for i, beta in enumerate(SUB8_ROOTS)]
+        oracle = Oracle(s8, OracleConfig(prime=p, seed=3 if p == 2 else 0))
+        yield [sample_exceptional_rep(oracle, beta, salt=i) for i, beta in enumerate(SUB8_ROOTS)]
 
 
 def _qm_reps(g, rng, count):
