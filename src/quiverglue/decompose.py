@@ -1,34 +1,23 @@
 """Canonical decomposition, perpendicular-category simples, and the
 root-decomposition algorithm into reduced exceptional sequences.
 
-Generic hom and ext are Monte-Carlo estimates from seeded samples over a
-large prime field.  Schur-ness is read off the canonical decomposition: by
-Kac, a vector is a Schur root iff its canonical decomposition is itself x1.
+Generic hom is a Monte-Carlo estimate from seeded samples over a large
+prime field; a sampled Hom is an upper bound on the generic one, so a
+sampled ext of 0 and a sampled module with End = k are certificates.
+Schur-ness is read off the canonical decomposition: by Kac, a vector is a
+Schur root iff its canonical decomposition is itself x1.
 
-The canonical decomposition has two paths, picked by the quiver.  On a
-quiver without an oriented cycle it depends only on the Euler form
-(Kac; Schofield, "General representations of quivers", 1992), and it is
-computed exactly, with no sampling, by merging Kronecker pairs in a
-sequence of Schur roots (Derksen-Weyman, "On the canonical decomposition
-of quiver representations", 2002).  A quiver with an oriented cycle is
-outside that theory; there the decomposition is the summand type of a
-sampled generic representation X: the identity of End(X) is split
-recursively into orthogonal idempotents, each by the spectral idempotent of
-a random element of its corner algebra, by the same routine
-`reps.indecomposable` uses over Q, and the summands are read off the
-primitive ones.  All of it runs in the coordinates of the one End(X); the
-module itself is never split.  The sampled result is then re-verified
-against the defining properties (sum identity, pairwise vanishing generic
-Ext, and ext(r, r) = 0 for a summand r of multiplicity at least 2), with
-the sample count escalated on failure; each summand eX has End(eX) = k, so
-it needs no Schur test.  The defining properties determine the canonical
-decomposition uniquely (Kac), so the verified output is independent of how
-the splitting proceeded, and on an acyclic quiver it is the reference the
-exact path is tested against.
-
-A sampled Hom is an upper bound on the generic one, so a sampled ext of 0
-and a sampled module with End = k are certificates, and so is a verified
-canonical decomposition.
+The canonical decomposition depends only on the Euler form, on any quiver,
+and is computed exactly, with no sampling, on one of two paths picked by
+the quiver.  Without an oriented cycle it merges Kronecker pairs in a
+sequence of Schur roots (Derksen-Weyman, "On the canonical decomposition of
+quiver representations", 2002), which is fast.  With one it splits a at a
+b with ext(b, a - b) = ext(a - b, b) = 0, as a general module of a is then
+a general one of b plus one of a - b (Kac, "Infinite root systems,
+representations of graphs and invariant theory II", 1982), and recurses on
+both parts; generic ext is Schofield's recursion over the subvectors a
+general module has ("General representations of quivers", 1992).  That walk
+is exponential in general, so it has a budget.
 
 One `Oracle` serves a whole command.  Each of its answers (a sampled hom, a
 canonical decomposition) is a function of (quiver, config, vector), so
@@ -39,12 +28,12 @@ Oracle, and no answer is computed twice; nor is a sampled module drawn twice.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import le, mul
 
-from .linalg import DEFAULT_PRIME, Matrix, PrimeField, QQ, rank, rank_rows, solve
+from .linalg import DEFAULT_PRIME, Matrix, PrimeField, QQ, rank, solve
 from .quiver import (
     Quiver,
     classify_root,
@@ -54,14 +43,7 @@ from .quiver import (
     vec_scale,
     vec_sub,
 )
-from .reps import (
-    Representation,
-    _derive_seed,
-    _spectral_split,
-    end_algebra,
-    hom_dim,
-    random_rep,
-)
+from .reps import Representation, _derive_seed, hom_dim, random_rep
 
 
 class DecomposeError(ValueError):
@@ -70,11 +52,6 @@ class DecomposeError(ValueError):
 
 class SamplingError(DecomposeError):
     """Sampling over F_p found no answer, which over a larger prime it may."""
-
-
-class OracleUnstableError(SamplingError):
-    def __init__(self, prime):
-        super().__init__(f"oracle unstable over F_{prime}, increase samples; try a larger prime")
 
 
 class BoundExhaustedError(DecomposeError):
@@ -99,9 +76,6 @@ class OracleConfig:
             raise DecomposeError(f"bound must be at least 1, got {self.bound}")
         PrimeField(self.prime)  # a non-prime modulus raises ModulusError before any work
 
-    def escalate(self):
-        return replace(self, samples=self.samples * 2)
-
 
 class Oracle:
     """Cached hom/ext (sampled) and canonical-decomposition queries on one quiver.
@@ -115,7 +89,7 @@ class Oracle:
         self.quiver = quiver
         self.config = config
         self._hom = {}
-        self._canonical = {}  # vector -> CanonicalDecomposition, None where it did not verify
+        self._canonical = {}  # vector -> CanonicalDecomposition
         self._samples = {}  # (vector, index) -> the module drawn there
 
     def sample(self, a, index) -> Representation:
@@ -144,84 +118,22 @@ class Oracle:
         return self.hom(a, b) - euler_form(self.quiver, a, b)
 
     def canonical(self, a) -> CanonicalDecomposition:
-        """`canonical_decomposition` of a under this oracle's config, computed once.
-
-        One that fails to verify is attempted once: every call for it raises
-        OracleUnstableError.
-        """
+        """`canonical_decomposition` of a, computed once; exact, so the config is not read."""
         key = tuple(a)
         if key not in self._canonical:
-            try:
-                self._canonical[key] = canonical_decomposition(self.quiver, key, self.config)
-            except OracleUnstableError:
-                self._canonical[key] = None
-        if self._canonical[key] is None:
-            raise OracleUnstableError(self.config.prime)
+            self._canonical[key] = canonical_decomposition(self.quiver, key)
         return self._canonical[key]
 
     def schurian(self, a) -> bool:
-        try:
-            return self.canonical(a).is_schur()
-        except OracleUnstableError:  # unverified over this field: not certified Schur
-            return False
+        return self.canonical(a).is_schur()
 
     def known_non_schur(self, a) -> bool:
         """True when the cache already rules a out as a Schur root; computes nothing."""
-        key = tuple(a)
-        if key not in self._canonical:
-            return False
-        decomp = self._canonical[key]
-        return decomp is None or not decomp.is_schur()
+        decomp = self._canonical.get(tuple(a))
+        return decomp is not None and not decomp.is_schur()
 
     def exceptional_root(self, a) -> bool:
         return euler_form(self.quiver, a, a) == 1 and self.schurian(a)
-
-
-# -- splitting a sampled representation into indecomposables ------------
-
-SPLIT_ATTEMPTS = 16
-
-
-def generic_summands(x: Representation, seed=0):
-    """Dimension vectors of the indecomposable summands of a sampled module.
-
-    Runs in one End(X), on coordinate vectors: the summands of X are the
-    images eX of the primitive idempotents e of a splitting of 1 into
-    orthogonal idempotents (Krull-Schmidt), and nothing splits the module
-    itself.  The corner algebra e End(X) e is End(eX), spanned by the
-    e b_k e over the basis b_k.  When it is the scalars, eX is
-    indecomposable with dimension vector the per-vertex ranks of e's
-    blocks.  Otherwise e = f + (e - f) by the spectral idempotent f of
-    g = e r e, r one draw mod p per basis element (so g is uniform in
-    e End(X) e), with the same routine that decides indecomposability
-    over Q.
-    """
-    if x.is_zero():
-        return []
-    rng = random.Random(seed)
-    field = x.field
-    p = field.characteristic
-    end = end_algebra(x)
-    n = end.dim
-    units = [[int(i == k) for i in range(n)] for k in range(n)]
-    out = []
-    stack = [list(end.identity_coords)]
-    while stack:
-        e = stack.pop()
-        corner = [end.mul(e, end.mul(u, e)) for u in units]
-        if rank_rows(corner, n, field) == 1:
-            out.append(tuple(rank(b) for b in end.element(e).blocks))
-            continue
-        for _ in range(SPLIT_ATTEMPTS):
-            g = end.mul(e, end.mul([rng.randrange(p) for _ in range(n)], e))
-            _, f = _spectral_split(end, e, g)
-            if f is not None:
-                break
-        else:
-            raise OracleUnstableError(p)
-        stack.append(f)
-        stack.append([field.sub(a, b) for a, b in zip(e, f)])
-    return out
 
 
 # -- canonical decomposition --------------------------------------------
@@ -241,56 +153,11 @@ class CanonicalDecomposition:
         return self.summands == ((self.vector, 1),)
 
 
-MAX_ESCALATIONS = 4
-
-
 def _group_summands(vectors):
     counts = {}
     for v in vectors:
         counts[v] = counts.get(v, 0) + 1
     return tuple(sorted(counts.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
-
-
-def _verify_canonical(oracle: Oracle, a, summands) -> bool:
-    """Sum identity and vanishing sampled ext; each summand eX has End(eX) = k, so is Schurian."""
-    q = oracle.quiver
-    total = [0] * q.n
-    for root, mult in summands:
-        for i, v in enumerate(root):
-            total[i] += mult * v
-    if tuple(total) != tuple(a):
-        return False
-    # Kac: ext = 0 between distinct summands, and ext(r, r) = 0 for a
-    # repeated one (a real or isotropic Schur root)
-    for i, (ri, mult) in enumerate(summands):
-        for j, (rj, _) in enumerate(summands):
-            if (i != j or mult > 1) and oracle.ext(ri, rj) != 0:
-                return False
-    return True
-
-
-def _sampled_canonical_decomposition(quiver: Quiver, a, config: OracleConfig):
-    """The verified summand type of sampled modules of dimension a, a nonzero.
-
-    Draw k and its seed do not depend on the sample count, so each is split
-    once; an escalation verifies the splits again with more samples.
-    """
-    cfg = config
-    splits = []  # per draw k: its grouped summands, None where it did not split
-    for escalation in range(MAX_ESCALATIONS + 1):
-        oracle = Oracle(quiver, cfg)
-        for k in range(cfg.samples):
-            if k == len(splits):
-                x, seed = oracle.sample(a, 101 + 5 * k), _derive_seed(cfg.seed, 37 + k)
-                try:
-                    summands = _group_summands(generic_summands(x, seed=seed))
-                except OracleUnstableError:
-                    summands = None
-                splits.append(summands)
-            if splits[k] is not None and _verify_canonical(oracle, a, splits[k]):
-                return splits[k]
-        cfg = cfg.escalate()
-    raise OracleUnstableError(cfg.prime)
 
 
 def _kronecker_summands(r, a, b):
@@ -385,16 +252,92 @@ def _merged_summands(quiver: Quiver, simples, coeffs):
     return _group_summands([root for root, m in seq for _ in range(m)])
 
 
-def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConfig()):
-    """The canonical decomposition of a, as (Schur root, multiplicity) pairs.
+def _split_summands(quiver: Quiver, a):
+    """The canonical decomposition of a nonzero a, from the Euler form alone, on any quiver.
 
-    On a quiver without an oriented cycle it is computed exactly from the
-    Euler form (`_merged_summands`), and `config` is not read.  On a quiver
-    with an oriented cycle it is the verified summand type of sampled modules
-    over F_p, with `config` giving the prime, seed and sample count; `config`
-    is accepted on every quiver so that callers need not know which path
-    runs.  The summands are ordered by decreasing total dimension, then by
-    vector.
+    A general module of a is a general one of b plus a general one of a - b
+    exactly when ext(b, a - b) = ext(a - b, b) = 0 (Kac), so a splits at the
+    first nonzero proper b <= a with both, and each part splits in turn; a
+    vector with no such b is a Schur root.  Generic ext is Schofield's
+    recursion: ext(x, y) is the largest -<s, y> over the subvectors s of x
+    that a general module of x has, 0 and x included, and s is one iff
+    ext(s, x - s) = 0.  The subvectors are tried in decreasing -<s, y>, down
+    to the floor max(0, -<x, y>) that 0 and x give, and the first general one
+    sets the value.  Every subvector examined, in either search, counts
+    against MAX_SEARCH_NODES; past it this raises BoundExhaustedError.
+    """
+    memo = {}
+    nodes = [0]
+
+    def examine():
+        nodes[0] += 1
+        if nodes[0] > MAX_SEARCH_NODES:
+            raise BoundExhaustedError(
+                f"search budget exhausted: over {MAX_SEARCH_NODES} subvectors"
+            )
+
+    def above(x, w, floor):
+        """The s <= x with s . w > floor, lazily, each one examined."""
+        reach = [0] * (len(x) + 1)  # reach[i]: the most coordinates i, i+1, ... add
+        for i in reversed(range(len(x))):
+            reach[i] = reach[i + 1] + max(0, w[i]) * x[i]
+
+        def walk(i, partial):
+            if partial + reach[i] <= floor:
+                return
+            if i == len(x):
+                examine()
+                yield ()
+                return
+            for v in range(x[i] + 1):
+                for rest in walk(i + 1, partial + v * w[i]):
+                    yield (v, *rest)
+
+        return walk(0, 0)
+
+    def ext(x, y):
+        key = (x, y)
+        if key not in memo:
+            # -<s, y> = s . w, linear in s
+            w = [-v for v in y]
+            for s, t in quiver.arrow_indices:
+                w[s] += y[t]
+            floor = max(0, sum(map(mul, x, w)))
+            values = sorted(((sum(map(mul, s, w)), s) for s in above(x, w, floor)), reverse=True)
+            memo[key] = next((v for v, s in values if ext(s, vec_sub(x, s)) == 0), floor)
+        return memo[key]
+
+    out, stack = [], [tuple(a)]
+    while stack:
+        x = stack.pop()
+        for b in product(*(range(v + 1) for v in x)):
+            if not any(b) or b == x:
+                continue
+            examine()
+            c = vec_sub(x, b)
+            # ext >= -<,>, so a negative form rules b out before any walk
+            if (
+                euler_form_unchecked(quiver, b, c) >= 0
+                and euler_form_unchecked(quiver, c, b) >= 0
+                and ext(b, c) == 0
+                and ext(c, b) == 0
+            ):
+                stack += [b, c]
+                break
+        else:
+            out.append(x)
+    return _group_summands(out)
+
+
+def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConfig()):
+    """The canonical decomposition of a, as (Schur root, multiplicity) pairs, exactly.
+
+    On a quiver without an oriented cycle it is Derksen-Weyman's merge
+    (`_merged_summands`), which is fast; on one with an oriented cycle it is
+    Kac's splitting with Schofield's generic ext (`_split_summands`).  No
+    path samples, and `config` is read by none: it stays only because
+    callers such as `perfbench/make_candecomp_table.py` pass one.  The
+    summands are ordered by decreasing total dimension, then by vector.
     """
     if not quiver.is_loop_free():
         raise DecomposeError("canonical decomposition requires a loop-free quiver")
@@ -406,7 +349,7 @@ def canonical_decomposition(quiver: Quiver, a, config: OracleConfig = OracleConf
     try:
         start = _trivial_sequence(quiver, a)
     except DecomposeError:  # an oriented cycle
-        summands = _sampled_canonical_decomposition(quiver, a, config)
+        summands = _split_summands(quiver, a)
     else:
         summands = _merged_summands(quiver, *start)
     return CanonicalDecomposition(quiver, a, summands)
@@ -481,11 +424,12 @@ def perp_simples(oracle: Oracle, roots, side="right"):
     through lie in that box.  Accepts those in the perpendicular lattice
     that are not non-negative integer combinations of accepted ones, until
     n - r are found; returned in an order with vanishing forward generic ext.
-    Running out of the bound raises SamplingError when a sampled check (hom
-    or Schur) rejected a candidate, which over a larger prime it may accept,
-    and BoundExhaustedError when only the exact filters did, or when the
-    walk passes MAX_CANDIDATE_ROOTS.  A quiver with a loop has no reflection
-    at its loop vertex, and is rejected first.
+    Running out of the bound raises SamplingError when a sampled hom
+    rejected a candidate, which over a larger prime it may accept, and
+    BoundExhaustedError when only the exact filters did (the Euler form, the
+    combination test and the Schur test, read off the exact canonical
+    decomposition), or when the walk passes MAX_CANDIDATE_ROOTS.  A quiver
+    with a loop has no reflection at its loop vertex, and is rejected first.
     """
     if side not in ("right", "left"):
         raise DecomposeError("side must be 'right' or 'left'")
@@ -526,11 +470,12 @@ def perp_simples(oracle: Oracle, roots, side="right"):
             or _nonneg_combination(cand, accepted) is not None
         ):
             continue
-        if (
-            any(oracle.hom(x, y) != 0 for x, y in pairs)
-            or not oracle.schurian(cand)
-            or any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted)
-        ):
+        if any(oracle.hom(x, y) != 0 for x, y in pairs):
+            sampled_rejection = True
+            continue
+        if not oracle.schurian(cand):
+            continue
+        if any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted):
             sampled_rejection = True
             continue
         accepted.append(cand)

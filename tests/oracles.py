@@ -3,18 +3,19 @@
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from quiverglue.decompose import (
     MAX_SEARCH_NODES,
-    SPLIT_ATTEMPTS,
     DecomposeError,
-    OracleUnstableError,
+    Oracle,
+    SamplingError,
+    _group_summands,
 )
 from quiverglue.linalg import (
-    FieldMismatchError, Matrix, QQ, block_diag, hstack, inverse, kernel_basis, kron, rank, rref,
-    solve,
+    FieldMismatchError, Matrix, QQ, block_diag, hstack, inverse, kernel_basis, kron, rank, rank_rows,
+    rref, solve,
 )
 from quiverglue.quiver import (
     QuiverError,
@@ -35,7 +36,9 @@ from quiverglue.reps import (
     _block_products,
     _check_pair,
     _combination,
+    _derive_seed,
     _identity_blocks,
+    _spectral_split,
     bundle_space_dim,
     compose,
     end_algebra,
@@ -590,6 +593,106 @@ def reference_indecomposable(x, seed=0):
         elif factors[0][0].degree() == semisimple_dim:
             return Verdict("indecomposable")
     return Verdict("unknown")
+
+
+# -- the sampled canonical decomposition: the verified summand type of sampled
+# -- modules over F_p, which the library computed on oriented cycles before
+# -- the exact recursion, and the reference its exact paths are tested against
+
+SPLIT_ATTEMPTS = 16
+MAX_ESCALATIONS = 4
+
+
+class OracleUnstableError(SamplingError):
+    def __init__(self, prime):
+        super().__init__(f"oracle unstable over F_{prime}, increase samples; try a larger prime")
+
+
+def generic_summands(x: Representation, seed=0):
+    """Dimension vectors of the indecomposable summands of a sampled module.
+
+    Runs in one End(X), on coordinate vectors: the summands of X are the
+    images eX of the primitive idempotents e of a splitting of 1 into
+    orthogonal idempotents (Krull-Schmidt), and nothing splits the module
+    itself.  The corner algebra e End(X) e is End(eX), spanned by the
+    e b_k e over the basis b_k.  When it is the scalars, eX is
+    indecomposable with dimension vector the per-vertex ranks of e's
+    blocks.  Otherwise e = f + (e - f) by the spectral idempotent f of
+    g = e r e, r one draw mod p per basis element (so g is uniform in
+    e End(X) e), with the same routine that decides indecomposability
+    over Q.
+    """
+    if x.is_zero():
+        return []
+    rng = random.Random(seed)
+    field = x.field
+    p = field.characteristic
+    end = end_algebra(x)
+    n = end.dim
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    out = []
+    stack = [list(end.identity_coords)]
+    while stack:
+        e = stack.pop()
+        corner = [end.mul(e, end.mul(u, e)) for u in units]
+        if rank_rows(corner, n, field) == 1:
+            out.append(tuple(rank(b) for b in end.element(e).blocks))
+            continue
+        for _ in range(SPLIT_ATTEMPTS):
+            g = end.mul(e, end.mul([rng.randrange(p) for _ in range(n)], e))
+            _, f = _spectral_split(end, e, g)
+            if f is not None:
+                break
+        else:
+            raise OracleUnstableError(p)
+        stack.append(f)
+        stack.append([field.sub(a, b) for a, b in zip(e, f)])
+    return out
+
+
+def verify_canonical(oracle, a, summands) -> bool:
+    """Sum identity and vanishing sampled ext; each summand eX has End(eX) = k, so is Schurian."""
+    q = oracle.quiver
+    total = [0] * q.n
+    for root, mult in summands:
+        for i, v in enumerate(root):
+            total[i] += mult * v
+    if tuple(total) != tuple(a):
+        return False
+    # Kac: ext = 0 between distinct summands, and ext(r, r) = 0 for a
+    # repeated one (a real or isotropic Schur root)
+    for i, (ri, mult) in enumerate(summands):
+        for j, (rj, _) in enumerate(summands):
+            if (i != j or mult > 1) and oracle.ext(ri, rj) != 0:
+                return False
+    return True
+
+
+def sampled_canonical_decomposition(quiver, a, config):
+    """The verified summand type of sampled modules of dimension a, a nonzero.
+
+    The defining properties checked by `verify_canonical` determine the
+    canonical decomposition uniquely (Kac), so a verified split is a
+    certificate whatever the draws.  Draw k and its seed do not depend on
+    the sample count, so each is split once; on failure the sample count
+    doubles, up to MAX_ESCALATIONS times, and the splits are verified again.
+    """
+    cfg = config
+    splits = []  # per draw k: its grouped summands, None where it did not split
+    for _ in range(MAX_ESCALATIONS + 1):
+        oracle = Oracle(quiver, cfg)
+        for k in range(cfg.samples):
+            if k == len(splits):
+                x, seed = oracle.sample(a, 101 + 5 * k), _derive_seed(cfg.seed, 37 + k)
+                try:
+                    summands = _group_summands(generic_summands(x, seed=seed))
+                except OracleUnstableError:
+                    summands = None
+                splits.append(summands)
+            if splits[k] is not None and verify_canonical(oracle, a, splits[k]):
+                return splits[k]
+        cfg = replace(cfg, samples=cfg.samples * 2)
+    raise OracleUnstableError(cfg.prime)
 
 
 # -- the F_p splitting of sampled modules on raw block matrices, before it

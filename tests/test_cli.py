@@ -362,7 +362,8 @@ CYCLE_QUIVERS = {
 def test_candecomp_on_an_oriented_cycle_keeps_the_sampled_transcript(
     capsys, tmp_path, quiver, vector, summands
 ):
-    # the Euler-form theory does not cover oriented cycles; these stay sampled
+    # recorded from the sampled path; the exact recursion that replaced it
+    # on oriented cycles prints the same lines
     path = tmp_path / quiver
     path.write_text(CYCLE_QUIVERS[quiver], encoding="utf-8")
     assert main(["candecomp", "-q", str(path), vector]) == 0
@@ -378,7 +379,7 @@ BOUND_EXHAUSTED = "error: bound exhausted over F_2147483647; try a larger prime\
 @pytest.mark.parametrize(
     "quiver,argv,code,lines,err",
     [
-        # an isotropic Schur root, read off the sampled canonical decomposition
+        # an isotropic Schur root, read off the canonical decomposition
         ("c3.quiver", ["excdecomp", "(1,1,1)"], 1, None,
          "error: (1,1,1) is a Schur root; the algorithm handles non-Schur roots\n"),
         ("c2.quiver", ["excdecomp", "(2,2)"], 1, None, "error: generic ext pattern has an oriented cycle\n"),
@@ -429,8 +430,9 @@ BOUND_EXHAUSTED = "error: bound exhausted over F_2147483647; try a larger prime\
 def test_oriented_cycle_commands_keep_their_sampled_transcripts(
     capsys, tmp_path, quiver, argv, code, lines, err
 ):
-    # the Schur tests on an oriented cycle read the sampled canonical
-    # decomposition; these transcripts were recorded while they sampled End(X)
+    # the Schur tests on an oriented cycle read the canonical decomposition;
+    # these transcripts were recorded while it sampled End(X), and the exact
+    # recursion keeps them
     path = tmp_path / quiver
     path.write_text(CYCLE_QUIVERS[quiver], encoding="utf-8")
     assert main([argv[0], "-q", str(path), *argv[1:]]) == code

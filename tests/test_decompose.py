@@ -5,11 +5,16 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import (
+    OracleUnstableError,
+    generic_summands,
     reference_candidate_roots,
     reference_generic_summands,
     reference_perp_candidates,
+    sampled_canonical_decomposition,
     sampled_schurian,
+    verify_canonical,
 )
 from quiverglue import decompose
 from quiverglue.decompose import (
@@ -17,16 +22,12 @@ from quiverglue.decompose import (
     DecomposeError,
     Oracle,
     OracleConfig,
-    OracleUnstableError,
     _candidate_roots,
     _merged_summands,
     _nonneg_combination,
     _real_roots,
-    _sampled_canonical_decomposition,
-    _verify_canonical,
     canonical_decomposition,
     exceptional_sequence_decomposition,
-    generic_summands,
     perp_simples,
     sample_exceptional_rep,
     verify_reduced_sequence,
@@ -137,7 +138,7 @@ def test_verify_canonical_rejects_a_repeated_summand_with_ext(p, samples):
     rest = [(v, 1) for v in [(1, 0, 0, 0, 1, 1), (1, 0, 0, 1, 0, 1), (1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 0, 1)]]
     oracle = Oracle(q, OracleConfig(prime=p, samples=samples))
     assert oracle.schurian(r)
-    assert not _verify_canonical(oracle, (10, 3, 3, 3, 3, 8), ((r, 2), *rest))
+    assert not verify_canonical(oracle, (10, 3, 3, 3, 3, 8), ((r, 2), *rest))
 
 
 def test_sample_exceptional_rep():
@@ -267,49 +268,6 @@ def test_excdecomp_step_0_makes_no_schur_query(monkeypatch):
     assert report.result == "trivial"
     assert at_step_1 == [(0, 0)]
     assert queries and pairs  # the wrappers are on the later steps' path
-
-
-def test_schurian_is_false_where_the_sampled_decomposition_is_unverified(monkeypatch):
-    # on an oriented cycle an unverified decomposition certifies nothing: the
-    # candidate is skipped, as a sampled End(X) above k skipped it
-    def unstable(x, seed=0):
-        raise OracleUnstableError(x.field.p)
-
-    monkeypatch.setattr(decompose, "generic_summands", unstable)
-    q = Quiver("C2", ("a", "b"), (Arrow("x", "a", "b"), Arrow("y", "b", "a")))
-    with pytest.raises(OracleUnstableError):
-        canonical_decomposition(q, (1, 1), CONFIG)
-    assert Oracle(q, CONFIG).schurian((1, 1)) is False
-
-
-def test_an_unverified_decomposition_is_attempted_once_per_oracle(monkeypatch, capsys, tmp_path):
-    from quiverglue.cli import main
-
-    tries = []
-
-    def unstable(x, seed=0):
-        tries.append(x.dims)
-        raise OracleUnstableError(x.field.p)
-
-    monkeypatch.setattr(decompose, "generic_summands", unstable)
-    q = Quiver("C2", ("a", "b"), (Arrow("x", "a", "b"), Arrow("y", "b", "a")))
-    oracle = Oracle(q, CONFIG)
-    with pytest.raises(OracleUnstableError, match="oracle unstable over F_2147483647"):
-        oracle.canonical((2, 1))
-    first = len(tries)
-    assert first > 0
-    with pytest.raises(OracleUnstableError, match="oracle unstable over F_2147483647"):
-        oracle.canonical((2, 1))
-    assert oracle.schurian((2, 1)) is False and oracle.known_non_schur((2, 1))
-    with pytest.raises(OracleUnstableError):
-        exceptional_sequence_decomposition(oracle, (2, 1))
-    assert len(tries) == first
-    # excdecomp still reports it as undecided
-    path = tmp_path / "c2.quiver"
-    path.write_text("quiver C2\nvertex a\nvertex b\narrow x a b\narrow y b a\n", encoding="utf-8")
-    assert main(["excdecomp", "-q", str(path), "(2,1)"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: oracle unstable over F_2147483647, increase samples; try a larger prime\n"
 
 
 def test_one_oracle_serves_each_command(monkeypatch, capsys):
@@ -710,6 +668,17 @@ def test_perp_walk_past_its_budget_is_undecided(monkeypatch, capsys):
         perp_simples(Oracle(q, OracleConfig(bound=4)), [(1, 0)])
 
 
+def test_perp_simples_blames_the_bound_when_only_the_schur_test_rejected(monkeypatch):
+    # the Schur test reads the exact canonical decomposition, so no prime
+    # changes its verdict; with every sampled hom at its Euler floor, only
+    # the Schur test rejects, and the search must not suggest a larger prime
+    monkeypatch.setattr(Oracle, "hom", lambda self, a, b: max(0, euler_form(self.quiver, a, b)))
+    monkeypatch.setattr(Oracle, "schurian", lambda self, a: False)
+    oracle = Oracle(load_quiver("S4"), CONFIG)
+    with pytest.raises(BoundExhaustedError, match="try a larger --bound"):
+        perp_simples(oracle, [(1, 0, 0, 0, 0)])
+
+
 def test_perp_simples_rejects_more_roots_than_vertices():
     q = load_quiver("S4")
     roots = [q.unit_vector(v) for v in q.vertices] + [(1, 1, 0, 0, 0)]
@@ -721,7 +690,6 @@ def test_perp_simples_rejects_more_roots_than_vertices():
 def test_oracle_config_rejects_samples_below_one(samples):
     with pytest.raises(DecomposeError, match="samples must be at least 1"):
         OracleConfig(samples=samples)
-    assert OracleConfig(samples=1).escalate().samples == 2
 
 
 @pytest.mark.parametrize("bound", [0, -5])
@@ -816,7 +784,7 @@ def test_generic_summands_build_one_end_algebra(monkeypatch):
         built.append(x.dims)
         return end_algebra(x)
 
-    monkeypatch.setattr(decompose, "end_algebra", counted)
+    monkeypatch.setattr(oracles, "end_algebra", counted)
     x = random_rep(load_quiver("S5"), (10, 3, 3, 3, 3, 8), DEFAULT_PRIME, 0)
     parts = generic_summands(x)
     assert len(parts) > 1
@@ -834,10 +802,10 @@ def test_sampled_canonical_splits_each_draw_once(monkeypatch):
         calls.append((x, seed))
         return generic_summands(x, seed=seed)
 
-    monkeypatch.setattr(decompose, "generic_summands", counted)
+    monkeypatch.setattr(oracles, "generic_summands", counted)
     for p in (2, 3, 101):
-        for a in itertools.product(range(4), repeat=2):
-            canonical_decomposition(CYCLES["C2"], a, OracleConfig(prime=p))
+        for a in _nonzero_box(2, 3):
+            sampled_canonical_decomposition(CYCLES["C2"], a, OracleConfig(prime=p))
     assert len(calls) == len(set(calls)) == 87
 
 
@@ -858,7 +826,7 @@ def _compare_with_sampled(q, vectors):
     for a in vectors:
         exact = canonical_decomposition(q, a).summands
         try:
-            sampled = _sampled_canonical_decomposition(q, a, CONFIG)
+            sampled = sampled_canonical_decomposition(q, a, CONFIG)
         except OracleUnstableError:
             undecided += 1
             continue
@@ -978,6 +946,95 @@ def test_exact_canonical_on_large_random_vectors():
         assert tuple(total) == a
 
 
+# -- the exact recursion on oriented cycles ------------------------------
+#
+# Derksen-Weyman's merge needs an order with every arrow's target first, so
+# an oriented cycle takes Kac's splitting with Schofield's generic ext.  Where
+# the sampled path verified a decomposition it is a certificate, so it is the
+# reference; on acyclic quivers the merge is.
+
+C2_FILE = "quiver C2\nvertex a\nvertex b\narrow x a b\narrow y b a\n"
+CYCLE_BOXES = [
+    (CYCLES["C2"], 4),
+    (CYCLES["C3"], 2),
+    (_quiver("C2x2", "ab", [("a", "b"), ("a", "b"), ("b", "a")]), 3),
+    (_quiver("C3+chord", "abc", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]), 2),
+]
+
+
+@pytest.mark.parametrize("q,top", CYCLE_BOXES, ids=[q.name for q, _ in CYCLE_BOXES])
+def test_split_summands_match_the_sampled_reference_on_oriented_cycles(q, top):
+    # the sampled path verifies every vector of these boxes at 2^31 - 1
+    for a in _nonzero_box(q.n, top):
+        expected = sampled_canonical_decomposition(q, a, CONFIG)
+        assert decompose._split_summands(q, a) == expected, (q.arrow_indices, a)
+
+
+def _assert_split_matches_merge(q, vectors):
+    for a in vectors:
+        expected = _merged_summands(q, *decompose._trivial_sequence(q, a))
+        assert decompose._split_summands(q, a) == expected, (q.arrow_indices, a)
+
+
+@pytest.mark.parametrize("name,top", [("K3", 4), ("S4", 1)])
+def test_split_summands_match_the_merge_on_fixtures(name, top):
+    q = load_quiver(name)
+    _assert_split_matches_merge(q, _nonzero_box(q.n, top))
+
+
+@pytest.mark.parametrize(
+    "name,vertices,edges",
+    [("A3", "abc", [("a", "b"), ("b", "c")]), ("D4", "abcd", [("b", "a"), ("c", "a"), ("d", "a")])],
+)
+def test_split_summands_match_the_merge_on_every_orientation(name, vertices, edges):
+    for q in _orientations(name, vertices, edges):
+        _assert_split_matches_merge(q, _nonzero_box(q.n, 2))
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 101, DEFAULT_PRIME])
+def test_candecomp_on_c2_diagonal_at_every_prime(capsys, tmp_path, prime):
+    # the sampled path split no draw of (5,5) at 2^31 - 1 and exited 2
+    from quiverglue.cli import main
+
+    path = tmp_path / "c2.quiver"
+    path.write_text(C2_FILE, encoding="utf-8")
+    header = ["samples: 5", f"prime: {prime}", "seed: 0"]
+    for n in range(1, 21):
+        assert main(["candecomp", "-q", str(path), f"({n},{n})", "--prime", str(prime)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "\n".join(header + [f"summand (1,1) x{n}"]) + "\n", n
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "name,a,summands",
+    [
+        ("C2", (30, 17), (((1, 1), 17), ((1, 0), 13))),
+        ("C3", (6, 4, 5), (((1, 1, 1), 4), ((1, 0, 1), 1), ((1, 0, 0), 1))),
+    ],
+)
+def test_split_summands_beyond_the_sampled_box(name, a, summands):
+    assert canonical_decomposition(CYCLES[name], a).summands == summands
+
+
+def test_split_summands_past_the_node_budget_exits_2(monkeypatch, capsys, tmp_path):
+    from quiverglue.cli import main
+
+    path = tmp_path / "c2.quiver"
+    path.write_text(C2_FILE, encoding="utf-8")
+    argv = ["candecomp", "-q", str(path), "(4,3)"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("summand (1,1) x3\nsummand (1,0) x1\n")
+    # (4,3) examines 31 subvectors
+    monkeypatch.setattr(decompose, "MAX_SEARCH_NODES", 20)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search budget exhausted: over 20 subvectors\n"
+    with pytest.raises(BoundExhaustedError):
+        canonical_decomposition(CYCLES["C2"], (4, 3))
+
+
 def _random_sink_first_simples(rng, q):
     """The simples with every arrow's target before its source: Kahn's algorithm
     with random tie-breaks."""
@@ -1029,7 +1086,7 @@ def test_merged_summands_do_not_depend_on_the_sink_first_order():
 def test_exact_canonical_builds_no_end_algebra_and_eliminates_nothing(
     capsys, monkeypatch, tmp_path, argv
 ):
-    from quiverglue import cli, gluing, linalg, reps
+    from quiverglue import cli, gluing, linalg, poly, reps
 
     calls = []
 
@@ -1040,15 +1097,26 @@ def test_exact_canonical_builds_no_end_algebra_and_eliminates_nothing(
 
         return wrapper
 
-    for modules, name in (((reps, decompose), "end_algebra"), ((reps,), "hom_space"), ((linalg, gluing), "echelon")):
+    for modules, name in (
+        ((reps,), "end_algebra"),
+        ((reps,), "hom_space"),
+        ((linalg, gluing), "echelon"),
+        ((reps, decompose), "random_rep"),
+        ((poly,), "factor_list"),
+    ):
         wrapped = counted(name, getattr(modules[0], name))
         for module in modules:
             monkeypatch.setattr(module, name, wrapped)
     assert cli.main(argv) == 0
     assert calls == []
-    # the wrappers are on the sampled path, which an oriented cycle still takes
+    # an oriented cycle takes the exact recursion, which draws no module either
     path = tmp_path / "c2.quiver"
     path.write_text("quiver C2\nvertex a\nvertex b\narrow x a b\narrow y b a\n", encoding="utf-8")
     assert cli.main(["candecomp", "-q", str(path), "(2,2)"]) == 0
-    assert {"end_algebra", "hom_space", "echelon"} <= set(calls)
-    capsys.readouterr()
+    assert capsys.readouterr().out.endswith("summand (1,1) x2\n")
+    assert calls == []
+    # the wrappers are on the path of a sampled module's split
+    x = reps.random_rep(CYCLES["C2"], (2, 2), DEFAULT_PRIME, 0)
+    oracles.generic_summands(x)
+    reps.end_algebra(x)
+    assert set(calls) == {"end_algebra", "hom_space", "echelon", "random_rep", "factor_list"}

@@ -4,8 +4,9 @@ Inputs are products of random factors, some of them repeated, so the
 squarefree decomposition (and in characteristic p its p-th-root case),
 distinct- and equal-degree factorisation, Hensel lifting and recombination
 all run.  The factor lists must equal sympy's entry for entry, order
-included, because `reps.indecomposable` and `decompose.generic_summands`
-split along the first factor and `indec` prints the witness it gives.
+included, because `reps.indecomposable` and the sampled splitter
+`generic_summands` of `tests/oracles.py` split along the first factor and
+`indec` prints the witness it gives.
 """
 
 import random
