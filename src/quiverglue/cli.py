@@ -1,10 +1,10 @@
 """Command-line front end: file loading, per-command dispatch, reproduction driver.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, an
-undecided result (an exceptional-sequence search that ran out of budget, a
-perpendicular-category search that ran out of its --bound or budget, or
-sampling over F_p that found no answer where a larger prime may find one), or
-a state the exact canonical decomposition rules out (a program defect).
+undecided result (a search or a generic-ext recursion that ran out of its
+--bound or budget, or no exceptional module sampled over F_p where a larger
+prime may find one), or a state the exact canonical decomposition rules out
+(a program defect).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Canonical decomposition, perpendicular-category simples, and the
 root-decomposition algorithm into reduced exceptional sequences.
 
-Generic hom is a Monte-Carlo estimate from seeded samples over a large
-prime field; a sampled Hom is an upper bound on the generic one, so a
-sampled ext of 0 and a sampled module with End = k are certificates.
-Schur-ness is read off the canonical decomposition: by Kac, a vector is a
-Schur root iff its canonical decomposition is itself x1.
+Generic hom is exact at every prime: a Hom between sampled modules bounds
+it above and max(0, <a, b>) below, so a sample that meets that floor
+settles it, and otherwise it is <a, b> + ext(a, b) by Schofield's recursion
+(`GenericExt`).  Schur-ness is read off the canonical decomposition: by
+Kac, a vector is a Schur root iff its canonical decomposition is a x1.
 
 The canonical decomposition depends only on the Euler form, on any quiver,
 and is computed exactly, with no sampling, on one of two paths picked by
@@ -15,21 +15,19 @@ quiver representations", 2002), which is fast.  With one it splits a at a
 b with ext(b, a - b) = ext(a - b, b) = 0, as a general module of a is then
 a general one of b plus one of a - b (Kac, "Infinite root systems,
 representations of graphs and invariant theory II", 1982), and recurses on
-both parts; generic ext is Schofield's recursion over the subvectors a
-general module has ("General representations of quivers", 1992).  That walk
-is exponential in general, so it has a budget.
+both parts, by the same generic ext.  Schofield's recursion is exponential
+in general, so it has a budget.
 
-One `Oracle` serves a whole command.  Each of its answers (a sampled hom, a
-canonical decomposition) is a function of (quiver, config, vector), so
-`exceptional_sequence_decomposition`, `perp_simples`, the step-2 search and
-`verify_reduced_sequence` (and its `sample_exceptional_rep`) take the caller's
-Oracle, and no answer is computed twice; nor is a sampled module drawn twice.
+One `Oracle` serves a whole command: `exceptional_sequence_decomposition`,
+`perp_simples`, the step-2 search and `verify_reduced_sequence` (and its
+`sample_exceptional_rep`) take the caller's Oracle, so no answer is computed
+twice, nor is a sampled module drawn twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import le, mul
 
@@ -55,7 +53,7 @@ class SamplingError(DecomposeError):
 
 
 class BoundExhaustedError(DecomposeError):
-    """A search ran out of its bound or budget undecided, with no sampled check to blame."""
+    """A search ran out of its bound or budget undecided."""
 
 
 class MergeDefectError(DecomposeError):
@@ -78,11 +76,11 @@ class OracleConfig:
 
 
 class Oracle:
-    """Cached hom/ext (sampled) and canonical-decomposition queries on one quiver.
+    """Cached generic hom/ext and canonical-decomposition queries on one quiver, all exact.
 
     A sampled module is a function of (quiver, config, vector, index), so one
     Oracle draws each of them once and hands the same object to every later
-    query that samples it; the cache goes with the Oracle.
+    query that samples it; the cache, and the `GenericExt`, go with the Oracle.
     """
 
     def __init__(self, quiver: Quiver, config: OracleConfig):
@@ -104,15 +102,19 @@ class Oracle:
     def hom(self, a, b) -> int:
         key = (tuple(a), tuple(b))
         if key not in self._hom:
-            floor = max(0, euler_form(self.quiver, a, b))
-            best = None
-            for k in range(self.config.samples):
-                h = hom_dim(self.sample(a, 2 * k + 1), self.sample(b, 2 * k + 2))
-                best = h if best is None else min(best, h)
-                if best == floor:
-                    break
-            self._hom[key] = best
+            form = euler_form(self.quiver, a, b)
+            floor = max(0, form)
+            # a sampled Hom bounds generic hom above, and the floor below
+            draws = range(1, 2 * self.config.samples, 2)
+            if any(hom_dim(self.sample(a, i), self.sample(b, i + 1)) == floor for i in draws):
+                self._hom[key] = floor
+            else:
+                self._hom[key] = form + self._generic.ext(*key)
         return self._hom[key]
+
+    @cached_property
+    def _generic(self) -> GenericExt:
+        return GenericExt(self.quiver)
 
     def ext(self, a, b) -> int:
         return self.hom(a, b) - euler_form(self.quiver, a, b)
@@ -252,75 +254,83 @@ def _merged_summands(quiver: Quiver, simples, coeffs):
     return _group_summands([root for root, m in seq for _ in range(m)])
 
 
+class GenericExt:
+    """Generic ext on one quiver by Schofield's recursion, memoised, under one node budget.
+
+    ext(x, y) is the largest -<s, y> over the subvectors s of x that a general
+    module of x has, 0 and x included, and s is one iff ext(s, x - s) = 0
+    ("General representations of quivers", 1992; in every characteristic by
+    Crawley-Boevey, 1996).  They are tried in decreasing -<s, y>, down to the
+    floor max(0, -<x, y>) that 0 and x give; the first general one sets the
+    value.  Every subvector examined counts against MAX_SEARCH_NODES; past it
+    this raises BoundExhaustedError.
+    """
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self._memo = {}
+        self._nodes = 0
+
+    def examine(self):
+        self._nodes += 1
+        if self._nodes > MAX_SEARCH_NODES:
+            raise BoundExhaustedError(
+                f"search budget exhausted: over {MAX_SEARCH_NODES} subvectors"
+            )
+
+    def ext(self, x: tuple, y: tuple) -> int:
+        key = (x, y)
+        if key not in self._memo:
+            # -<s, y> = s . w, linear in s; reach[i]: the most coordinates i, ... add
+            w = [-v for v in y]
+            for s, t in self.quiver.arrow_indices:
+                w[s] += y[t]
+            floor = max(0, sum(map(mul, x, w)))
+            reach = [0] * (len(x) + 1)
+            for i in reversed(range(len(x))):
+                reach[i] = reach[i + 1] + max(0, w[i]) * x[i]
+
+            def above(i, partial):
+                """(s . w, s) for s <= x with s . w > floor, from coordinate i, each examined."""
+                if partial + reach[i] <= floor:
+                    return
+                if i == len(x):
+                    self.examine()
+                    yield partial, ()
+                    return
+                for v in range(x[i] + 1):
+                    for value, rest in above(i + 1, partial + v * w[i]):
+                        yield value, (v, *rest)
+
+            values = sorted(above(0, 0), reverse=True)
+            self._memo[key] = next((v for v, s in values if self.ext(s, vec_sub(x, s)) == 0), floor)
+        return self._memo[key]
+
+
 def _split_summands(quiver: Quiver, a):
     """The canonical decomposition of a nonzero a, from the Euler form alone, on any quiver.
 
     A general module of a is a general one of b plus a general one of a - b
     exactly when ext(b, a - b) = ext(a - b, b) = 0 (Kac), so a splits at the
     first nonzero proper b <= a with both, and each part splits in turn; a
-    vector with no such b is a Schur root.  Generic ext is Schofield's
-    recursion: ext(x, y) is the largest -<s, y> over the subvectors s of x
-    that a general module of x has, 0 and x included, and s is one iff
-    ext(s, x - s) = 0.  The subvectors are tried in decreasing -<s, y>, down
-    to the floor max(0, -<x, y>) that 0 and x give, and the first general one
-    sets the value.  Every subvector examined, in either search, counts
-    against MAX_SEARCH_NODES; past it this raises BoundExhaustedError.
+    vector with no such b is a Schur root.  Each b tried counts against the
+    budget of the call's `GenericExt` too.
     """
-    memo = {}
-    nodes = [0]
-
-    def examine():
-        nodes[0] += 1
-        if nodes[0] > MAX_SEARCH_NODES:
-            raise BoundExhaustedError(
-                f"search budget exhausted: over {MAX_SEARCH_NODES} subvectors"
-            )
-
-    def above(x, w, floor):
-        """The s <= x with s . w > floor, lazily, each one examined."""
-        reach = [0] * (len(x) + 1)  # reach[i]: the most coordinates i, i+1, ... add
-        for i in reversed(range(len(x))):
-            reach[i] = reach[i + 1] + max(0, w[i]) * x[i]
-
-        def walk(i, partial):
-            if partial + reach[i] <= floor:
-                return
-            if i == len(x):
-                examine()
-                yield ()
-                return
-            for v in range(x[i] + 1):
-                for rest in walk(i + 1, partial + v * w[i]):
-                    yield (v, *rest)
-
-        return walk(0, 0)
-
-    def ext(x, y):
-        key = (x, y)
-        if key not in memo:
-            # -<s, y> = s . w, linear in s
-            w = [-v for v in y]
-            for s, t in quiver.arrow_indices:
-                w[s] += y[t]
-            floor = max(0, sum(map(mul, x, w)))
-            values = sorted(((sum(map(mul, s, w)), s) for s in above(x, w, floor)), reverse=True)
-            memo[key] = next((v for v, s in values if ext(s, vec_sub(x, s)) == 0), floor)
-        return memo[key]
-
+    generic = GenericExt(quiver)
     out, stack = [], [tuple(a)]
     while stack:
         x = stack.pop()
         for b in product(*(range(v + 1) for v in x)):
             if not any(b) or b == x:
                 continue
-            examine()
+            generic.examine()
             c = vec_sub(x, b)
             # ext >= -<,>, so a negative form rules b out before any walk
             if (
                 euler_form_unchecked(quiver, b, c) >= 0
                 and euler_form_unchecked(quiver, c, b) >= 0
-                and ext(b, c) == 0
-                and ext(c, b) == 0
+                and generic.ext(b, c) == 0
+                and generic.ext(c, b) == 0
             ):
                 stack += [b, c]
                 break
@@ -424,12 +434,10 @@ def perp_simples(oracle: Oracle, roots, side="right"):
     through lie in that box.  Accepts those in the perpendicular lattice
     that are not non-negative integer combinations of accepted ones, until
     n - r are found; returned in an order with vanishing forward generic ext.
-    Running out of the bound raises SamplingError when a sampled hom
-    rejected a candidate, which over a larger prime it may accept, and
-    BoundExhaustedError when only the exact filters did (the Euler form, the
-    combination test and the Schur test, read off the exact canonical
-    decomposition), or when the walk passes MAX_CANDIDATE_ROOTS.  A quiver
-    with a loop has no reflection at its loop vertex, and is rejected first.
+    Every filter is exact (the Euler form, the combination test, generic
+    hom and the Schur test), so running out of the bound, or the walk
+    passing MAX_CANDIDATE_ROOTS, raises BoundExhaustedError at every prime.
+    A quiver with a loop has no reflection at its loop vertex: rejected first.
     """
     if side not in ("right", "left"):
         raise DecomposeError("side must be 'right' or 'left'")
@@ -460,7 +468,6 @@ def perp_simples(oracle: Oracle, roots, side="right"):
     if bound is None:
         bound = max(sum(r) for r in roots) + quiver.n if roots else quiver.n
     accepted = []
-    sampled_rejection = False
     for cand in _real_roots(quiver, (bound,) * quiver.n):
         if sum(cand) > bound:
             break
@@ -468,21 +475,14 @@ def perp_simples(oracle: Oracle, roots, side="right"):
         if (
             any(euler_form(quiver, x, y) != 0 for x, y in pairs)
             or _nonneg_combination(cand, accepted) is not None
+            or any(oracle.hom(x, y) != 0 for x, y in pairs)
+            or not oracle.schurian(cand)
+            or any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted)
         ):
-            continue
-        if any(oracle.hom(x, y) != 0 for x, y in pairs):
-            sampled_rejection = True
-            continue
-        if not oracle.schurian(cand):
-            continue
-        if any(oracle.hom(cand, acc) != 0 or oracle.hom(acc, cand) != 0 for acc in accepted):
-            sampled_rejection = True
             continue
         accepted.append(cand)
         if len(accepted) == needed:
             return _topo_order_by_ext(oracle.ext, accepted)
-    if sampled_rejection:
-        raise SamplingError(f"bound exhausted over F_{oracle.config.prime}; try a larger prime")
     raise BoundExhaustedError(f"perp search bound {bound} exhausted; try a larger --bound")
 
 
@@ -545,6 +545,8 @@ def verify_reduced_sequence(oracle: Oracle, roots, coeffs, target):
     from .gluing import build_gluing
 
     quiver = oracle.quiver
+    if not quiver.is_loop_free():
+        raise DecomposeError("reduced exceptional sequences require a loop-free quiver")
     roots = [quiver.check_dimvector(r) for r in roots]
     for r in roots:
         if any(v < 0 for v in r):
@@ -553,11 +555,8 @@ def verify_reduced_sequence(oracle: Oracle, roots, coeffs, target):
     target = quiver.check_dimvector(target)
     checks = []
 
-    total = [0] * quiver.n
-    for r, c in zip(roots, coeffs):
-        for i, v in enumerate(r):
-            total[i] += c * v
-    ok_sum = tuple(total) == target and all(c > 0 for c in coeffs) and len(roots) == len(coeffs)
+    total = tuple(sum(c * r[i] for r, c in zip(roots, coeffs)) for i in range(quiver.n))
+    ok_sum = total == target and all(c > 0 for c in coeffs) and len(roots) == len(coeffs)
     checks.append(("sum-identity", ok_sum, ""))
 
     for idx, r in enumerate(roots, start=1):

@@ -1120,3 +1120,102 @@ def test_exact_canonical_builds_no_end_algebra_and_eliminates_nothing(
     oracles.generic_summands(x)
     reps.end_algebra(x)
     assert set(calls) == {"end_algebra", "hom_space", "echelon", "random_rep", "factor_list"}
+
+
+# -- generic hom: Schofield's recursion behind Oracle.hom -------------------
+#
+# Oracle.hom keeps a sampled Hom only where it meets the Euler floor
+# max(0, <a, b>); any other answer is <a, b> + ext(a, b) from GenericExt.
+# At 2^31 - 1 the sampled minimum is generic hom with high probability, so
+# it is the reference; a disagreement is a program defect.
+
+HOM_BOXES = (
+    [("K3", load_quiver("K3"), 2), ("S4", load_quiver("S4"), 1), ("S5", load_quiver("S5"), 1)]
+    + [(name, CYCLES[name], top) for name, top in (("C2", 3), ("C3", 2))]
+    + [
+        (f"A3-{k}", q, 2)
+        for k, q in enumerate(_orientations("A3", "abc", [("a", "b"), ("b", "c")]))
+    ]
+    + [
+        (f"D4-{k}", q, 1)
+        for k, q in enumerate(
+            _orientations("D4", "abcd", [("b", "a"), ("c", "a"), ("d", "a")])
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("name,q,top", HOM_BOXES, ids=[b[0] for b in HOM_BOXES])
+def test_generic_ext_hom_matches_sampled_hom(name, q, top):
+    oracle, generic = Oracle(q, CONFIG), decompose.GenericExt(q)
+    box = _nonzero_box(q.n, top)
+    for a, b in itertools.product(box, repeat=2):
+        exact = euler_form(q, a, b) + generic.ext(a, b)
+        assert exact == oracles.sampled_hom(oracle, a, b) == oracle.hom(a, b), (name, a, b)
+
+
+def _count_generic_ext(monkeypatch):
+    """The quiver name of every GenericExt built from now on, and the number of its ext calls."""
+    built, calls = [], []
+
+    class Counted(decompose.GenericExt):
+        def __init__(self, quiver):
+            built.append(quiver.name)
+            super().__init__(quiver)
+
+        def ext(self, x, y):
+            calls.append((x, y))
+            return super().ext(x, y)
+
+    monkeypatch.setattr(decompose, "GenericExt", Counted)
+    return built, calls
+
+
+def test_oracle_hom_above_the_floor_asks_the_recursion_past_its_budget_exits_2(
+    monkeypatch, capsys
+):
+    # over F_2 the sampled Hom stays above the floor on some S4 pairs, so the
+    # recursion decides them, within its node budget or not at all
+    from quiverglue.cli import main
+
+    built, calls = _count_generic_ext(monkeypatch)
+    argv = ["perpsimples", "-q", "S4", "(1,1,1,1,1)", "--prime", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("simple (1,1,1,1,0)\n")
+    assert built == ["S4"] and calls
+    monkeypatch.setattr(decompose, "MAX_SEARCH_NODES", 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search budget exhausted: over 1 subvectors\n"
+
+
+def test_paper_commands_build_no_generic_ext_at_the_default_prime(monkeypatch, capsys):
+    # every hom query of these commands meets its floor on a sample at
+    # 2^31 - 1, so none pays for the recursion
+    from quiverglue.cli import main
+
+    built, _ = _count_generic_ext(monkeypatch)
+    for argv in (
+        ["reproduce", "sub4-excseq"],
+        ["reproduce", "sub5-candecomp"],
+        ["reproduce", "sub8-realroot"],
+        ["excdecomp", "-q", "S5", "(10,3,3,3,3,8)"],
+    ):
+        assert main(argv) == 0, argv
+    assert built == []
+    # the counter is on the path: over F_2 the same excdecomp builds one
+    assert main(["excdecomp", "-q", "S5", "(10,3,3,3,3,8)", "--prime", "2"]) == 0
+    assert built == ["S5"]
+    capsys.readouterr()
+
+
+def test_oracle_hom_is_the_floor_only_where_a_sample_meets_it(monkeypatch):
+    # over F_2 a sample of (3,1) and one of (1,0) on K3 have a Hom above the
+    # floor 0 at every draw, and the recursion says 0
+    q = load_quiver("K3")
+    oracle = Oracle(q, OracleConfig(prime=2))
+    a, b = (1, 0), (3, 1)
+    assert oracles.sampled_hom(oracle, a, b) > max(0, euler_form(q, a, b))
+    built, _ = _count_generic_ext(monkeypatch)
+    assert oracle.hom(a, b) == 0 and built == ["K3"]

@@ -12,6 +12,16 @@ sampled check (`perpsimples` on K3 (1,0); `perpsimples` on C2 (0,1), (1,0),
 (1,2), (2,1) and `excdecomp` on C2 (1,2), (2,1), at every prime) were
 recorded again when that message came to name the bound and suggest
 `--bound` instead of a larger prime.
+
+When generic hom became exact at every prime (a sample kept only where it
+meets the Euler floor, Schofield's recursion for the rest), 58 entries
+were recorded again: the 22 S4 `perpsimples` on (1,0,0,1,1) ... (1,1,1,1,1)
+at --prime 2 and 3, which had exited 2 with "bound exhausted over F_p; try
+a larger prime" and now print the simples they print at 2^31 - 1; and the
+36 C3 `perpsimples` on (0,1,1), (1,0,1), (1,1,0), (1,2,2), (2,1,2),
+(2,2,1) and `excdecomp` on (1,2,2), (2,1,2), (2,2,1) at every prime, whose
+exact hom rejects the same candidates, so their message now names the
+bound and suggests `--bound`.
 """
 
 import itertools

@@ -6,6 +6,11 @@ with entries at most 1, and of `perpsimples --side left` on the boxes of
 `test_generic_box.py` (K3, S4 and the oriented cycles C2 and C3), at
 --prime 101 and 2^31 - 1.  The generic box covers only the right side.
 Re-record with `PYTHONPATH=src python tests/test_perp_box.py`.
+
+The 12 C3 entries on (0,1,1), (1,0,1), (1,1,0), (1,2,2), (2,1,2), (2,2,1)
+were recorded again when generic hom became exact: the candidates they
+reject are the same, and their message now names the bound and suggests
+`--bound` instead of a larger prime.
 """
 
 import itertools
